@@ -34,7 +34,8 @@ import numpy as np
 import scipy.linalg
 
 from .kernels import cutoff_enforced_values, cutoff_inverse_values
-from .operators import (DiscretizedOperator, build_A, propagator_matrix,
+from .operators import (DiscretizedOperator, build_A, log_det_n,
+                        propagator_matrix, radial_site_matrix,
                         site_square_mask)
 from .regions import (FieldConfig, LatticeGeometry, classify_squares,
                       smooth_step)
@@ -90,21 +91,11 @@ def embed_tau(field, grid):
 def _cutoff_matrix_cached(n, sites_per_square, c_key, enforced):
     """Weighted-representation matrix of the kernel of 1/(1+f)."""
     geo = LatticeGeometry(n=n, sites_per_square=sites_per_square)
-    nsite = geo.sites_per_side ** 2
     c = float(c_key)
     if c == 0.0:
-        return np.eye(nsite)
-    side = geo.sites_per_side
-    d = np.arange(side)
-    d2 = (d[:, None] ** 2 + d[None, :] ** 2).ravel()
-    uniq, inv = np.unique(d2, return_inverse=True)
+        return np.eye(geo.sites_per_side ** 2)
     func = cutoff_enforced_values if enforced else cutoff_inverse_values
-    vals = func(c, np.sqrt(uniq) / sites_per_square)
-    block = vals[inv].reshape(side, side)
-    idx = np.arange(side)
-    di = np.abs(idx[:, None] - idx[None, :])
-    full = block[di[:, None, :, None], di[None, :, None, :]]
-    return full.reshape(nsite, nsite) * geo.site_weight
+    return radial_site_matrix(geo, lambda r: func(c, r)) * geo.site_weight
 
 
 @functools.lru_cache(maxsize=4)
@@ -409,6 +400,15 @@ def build_deltaC(params, geometry, cutoff, regions, pad=2, enforced=True,
 # ---------------------------------------------------------------------------
 # sampling
 
+def gaussian_root(mat):
+    """R with R R^T = mat from one eigh of the symmetrized matrix:
+    R = vec sqrt(ev), rounding-level negative eigenvalues clipped to 0."""
+    ev, vec = np.linalg.eigh(0.5 * (mat + mat.T))
+    if ev.min() < -1e-10 * max(float(ev.max()), 1.0):
+        raise ArithmeticError("covariance is not positive semidefinite")
+    return vec * np.sqrt(np.clip(ev, 0.0, None))
+
+
 def sample_gaussian(covariance, seed=0, count=1, geometry=None):
     """Mean-zero Gaussian draws with the given covariance kernel.
 
@@ -417,11 +417,7 @@ def sample_gaussian(covariance, seed=0, count=1, geometry=None):
     seed gives a bit-identical sequence.  With a geometry the draws are
     wrapped as FieldConfig on that grid."""
     mat = covariance.matrix
-    ev, vec = np.linalg.eigh(0.5 * (mat + mat.T))
-    floor = -1e-10 * max(float(ev.max()), 1.0)
-    if ev.min() < floor:
-        raise ArithmeticError("covariance is not positive semidefinite")
-    root = vec * np.sqrt(np.clip(ev, 0.0, None))
+    root = gaussian_root(mat)
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal((count, mat.shape[0])) @ root.T
     if geometry is None:
@@ -478,11 +474,9 @@ def damping_report(field, params, regions, covset, deltac, assignment=None):
     as_w = aop.a_s.weighted
     app_w = aop.a_doubleprime.weighted
     n = as_w.shape[0]
-    k3 = 1j * np.linalg.eigvalsh(as_w)
-    log3 = np.sum(np.log(1.0 + k3) - k3 + 0.5 * k3 * k3)
-    beta = np.linalg.eigvals(np.linalg.solve(np.eye(n) + 1j * as_w,
-                                             1j * app_w))
-    log2 = np.sum(np.log(1.0 + beta) - beta)
+    log3 = log_det_n(1j * np.linalg.eigvalsh(as_w), 3)
+    log2 = log_det_n(np.linalg.eigvals(np.linalg.solve(
+        np.eye(n) + 1j * as_w, 1j * app_w)), 2)
 
     tau_w = embed_tau(field, covset.grid) * np.sqrt(covset.grid.site_weight)
     quad = sum(float(tau_w @ op.weighted @ tau_w) for op in deltac)
@@ -517,9 +511,7 @@ def single_square_normalization(params, cutoff, sites_per_square=4, pad=2,
     geo = LatticeGeometry(n=1, sites_per_square=sites_per_square)
     asm = _assembly(params, geo, cutoff, pad, enforced, include_polarization)
     idx = np.flatnonzero(region_site_mask(asm.geo, [(0, 0)]))
-    block = (asm.c0_w / asm.w)[np.ix_(idx, idx)]
-    ev, vec = np.linalg.eigh(block)
-    root = vec * np.sqrt(np.clip(ev, 0.0, None))
+    root = gaussian_root((asm.c0_w / asm.w)[np.ix_(idx, idx)])
     f_block = propagator_matrix(asm.geo, params.m)[np.ix_(idx, idx)]
 
     rng = np.random.default_rng(seed)
@@ -533,7 +525,7 @@ def single_square_normalization(params, cutoff, sites_per_square=4, pad=2,
             vals[i] = 0.0
             continue
         lam_e = 1j * np.linalg.eigvals(f_block * (params.g * tau * asm.w)[None, :])
-        log3 = np.sum(np.log(1.0 + lam_e) - lam_e + 0.5 * lam_e * lam_e)
+        log3 = log_det_n(lam_e, 3)
         vals[i] = t * np.exp(-0.5 * params.bigN * log3)
     value = float(vals.real.mean())
     stderr = float(vals.real.std(ddof=1) / np.sqrt(samples))

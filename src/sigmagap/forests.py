@@ -24,6 +24,8 @@ import numpy as np
 import sympy
 from scipy.optimize import brentq
 
+from .regions import _UnionFind
+
 # upper bound on the growth of the number of fixed polyominoes per size
 # (Klarner-Rivest), used for the tail of the activity sum
 POLYOMINO_GROWTH = 4.65
@@ -31,24 +33,6 @@ POLYOMINO_GROWTH = 4.65
 
 def _edge(i, j):
     return (i, j) if i <= j else (j, i)
-
-
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,21 +73,12 @@ def enumerate_forests(index_set, max_size=8):
     def extend(start, edges, parent):
         out.append(tuple(edges))
         for k in range(start, len(all_edges)):
-            i, j = all_edges[k]
-            uf = dict(parent)
-
-            def find(x):
-                while uf[x] != x:
-                    uf[x] = uf[uf[x]]
-                    x = uf[x]
-                return x
-
-            ri, rj = find(i), find(j)
-            if ri == rj:
+            uf = _UnionFind(())
+            uf.parent = dict(parent)
+            if not uf.union(*all_edges[k]):
                 continue
-            uf[ri] = rj
-            edges.append((i, j))
-            extend(k + 1, edges, uf)
+            edges.append(all_edges[k])
+            extend(k + 1, edges, uf.parent)
             edges.pop()
 
     extend(0, [], {x: x for x in labels})

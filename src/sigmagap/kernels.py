@@ -141,7 +141,6 @@ class SampledKernel:
     radial_vals: np.ndarray
     fitted_decay_rate: float = np.nan
     fit_residual: float = np.nan
-    raw_decay_rate: float = np.nan
     sup_norm: float = np.nan
     delta_coeff: float = 0.0
     _spline: CubicSpline | None = field(default=None, repr=False)
@@ -184,8 +183,8 @@ def fit_decay_rate(r, vals, prefactor_power=0.0, z_window=(2.0, 7.0),
     starting from the plain log-linear slope.  A 2D massive kernel has
     rho = 1/2 (propagator-like) or 1 (bubble-like); fitting without the
     prefactor correction overestimates the rate substantially whenever
-    the window does not reach rate*r >> 1, so the plain fit is returned
-    only as a diagnostic by callers that want it.
+    the window does not reach rate*r >> 1, so the plain fit only seeds
+    the iteration.
     Returns (rate, rms_residual).
     """
     r = np.asarray(r, dtype=float)
@@ -214,13 +213,17 @@ def fit_decay_rate(r, vals, prefactor_power=0.0, z_window=(2.0, 7.0),
     return float(rate), resid
 
 
-def _plain_rate(r, vals, lo=2.0, floor=1e-13):
-    r = np.asarray(r, float)
-    v = np.abs(np.asarray(vals, float))
-    sel = (r >= lo) & (r <= r.max() * 0.9) & (v > floor)
-    if sel.sum() < 4:
-        return np.nan
-    return float(-np.polyfit(r[sel], np.log(v[sel]), 1)[0])
+def _fitted_kernel(grid_step, half_extent, grid, rr, vals, prefactor_power,
+                   z_window=(2.0, 7.0), delta_coeff=0.0):
+    """SampledKernel of a tabulated radial kernel with its decay-rate fit
+    and sup norm filled in."""
+    rate, resid = fit_decay_rate(rr, vals, prefactor_power=prefactor_power,
+                                 z_window=z_window)
+    return SampledKernel(grid_step=grid_step, half_extent=half_extent,
+                         values=grid, radial_r=rr, radial_vals=vals,
+                         fitted_decay_rate=rate, fit_residual=resid,
+                         sup_norm=float(np.abs(grid).max()),
+                         delta_coeff=delta_coeff)
 
 
 def propagator_kernel(m, grid_step=0.125, half_extent=None):
@@ -239,13 +242,7 @@ def propagator_kernel(m, grid_step=0.125, half_extent=None):
     vals = propagator_values(m2, rr)
     dist, _ = _grid_radii(grid_step, half_extent)
     grid = propagator_values(m2, dist.ravel()).reshape(dist.shape)
-    rate, resid = fit_decay_rate(rr, vals, prefactor_power=0.5)
-    ker = SampledKernel(grid_step=grid_step, half_extent=half_extent,
-                        values=grid, radial_r=rr, radial_vals=vals,
-                        fitted_decay_rate=rate, fit_residual=resid,
-                        raw_decay_rate=_plain_rate(rr, vals),
-                        sup_norm=float(np.abs(grid).max()))
-    return ker
+    return _fitted_kernel(grid_step, half_extent, grid, rr, vals, 0.5)
 
 
 def polarization_kernel(params: ModelParams, grid_step=0.125, half_extent=None,
@@ -256,14 +253,8 @@ def polarization_kernel(params: ModelParams, grid_step=0.125, half_extent=None,
     half = 0.5 * params.lam * params.bigK
     vals = half * fkernel.radial_vals ** 2
     grid = half * fkernel.values ** 2
-    rate, resid = fit_decay_rate(fkernel.radial_r, vals, prefactor_power=1.0)
-    return SampledKernel(grid_step=fkernel.grid_step,
-                         half_extent=fkernel.half_extent,
-                         values=grid, radial_r=fkernel.radial_r,
-                         radial_vals=vals,
-                         fitted_decay_rate=rate, fit_residual=resid,
-                         raw_decay_rate=_plain_rate(fkernel.radial_r, vals),
-                         sup_norm=float(np.abs(grid).max()))
+    return _fitted_kernel(fkernel.grid_step, fkernel.half_extent, grid,
+                          fkernel.radial_r, vals, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +357,8 @@ def sqrt_one_plus_pi_kernel(params: ModelParams, sign, grid_step=0.125,
     # at p^2 = -4m^2: (1+pi)^{-1/2} vanishes like t^{1/2} there -> r^{-2}
     # prefactor; (1+pi)^{+1/2} diverges like t^{-1/4} -> r^{-5/4}
     rho = 2.0 if sign == -1 else 1.25
-    rate, resid = fit_decay_rate(rr, vals, prefactor_power=rho,
-                                 z_window=(2.5, 7.5))
-    return SampledKernel(grid_step=grid_step, half_extent=half_extent,
-                         values=grid, radial_r=rr, radial_vals=vals,
-                         fitted_decay_rate=rate, fit_residual=resid,
-                         raw_decay_rate=_plain_rate(rr, vals),
-                         sup_norm=float(np.abs(grid).max()),
-                         delta_coeff=1.0)
+    return _fitted_kernel(grid_step, half_extent, grid, rr, vals, rho,
+                          z_window=(2.5, 7.5), delta_coeff=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -457,13 +442,8 @@ def cutoff_inverse_kernel(spec: CutoffSpec, grid_step=0.125, half_extent=4.0):
 
     vals = cutoff_inverse_values(c, rr)
     grid = cutoff_inverse_values(c, dist)
-    rate, resid = fit_decay_rate(rr, vals, prefactor_power=0.5,
-                                 z_window=(2.0, 6.0))
-    raw = SampledKernel(grid_step=grid_step, half_extent=half_extent,
-                        values=grid, radial_r=rr, radial_vals=vals,
-                        fitted_decay_rate=rate, fit_residual=resid,
-                        raw_decay_rate=_plain_rate(rr, vals, lo=0.5),
-                        sup_norm=float(np.abs(grid).max()))
+    raw = _fitted_kernel(grid_step, half_extent, grid, rr, vals, 0.5,
+                         z_window=(2.0, 6.0))
 
     # absolute-mass fractions in and out of the unit disk
     mass_in, _ = quad(lambda r: 2 * np.pi * r * abs(cutoff_inverse_values(c, r)),
@@ -472,9 +452,8 @@ def cutoff_inverse_kernel(spec: CutoffSpec, grid_step=0.125, half_extent=4.0):
                        1.0, 60.0 * c ** 0.25 + 5.0, limit=400)
     leaked = mass_out / (mass_in + mass_out)
 
-    wvals = cutoff_inverse_values(c, rr) * _wendland(rr)
-    mu, _ = quad(lambda r: 2 * np.pi * r * cutoff_inverse_values(c, r) * _wendland(r),
-                 0.0, 1.0, limit=200)
+    wvals = vals * _wendland(rr)
+    mu = _enforced_norm(c)
     wgrid = grid * _wendland(dist) / mu
     enforced = SampledKernel(grid_step=grid_step, half_extent=half_extent,
                              values=wgrid, radial_r=rr, radial_vals=wvals / mu,

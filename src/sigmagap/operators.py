@@ -20,11 +20,12 @@ import math
 import numpy as np
 
 from .kernels import propagator_values
-from .regions import classify_squares
+from .regions import LatticeGeometry, classify_squares
 
 __all__ = [
     "DiscretizedOperator", "AOperator", "site_coordinates", "site_square_labels",
-    "propagator_matrix", "build_A", "operator_norm", "det_reg",
+    "radial_site_matrix", "propagator_matrix", "build_A", "operator_norm",
+    "log_det_n",
     "det_split_identity", "D_decomposition", "trace_projection_inequality",
     "link_block", "derived_link_norm",
 ]
@@ -41,7 +42,6 @@ class DiscretizedOperator:
 
     matrix: np.ndarray
     site_weights: np.ndarray
-    support_mask: np.ndarray = None
     hermitian_kernel: bool = False
 
     def __post_init__(self):
@@ -109,23 +109,29 @@ def site_square_mask(geometry, corner):
     return mask.reshape(side * side)
 
 
-@functools.lru_cache(maxsize=8)
-def _propagator_matrix_cached(n, sites_per_square, m_key):
-    m = float(m_key)
-    side = 2 * n * sites_per_square
-    # all site-pair offsets share the subgrid spacing 1/s
+def radial_site_matrix(geometry, radial):
+    """Matrix radial(|x_i - x_j|) over the discretization sites.
+
+    All site-pair offsets share the subgrid spacing 1/s, so radial is
+    evaluated once per distinct distance and expanded through the
+    block-Toeplitz structure full[ix, iy, jx, jy] = block[|ix-jx|, |iy-jy|].
+    """
+    side = geometry.sites_per_side
     d = np.arange(side)
     d2 = (d[:, None] ** 2 + d[None, :] ** 2).ravel()
     uniq, inv = np.unique(d2, return_inverse=True)
-    vals = propagator_values(m * m, np.sqrt(uniq) / sites_per_square)
+    vals = radial(np.sqrt(uniq) / geometry.sites_per_square)
     block = vals[inv].reshape(side, side)
-
-    idx = np.arange(side)
-    di = np.abs(idx[:, None] - idx[None, :])
-    # full[ix, iy, jx, jy] = block[|ix-jx|, |iy-jy|]
+    di = np.abs(d[:, None] - d[None, :])
     full = block[di[:, None, :, None], di[None, :, None, :]]
-    nsite = side * side
-    return full.reshape(nsite, nsite)
+    return full.reshape(side * side, side * side)
+
+
+@functools.lru_cache(maxsize=8)
+def _propagator_matrix_cached(n, sites_per_square, m_key):
+    m = float(m_key)
+    geo = LatticeGeometry(n=n, sites_per_square=sites_per_square)
+    return radial_site_matrix(geo, lambda r: propagator_values(m * m, r))
 
 
 def propagator_matrix(geometry, m):
@@ -137,7 +143,6 @@ def propagator_matrix(geometry, m):
 
 @functools.lru_cache(maxsize=8)
 def _propagator_sqrt_cached(n, sites_per_square, m_key):
-    from .regions import LatticeGeometry
     geo = LatticeGeometry(n=n, sites_per_square=sites_per_square)
     sf = propagator_matrix(geo, float(m_key)) * geo.site_weight
     ev, vec = np.linalg.eigh(sf)
@@ -241,27 +246,21 @@ def operator_norm(op, seed=0, tol=1e-10, maxiter=10000):
     raise ArithmeticError("power iteration did not converge")
 
 
-def det_reg(op, order=1):
-    """Regularized Fredholm determinant det_n(1 + K) from the eigenvalues:
-    det(1+K) exp(-TrK + TrK^2/2 - ... +- TrK^{n-1}/(n-1))."""
+def log_det_n(lam, order):
+    """log det_n(1 + K) from the eigenvalues lam of K:
+    sum log(1+lam) + sum_{j<n} (-1)^j sum lam^j / j.
+
+    Summing the principal logarithms eigenvalue by eigenvalue keeps the
+    branch that exp would lose and never overflows."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    lam = op.eigenvalues() if isinstance(op, DiscretizedOperator) \
-        else np.linalg.eigvals(op)
+    lam = np.asarray(lam).astype(complex)
     if np.min(np.abs(1.0 + lam)) < 1e-12:
         raise ArithmeticError("1 + K has an eigenvalue at 0")
-    lam = lam.astype(complex)
-    log_det = np.sum(np.log(1.0 + lam))
+    terms = np.log(1.0 + lam)
     for j in range(1, order):
-        log_det += (-1.0) ** j * np.sum(lam ** j) / j
-    return complex(np.exp(log_det))
-
-
-def _logdet(mat):
-    lam = np.linalg.eigvals(mat)
-    if np.min(np.abs(1.0 + lam)) < 1e-12:
-        raise ArithmeticError("singular 1 + K")
-    return np.sum(np.log(1.0 + lam)), lam
+        terms += (-1.0) ** j * lam ** j / j
+    return complex(np.sum(terms))
 
 
 def det_split_identity(field, params, geometry=None, kernel=None):
@@ -283,16 +282,16 @@ def det_split_identity(field, params, geometry=None, kernel=None):
     eye = np.eye(n)
     B = np.linalg.solve(eye + 1j * As, 1j * App)
 
-    log_a, _ = _logdet(1j * A)
-    log_as, lam_s = _logdet(1j * As)
-    log_b, lam_b = _logdet(B)
-    res1 = abs(-log_a - (-log_as - log_b))
+    lam_a = np.linalg.eigvals(1j * A)
+    lam_s = np.linalg.eigvals(1j * As)
+    lam_b = np.linalg.eigvals(B)
+    log_a = log_det_n(lam_a, 1)
+    res1 = abs(log_a - log_det_n(lam_s, 1) - log_det_n(lam_b, 1))
 
     # det_3^{-1}(1+iAs) det_2^{-1}(1+B) on log scale
-    tr_ias = 1j * np.trace(As)
     tr_ias2 = np.trace((1j * As) @ (1j * As))
-    lhs = -(log_as - tr_ias + 0.5 * tr_ias2) - (log_b - np.trace(B))
-    rhs = -(log_a - 1j * np.trace(A)) - 0.5 * tr_ias2
+    lhs = -log_det_n(lam_s, 3) - log_det_n(lam_b, 2)
+    rhs = -log_det_n(lam_a, 2) - 0.5 * tr_ias2
     res2 = abs(lhs - rhs)
     scale = max(1.0, abs(log_a))
     return float(max(res1, res2) / scale)

@@ -228,8 +228,10 @@ def _adjacency_components(corners):
 
 
 class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
+    """Disjoint sets over hashable items, with path halving."""
+
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
 
     def find(self, x):
         while self.parent[x] != x:
@@ -238,9 +240,12 @@ class _UnionFind:
         return x
 
     def union(self, a, b):
+        """Merge the sets of a and b; False when they were already one."""
         ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
 
 
 @dataclasses.dataclass
@@ -339,8 +344,8 @@ def build_regions(assignment, geometry=None, corridorM=None):
     # min over witness squares Delta in Lambda of d(a, Delta) + d(b, Delta)
     witness_sum = np.min(dist[:, :, None] + dist[:, None, :], axis=0)
 
-    uf_link = _UnionFind(r)
-    uf_elink = _UnionFind(r)
+    uf_link = _UnionFind(range(r))
+    uf_elink = _UnionFind(range(r))
     for i in range(r):
         for j in range(i + 1, r):
             ia = [l_index[c] for c in raw[i]]

@@ -26,10 +26,9 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 from scipy.optimize import brentq
 
-from .covariance import build_C0
+from .covariance import build_C0, gaussian_root
 from .kernels import CutoffSpec, propagator_values
-from .operators import build_A, det_reg, DiscretizedOperator, \
-    propagator_matrix
+from .operators import build_A, log_det_n, propagator_matrix
 from .regions import LatticeGeometry
 
 
@@ -84,9 +83,8 @@ def sample_weight(field, params, geometry=None, assignment=None):
     geometry = geometry or field.geometry
     a = build_A(field, params, geometry, assignment=assignment,
                 symmetrize=True)
-    det3 = det_reg(DiscretizedOperator(1j * a.op.matrix,
-                                       a.op.site_weights), order=3)
-    return complex(np.exp(-0.5 * params.bigN * np.log(det3)))
+    logdet3 = log_det_n(np.linalg.eigvals(1j * a.op.weighted), 3)
+    return complex(np.exp(-0.5 * params.bigN * logdet3))
 
 
 def _logdet3_from_lu(lu, piv, f_diag, f_sq, g, wtau):
@@ -118,10 +116,12 @@ class TwoPointResult:
     fit_window: tuple
 
 
-def _params_hash(params, geometry, cutoff, seed, n_samples):
+def _params_hash(params, geometry, cutoff, **inputs):
+    """Hash over the model, grid and cutoff plus every named estimator
+    input (seed, sample count, separations, batching, ...)."""
     text = repr((params.lam, params.bigK, params.bigN, params.m,
                  params.g, geometry.n, geometry.sites_per_square,
-                 getattr(cutoff, "c", cutoff), seed, n_samples))
+                 getattr(cutoff, "c", cutoff), sorted(inputs.items())))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -236,9 +236,7 @@ def estimate_S2(params, geometry=None, cutoff=None, seed=0,
     e_x = np.zeros(side * side)
     e_x[x_idx] = 1.0
 
-    cov = build_C0(params, geometry, cutoff)
-    ev, vec = np.linalg.eigh(0.5 * (cov.matrix + cov.matrix.T))
-    root = vec * np.sqrt(np.clip(ev, 0.0, None))
+    root = gaussian_root(build_C0(params, geometry, cutoff).matrix)
     rng = np.random.default_rng(seed)
     for _ in range(thermalization):
         rng.standard_normal(side * side)
@@ -285,8 +283,11 @@ def estimate_S2(params, geometry=None, cutoff=None, seed=0,
         stderr=np.abs(stderr), fitted_mprime=mprime,
         mprime_stderr=mprime_se, fit_residual=r2,
         sample_count=n_samples,
-        params_hash=_params_hash(params, geometry, cutoff, seed,
-                                 n_samples),
+        params_hash=_params_hash(
+            params, geometry, cutoff, seed=seed, n_samples=n_samples,
+            thermalization=thermalization,
+            separations=separations.tolist(), n_batches=n_batches,
+            phase_floor=phase_floor),
         phase_diagnostic=diag, mean_weight=complex(mean_w),
         gap_mass=params.m, fit_window=(lo, hi))
 

@@ -1,6 +1,7 @@
 """Command-line orchestrator: config parsing, results persistence,
 exit codes, and subcommand dispatch."""
 
+import csv
 import os
 
 import numpy as np
@@ -15,6 +16,7 @@ from sigmagap.cli import (
     main,
     parse_config_file,
     persist_results,
+    run_hash,
     _fmt,
 )
 from sigmagap.twopoint import SignProblemError
@@ -77,6 +79,26 @@ seed = 7
         a = RunConfig().config_hash
         b = RunConfig(seed=1).config_hash
         assert a != b and len(a) == 16
+
+    @staticmethod
+    def hash_of(argv):
+        args = cli.make_parser().parse_args(argv)
+        return run_hash(build_config(args), args)
+
+    def test_hash_leaves_out_output_dir(self):
+        assert RunConfig(outdir="a").config_hash \
+            == RunConfig(outdir="b").config_hash
+        assert self.hash_of(["accept-all", "--out", "a"]) \
+            == self.hash_of(["accept-all", "--out", "b"])
+
+    def test_hash_covers_subcommand_flags(self):
+        pairs = [(["accept-all", "--profile", "quick"],
+                  ["accept-all", "--profile", "full"]),
+                 (["twopoint"], ["twopoint", "--separations", "2,2.5"]),
+                 (["forest-verify"], ["forest-verify", "--max-size", "5"]),
+                 (["forest-verify"], ["forest-verify", "--trials", "10"])]
+        for a, b in pairs:
+            assert self.hash_of(a) != self.hash_of(b), b
 
 
 class TestPersistence:
@@ -195,6 +217,22 @@ class TestSubcommands:
         assert main(["gap-solve"]) == 0
         assert (tmp_path / "envout" / "results.csv").exists()
 
+    def test_opcheck_dual_route_catches_flipped_square_term(
+            self, tmp_path, monkeypatch):
+        # negative control: +lam^2/2 turned into -lam^2/2 in det_3
+        real = cli.log_det_n
+
+        def flipped(lam, order):
+            out = real(lam, order)
+            if order >= 3:
+                out -= np.sum(np.asarray(lam) ** 2)
+            return out
+
+        monkeypatch.setattr(cli, "log_det_n", flipped)
+        assert main(["opcheck", "--out", str(tmp_path)]) == cli.EXIT_CHECK
+        rows = {r[0]: r for r in csv.reader(open(tmp_path / "results.csv"))}
+        assert rows["det3-dual-route"][5] == "0"
+
     def test_accept_all_quick(self, tmp_path):
         assert main(["accept-all", "--profile", "quick",
                      "--out", str(tmp_path)]) == 0
@@ -203,3 +241,9 @@ class TestSubcommands:
         for module in ("model", "kernels", "regions", "operators",
                        "covariance", "forests", "twopoint"):
             assert any(f",{module}," in line for line in body[2:])
+        # every row parses to the header's fields, the bracketed bound too
+        rows = list(csv.reader(body[1:]))
+        assert rows[0] == list(ResultsTable.COLUMNS)
+        assert all(len(r) == 7 for r in rows)
+        assert {r[0]: r[4] for r in rows}["twopoint-mass-ratio"] \
+            == "[0.7,1.3]"

@@ -12,9 +12,9 @@ from sigmagap.operators import (
     D_decomposition,
     build_A,
     derived_link_norm,
-    det_reg,
     det_split_identity,
     link_block,
+    log_det_n,
     operator_norm,
     propagator_matrix,
     trace_projection_inequality,
@@ -172,17 +172,21 @@ class TestOperatorNorm:
             assert operator_norm(aop.a_s) <= BIGN ** -0.4
 
 
+def det_n(op, order):
+    return np.exp(log_det_n(op.eigenvalues(), order))
+
+
 class TestDetReg:
     def test_zero_operator(self):
         op = DiscretizedOperator(np.zeros((6, 6)), np.ones(6))
         for order in (1, 2, 3):
-            assert det_reg(op, order) == pytest.approx(1.0)
+            assert det_n(op, order) == pytest.approx(1.0)
 
     def test_rank_one(self):
         mat = np.zeros((5, 5))
         mat[0, 0] = 0.5
         op = DiscretizedOperator(mat, np.ones(5))
-        assert det_reg(op, 2) == pytest.approx(1.5 * math.exp(-0.5), rel=1e-12)
+        assert det_n(op, 2) == pytest.approx(1.5 * math.exp(-0.5), rel=1e-12)
 
     def test_hermitian_eigen_oracle(self):
         rng = np.random.default_rng(12)
@@ -191,17 +195,32 @@ class TestDetReg:
         lam = np.linalg.eigvalsh(h)
         oracle = np.prod((1 + lam) * np.exp(-lam + lam ** 2 / 2))
         op = DiscretizedOperator(h, np.ones(40), hermitian_kernel=True)
-        assert det_reg(op, 3) == pytest.approx(oracle, rel=1e-10)
+        assert det_n(op, 3) == pytest.approx(oracle, rel=1e-10)
 
     def test_singularity_error(self):
         op = DiscretizedOperator(np.diag([-1.0, 0.2]), np.ones(2))
         with pytest.raises(ArithmeticError):
-            det_reg(op, 2)
+            det_n(op, 2)
 
     def test_order_validation(self):
         op = DiscretizedOperator(np.zeros((2, 2)), np.ones(2))
         with pytest.raises(ValueError):
-            det_reg(op, 0)
+            det_n(op, 0)
+
+    def test_large_determinant_stays_finite(self):
+        # det(1 + 1000 I_200) = 1001^200 overflows a float; its log does not
+        lam = np.linalg.eigvalsh(1000.0 * np.eye(200))
+        val = log_det_n(lam, 1)
+        assert val.imag == 0.0
+        assert val.real == pytest.approx(200 * math.log(1001.0), rel=1e-15)
+
+    def test_branch_is_kept(self):
+        # sum of nine arguments atan(10) exceeds pi; the principal log of
+        # the product would drop 4 pi i
+        lam = np.linalg.eigvals(10j * np.eye(9))
+        val = log_det_n(lam, 1)
+        assert val.imag == pytest.approx(9 * math.atan(10.0), rel=1e-14)
+        assert val.real == pytest.approx(4.5 * math.log(101.0), rel=1e-14)
 
 
 class TestDetSplit:

@@ -5,14 +5,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor
 
 from sigmagap.covariance import build_C0, sample_gaussian
 from sigmagap.kernels import CutoffSpec, propagator_values
 from sigmagap.model import derive_params, leading_mass
-from sigmagap.operators import build_A, propagator_matrix
+from sigmagap.operators import build_A, log_det_n, propagator_matrix
 from sigmagap.regions import FieldConfig, LatticeGeometry
 from sigmagap.twopoint import (
     SignProblemError,
+    _logdet3_from_lu,
     default_geometry,
     default_separations,
     estimate_S2,
@@ -134,6 +136,33 @@ class TestSampleWeight:
         assert abs(w - alt) < 1e-8 * abs(w)
 
 
+class TestLogdet3FromLU:
+    """The hot loop's weight: log det3 from the LU factors against the
+    eigenvalue route, on 144-site fields up to one whose factorization
+    pivots an odd number of times."""
+
+    GEO144 = LatticeGeometry(n=3, sites_per_square=2)
+
+    @pytest.mark.parametrize("seed,scale,odd_swaps", [
+        (0, 1.0, False), (0, 100.0, False), (1, 300.0, True)])
+    def test_matches_eigenvalue_route(self, seed, scale, odd_swaps):
+        params = make_params()
+        geo, w = self.GEO144, self.GEO144.site_weight
+        f = propagator_matrix(geo, params.m)
+        fld = random_field(params, seed, geometry=geo, scale=scale)
+        wtau = w * fld.tau.reshape(-1)
+        k = f * (1j * params.g * wtau)[None, :]
+        lu, piv = lu_factor(np.eye(len(wtau)) + k)
+        assert (np.sum(piv != np.arange(len(piv))) % 2 == 1) == odd_swaps
+        got = _logdet3_from_lu(lu, piv, np.diag(f).copy(), f * f.T,
+                               params.g, wtau)
+        diff = got - log_det_n(np.linalg.eigvals(k), 3)
+        # the two logs may sit on branches 2 pi i apart; the weight
+        # exp(-N/2 log det3) cannot tell them apart for even N
+        assert abs(diff.real) < 1e-10
+        assert abs((diff.imag + np.pi) % (2.0 * np.pi) - np.pi) < 1e-10
+
+
 class TestMassMatching:
     @pytest.mark.parametrize("m", [0.05, 0.2, 0.8])
     def test_recovers_known_mass_from_exact_kernel(self, m):
@@ -191,6 +220,13 @@ class TestEstimateS2:
         assert a.params_hash == b.params_hash
         assert a.params_hash != c.params_hash
         assert not np.array_equal(a.estimates, c.estimates)
+        # every estimator input enters the hash
+        for change in ({"thermalization": 1},
+                       {"separations": default_separations(GEO)[1:]},
+                       {"n_batches": 30}, {"phase_floor": 0.01}):
+            d = estimate_S2(params, geometry=GEO, n_samples=60, seed=3,
+                            **change)
+            assert d.params_hash != a.params_hash, change
 
     def test_thermalization_shifts_stream(self):
         params = make_params()
