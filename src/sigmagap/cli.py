@@ -78,6 +78,10 @@ class RunConfig:
         for key in ("lam", "bigK", "cutoff_c"):
             if not getattr(self, key) > 0:
                 raise ConfigError(f"config key {key} must be positive")
+        try:
+            self.cutoff()
+        except ValueError as exc:
+            raise ConfigError(f"config key cutoff.c: {exc}") from exc
         if self.bigN <= 0 or self.bigN % 2:
             raise ConfigError("config key model.N must be a positive "
                               "even integer")
@@ -169,6 +173,9 @@ def build_config(args):
         val = getattr(args, flag, None)
         if val is not None:
             values[field] = val
+    for flag in ("max_size", "trials"):
+        if getattr(args, flag, 1) < 1:
+            raise ConfigError(f"--{flag.replace('_', '-')} must be >= 1")
     return RunConfig(**values).validate()
 
 
@@ -211,9 +218,9 @@ class ResultsTable:
                          f" bound={_fmt(r['bound'])}\n")
 
 
-def persist_results(table, outdir, name="results.csv"):
+def persist_results(table, outdir):
     os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, name)
+    path = os.path.join(outdir, "results.csv")
     try:
         with open(path, "w", newline="") as fh:
             fh.write(f"# config_hash={table.config_hash}\n")
@@ -253,18 +260,23 @@ def run_gap_checks(cfg, table):
               float("nan"), c_m > 0, 0.0)
 
 
-def run_kernel_checks(cfg, table, bench_mass=0.1):
+# gap mass of the kernel checks: large enough that the decay fit window
+# m*r in [2, 7] fits on a tractable table
+BENCH_MASS = 0.1
+
+
+def run_kernel_checks(cfg, table):
     p = ModelParams(lam=cfg.lam, bigK=cfg.bigK, bigN=cfg.bigN,
                     g=np.sqrt(cfg.lam * cfg.bigK / cfg.bigN),
-                    m=bench_mass, epsilon=cfg.bigN ** -0.4, corridorM=5.0)
+                    m=BENCH_MASS, epsilon=cfg.bigN ** -0.4, corridorM=5.0)
     with _Timer() as t:
-        k = propagator_kernel(bench_mass)
-        rate_err = abs(k.fitted_decay_rate / bench_mass - 1.0)
+        k = propagator_kernel(BENCH_MASS)
+        rate_err = abs(k.fitted_decay_rate / BENCH_MASS - 1.0)
     table.add("propagator-decay", "kernels", "free-kernel-decay",
               rate_err, 0.1, rate_err < 0.1, t.ms)
     with _Timer() as t:
         pi0 = polarization_momentum(0.0, p, test_mode_unregulated=True)
-        rel = abs(pi0 * 8 * np.pi * bench_mass ** 2
+        rel = abs(pi0 * 8 * np.pi * BENCH_MASS ** 2
                   / (cfg.lam * cfg.bigK) - 1.0)
     table.add("bubble-test-mode", "kernels", "unregulated-bubble", rel,
               1e-6, rel < 1e-6, t.ms)
@@ -276,12 +288,11 @@ def run_kernel_checks(cfg, table, bench_mass=0.1):
               abs(norm - 1.0), 1e-8, abs(norm - 1.0) < 1e-8, t.ms)
 
 
-def _small_setup(cfg, scale=1.0, seed=None):
+def _small_setup(cfg, scale=1.0):
     params = derive_params(32.0, 1.0, 10 ** 6, corridor_override=2.0)
     geo = LatticeGeometry(n=2, sites_per_square=3)
     c0 = cov.build_C0(params, geo, CutoffSpec(c=cfg.cutoff_c))
-    fld = cov.sample_gaussian(c0, seed=cfg.seed if seed is None else seed,
-                              count=1, geometry=geo)[0]
+    fld = cov.sample_gaussian(c0, seed=cfg.seed, count=1, geometry=geo)[0]
     if scale != 1.0:
         fld = type(fld).from_tau(geo, scale * fld.tau)
     return params, geo, fld
@@ -423,13 +434,20 @@ def run_forest_checks(cfg, table, max_size=6, trials=50):
 
 def run_twopoint(cfg, args):
     seps = None
-    if getattr(args, "separations", None):
-        seps = [float(x) for x in args.separations.split(",")]
-    res = tp.estimate_S2(cfg.params(), geometry=cfg.geometry(),
-                         cutoff=cfg.cutoff(), seed=cfg.seed,
-                         n_samples=cfg.samples,
-                         thermalization=cfg.thermalization,
-                         separations=seps)
+    if args.separations:
+        try:
+            seps = [float(x) for x in args.separations.split(",")]
+        except ValueError:
+            raise ConfigError("--separations must be comma-separated "
+                              f"numbers, got {args.separations!r}")
+    try:
+        res = tp.estimate_S2(cfg.params(), geometry=cfg.geometry(),
+                             cutoff=cfg.cutoff(), seed=cfg.seed,
+                             n_samples=cfg.samples,
+                             thermalization=cfg.thermalization,
+                             separations=seps)
+    except ValueError as exc:  # separations or sample count it rejects
+        raise ConfigError(str(exc)) from exc
     outdir = cfg.resolved_outdir()
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, "twopoint.csv")
@@ -460,9 +478,10 @@ PROFILES = {
 }
 
 
-def run_accept_all(cfg, args):
-    profile = PROFILES[args.profile]
-    table = ResultsTable(run_hash(cfg, args))
+def run_accept_all(cfg, table, profile):
+    """The whole battery; the profile sets the forest trials and the size
+    of the two-point run."""
+    profile = PROFILES[profile]
     run_gap_checks(cfg, table)
     run_kernel_checks(cfg, table)
     run_decompose_checks(cfg, table)
@@ -477,10 +496,6 @@ def run_accept_all(cfg, args):
         ratio = res.fitted_mprime / res.gap_mass
     table.add("twopoint-mass-ratio", "twopoint", "mass-persistence",
               ratio, "[0.7,1.3]", 0.7 < ratio < 1.3, t.ms)
-    table.report()
-    paths = persist_results(table, cfg.resolved_outdir())
-    print(f"wrote {paths[0]}")
-    return EXIT_OK if table.all_passed else EXIT_CHECK
 
 
 def _table_command(runner, extra=()):
@@ -503,7 +518,7 @@ COMMANDS = {
     "forest-verify": _table_command(run_forest_checks,
                                     ("max_size", "trials")),
     "twopoint": run_twopoint,
-    "accept-all": run_accept_all,
+    "accept-all": _table_command(run_accept_all, ("profile",)),
 }
 
 
@@ -542,16 +557,11 @@ def make_parser():
 def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
-        cfg = build_config(args)
+        return COMMANDS[args.command](build_config(args), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        return COMMANDS[args.command](cfg, args)
-    except tp.SignProblemError as exc:
-        print(f"numerical abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ArithmeticError as exc:
+    except ArithmeticError as exc:  # SignProblemError included
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

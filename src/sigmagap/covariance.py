@@ -33,12 +33,23 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.linalg
 
-from .kernels import cutoff_enforced_values, cutoff_inverse_values
+from .kernels import cutoff_enforced_values
 from .operators import (DiscretizedOperator, build_A, log_det_n,
                         propagator_matrix, radial_site_matrix,
                         site_square_mask)
 from .regions import (FieldConfig, LatticeGeometry, classify_squares,
                       smooth_step)
+
+# relative Frobenius tail at which the Neumann series of C^{gamma_i}
+# stops, and the most terms it may take
+NEUMANN_TOL = 1e-12
+NEUMANN_MAX_TERMS = 4000
+# sup-entry agreement of the direct and series routes to C_gamma
+ROUTE_AGREE_TOL = 1e-8
+# relative agreement of the Z_gamma routes and of its component product
+FACTOR_TOL = 1e-8
+# sup residual allowed in the small/large splitting identity
+SPLIT_IDENTITY_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -75,72 +86,59 @@ def inner_site_mask(grid, geometry):
 
 def embed_tau(field, grid):
     """Zero-extend an inner-lattice field onto the padded grid (flat)."""
-    s = grid.sites_per_square
-    off = (grid.n - field.geometry.n) * s
-    side = grid.sites_per_side
-    inner = field.geometry.sites_per_side
-    out = np.zeros((side, side))
-    out[off:off + inner, off:off + inner] = field.tau
-    return out.reshape(side * side)
+    out = np.zeros(grid.sites_per_side ** 2)
+    out[inner_site_mask(grid, field.geometry)] = field.tau.reshape(-1)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # cached kernel assembly
 
 @functools.lru_cache(maxsize=4)
-def _cutoff_matrix_cached(n, sites_per_square, c_key, enforced):
-    """Weighted-representation matrix of the kernel of 1/(1+f)."""
+def _cutoff_matrix_cached(n, sites_per_square, c_key):
+    """Weighted-representation matrix of the compact-support kernel of
+    1/(1+f)."""
     geo = LatticeGeometry(n=n, sites_per_square=sites_per_square)
     c = float(c_key)
-    if c == 0.0:
-        return np.eye(geo.sites_per_side ** 2)
-    func = cutoff_enforced_values if enforced else cutoff_inverse_values
-    return radial_site_matrix(geo, lambda r: func(c, r)) * geo.site_weight
+    return (radial_site_matrix(geo, lambda r: cutoff_enforced_values(c, r))
+            * geo.site_weight)
 
 
 @functools.lru_cache(maxsize=4)
-def _assembly_cached(n, sites_per_square, m_key, lamK_key, c_key, enforced):
+def _assembly_cached(n, sites_per_square, m_key, lamK_key, c_key):
     geo = LatticeGeometry(n=n, sites_per_square=sites_per_square)
     nsite = geo.sites_per_side ** 2
     w = geo.site_weight
-    lamK = float(lamK_key)
-    if lamK == 0.0:
-        pi_w = np.zeros((nsite, nsite))
-        s_plus = np.eye(nsite)
-        s_minus = np.eye(nsite)
-    else:
-        fmat = propagator_matrix(geo, float(m_key))
-        # entrywise square of a pd function is pd, so pi_w is exactly PSD
-        pi_w = 0.5 * lamK * fmat * fmat * w
-        ev, vec = np.linalg.eigh(np.eye(nsite) + pi_w)
-        if ev.min() <= 0.0:
-            raise ArithmeticError("1 + pi lost positivity on the grid")
-        s_plus = (vec * np.sqrt(ev)) @ vec.T
-        s_minus = (vec / np.sqrt(ev)) @ vec.T
-    u_w = _cutoff_matrix_cached(n, sites_per_square, c_key, enforced)
-    if float(c_key) == 0.0:
-        uinv_w = np.eye(nsite)
-    else:
-        try:
-            cf = scipy.linalg.cho_factor(u_w)
-        except np.linalg.LinAlgError as exc:
-            raise ArithmeticError(
-                "cutoff kernel not positive definite: grid too coarse"
-            ) from exc
-        uinv_w = scipy.linalg.cho_solve(cf, np.eye(nsite))
-        uinv_w = 0.5 * (uinv_w + uinv_w.T)
+    fmat = propagator_matrix(geo, float(m_key))
+    # entrywise square of a pd function is pd, so pi_w is exactly PSD
+    pi_w = 0.5 * float(lamK_key) * fmat * fmat * w
+    ev, vec = np.linalg.eigh(np.eye(nsite) + pi_w)
+    if ev.min() <= 0.0:
+        raise ArithmeticError("1 + pi lost positivity on the grid")
+    s_plus = (vec * np.sqrt(ev)) @ vec.T
+    s_minus = (vec / np.sqrt(ev)) @ vec.T
+    u_w = _cutoff_matrix_cached(n, sites_per_square, c_key)
+    try:
+        cf = scipy.linalg.cho_factor(u_w)
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError(
+            "cutoff kernel not positive definite: grid too coarse") from exc
+    uinv_w = scipy.linalg.cho_solve(cf, np.eye(nsite))
+    uinv_w = 0.5 * (uinv_w + uinv_w.T)
     c0_w = s_minus @ u_w @ s_minus
     return SimpleNamespace(geo=geo, nsite=nsite, w=w, pi_w=pi_w,
                            s_plus=s_plus, s_minus=s_minus,
                            u_w=u_w, uinv_w=uinv_w, c0_w=c0_w)
 
 
-def _assembly(params, geometry, cutoff, pad, enforced, include_polarization):
+def _assembly(params, geometry, cutoff, pad):
+    if not cutoff.c > 0:
+        raise ValueError("the covariance needs a cutoff with c > 0")
     grid = padded_geometry(geometry, pad)
-    lamK = params.lam * params.bigK if include_polarization else 0.0
     return _assembly_cached(grid.n, grid.sites_per_square,
-                            round(float(params.m), 12), round(lamK, 12),
-                            round(float(cutoff.c), 12), bool(enforced))
+                            round(float(params.m), 12),
+                            round(params.lam * params.bigK, 12),
+                            round(float(cutoff.c), 12))
 
 
 def _as_operator(weighted, w):
@@ -152,16 +150,14 @@ def _as_operator(weighted, w):
 # ---------------------------------------------------------------------------
 # C0 and C_gamma
 
-def build_C0(params, geometry, cutoff, pad=0, enforced=True,
-             include_polarization=True):
-    """C0 = (1+pi)^{-1/2} (1+f)^{-1} (1+pi)^{-1/2} on the (padded) grid.
+def build_C0(params, geometry, cutoff):
+    """C0 = (1+pi)^{-1/2} (1+f)^{-1} (1+pi)^{-1/2} on the grid.
 
-    Symmetric positive definite by construction; raises ArithmeticError
-    when either kernel loses positivity under discretization.  With
-    include_polarization=False and a zero cutoff this degenerates to the
-    identity operator (delta kernel)."""
-    asm = _assembly(params, geometry, cutoff, pad, enforced,
-                    include_polarization)
+    (1+f)^{-1} is the compact-support cutoff kernel.  Symmetric positive
+    definite by construction; raises ArithmeticError when either kernel
+    loses positivity under discretization and ValueError when the cutoff
+    has c <= 0."""
+    asm = _assembly(params, geometry, cutoff, pad=0)
     return _as_operator(asm.c0_w, asm.w)
 
 
@@ -180,28 +176,27 @@ class CovarianceSet:
     geometry: LatticeGeometry
     route_residual: float
     neumann_terms: int
-    enforced: bool
     epsilon: float
     cutoff_weighted: np.ndarray
     Zgamma: float = None
     deltaC: tuple = None
 
 
-def _neumann_correction(asm, mask, eps, tol, max_terms=4000):
+def _neumann_correction(asm, mask, eps):
     """C^{gamma_i} by the truncated series in the gamma-restricted chain.
 
     Every term of sum_r [U P (1-eps)]^r with r >= 1 enters and leaves
     through the columns of gamma_i, so the series is summed as a power
     series of the (1-eps) U[gamma,gamma] block and widened back afterwards;
-    the truncation is at relative tail tol in Frobenius norm."""
+    the truncation is at relative tail NEUMANN_TOL in Frobenius norm."""
     idx = np.flatnonzero(mask)
     y = (1.0 - eps) * asm.u_w[np.ix_(idx, idx)]
     acc = np.eye(len(idx))
     term = np.eye(len(idx))
-    for terms in range(1, max_terms + 1):
+    for terms in range(1, NEUMANN_MAX_TERMS + 1):
         term = y @ term
         acc += term
-        if np.linalg.norm(term) <= tol * np.linalg.norm(acc):
+        if np.linalg.norm(term) <= NEUMANN_TOL * np.linalg.norm(acc):
             break
     else:
         raise ArithmeticError("Neumann series did not reach the tail target")
@@ -211,18 +206,16 @@ def _neumann_correction(asm, mask, eps, tol, max_terms=4000):
     return corr, terms
 
 
-def build_Cgamma(params, geometry, cutoff, regions, pad=2, enforced=True,
-                 include_polarization=True, neumann_tol=1e-12,
-                 agree_tol=1e-8, routes="both"):
+def build_Cgamma(params, geometry, cutoff, regions, pad=2, routes="both"):
     """Assemble C_gamma on the padded grid by two routes.
 
     Direct: Cholesky inversion of (1-eps)-floored quadratic form.  Series:
     C0 plus the per-component corrections C^{gamma_i} summed as truncated
     Neumann chains.  The sup-entry disagreement of the two routes is
-    recorded and must stay below agree_tol; routes="direct" skips the
-    series (used on large grids where only the direct value is needed)."""
-    asm = _assembly(params, geometry, cutoff, pad, enforced,
-                    include_polarization)
+    recorded and must stay below ROUTE_AGREE_TOL = 1e-8; routes="direct"
+    skips the series (used on large grids where only the direct value is
+    needed)."""
+    asm = _assembly(params, geometry, cutoff, pad)
     eps = params.epsilon
     gmask = region_site_mask(asm.geo, regions.gamma)
     x = asm.uinv_w - np.diag((1.0 - eps) * gmask)
@@ -242,14 +235,14 @@ def build_Cgamma(params, geometry, cutoff, regions, pad=2, enforced=True,
     if routes == "both":
         for comp in regions.components:
             cmask = region_site_mask(asm.geo, comp.gamma)
-            corr, terms = _neumann_correction(asm, cmask, eps, neumann_tol)
+            corr, terms = _neumann_correction(asm, cmask, eps)
             corr = 0.5 * (corr + corr.T)
             total_terms = max(total_terms, terms)
             corr_sum += corr
             comp_ops.append(_as_operator(corr, asm.w))
             comp_masks.append(cmask)
         residual = float(np.abs(cg_w - asm.c0_w - corr_sum).max() / asm.w)
-        if residual > agree_tol:
+        if residual > ROUTE_AGREE_TOL:
             raise ArithmeticError(
                 f"covariance routes disagree: sup residual {residual:.3e}")
     else:
@@ -269,7 +262,6 @@ def build_Cgamma(params, geometry, cutoff, regions, pad=2, enforced=True,
         geometry=geometry,
         route_residual=residual,
         neumann_terms=total_terms,
-        enforced=enforced,
         epsilon=eps,
         cutoff_weighted=asm.u_w,
     )
@@ -278,7 +270,7 @@ def build_Cgamma(params, geometry, cutoff, regions, pad=2, enforced=True,
 # ---------------------------------------------------------------------------
 # normalization
 
-def compute_Zgamma(covset, regions, factor_tol=1e-8):
+def compute_Zgamma(covset, regions):
     """Z_gamma = det^{1/2}(C0^{-1} C_gamma) via generalized eigenvalues.
 
     Checks Z_gamma >= 1, the product factorization over components (exact
@@ -303,16 +295,15 @@ def compute_Zgamma(covset, regions, factor_tol=1e-8):
                                      eigvals_only=True)
             log_i = 0.5 * float(np.sum(np.log(mu_i)))
             log_det = component_log_z(covset, cmask)
-            if abs(log_i - log_det) > factor_tol * max(1.0, abs(log_i)):
+            if abs(log_i - log_det) > FACTOR_TOL * max(1.0, abs(log_i)):
                 raise ArithmeticError(
                     "generalized-eigenvalue and determinant routes disagree "
                     f"on a component: {log_i} vs {log_det}")
             log_parts.append(log_i)
-        if covset.enforced:
-            rel = abs(z - np.exp(sum(log_parts))) / z
-            if rel > factor_tol:
-                raise ArithmeticError(
-                    f"component factorization broke: rel {rel:.3e}")
+        rel = abs(z - np.exp(sum(log_parts))) / z
+        if rel > FACTOR_TOL:
+            raise ArithmeticError(
+                f"component factorization broke: rel {rel:.3e}")
     covset.Zgamma = z
     return z
 
@@ -351,8 +342,7 @@ class DeltaC:
         return iter((self.d1, self.d2, self.d3, self.d4))
 
 
-def build_deltaC(params, geometry, cutoff, regions, pad=2, enforced=True,
-                 include_polarization=True, tol=1e-8):
+def build_deltaC(params, geometry, cutoff, regions, pad=2):
     """deltaC_1..deltaC_4 from the block decomposition of S(1-P_gamma)S.
 
     With S = sqrt(1+pi), T = S(1-P_gamma)S and blocks taken over the
@@ -366,8 +356,7 @@ def build_deltaC(params, geometry, cutoff, regions, pad=2, enforced=True,
     and the assembly is verified against the independently computed
     difference C_gamma^{-1} - C_ls^{-1} = deltaC - P_l - (1 - P_Lambda)
     where C_ls^{-1} = P_s pi P_s + 1 + S f S."""
-    asm = _assembly(params, geometry, cutoff, pad, enforced,
-                    include_polarization)
+    asm = _assembly(params, geometry, cutoff, pad)
     eps = params.epsilon
     gmask = region_site_mask(asm.geo, regions.gamma).astype(float)
     s_mask = region_site_mask(asm.geo, regions.lambda_s).astype(float)
@@ -390,7 +379,7 @@ def build_deltaC(params, geometry, cutoff, regions, pad=2, enforced=True,
     rhs = (d1_w + d2_w + d3_w + d4_w - np.diag(l_mask)
            - np.diag(1.0 - lam_mask))
     residual = float(np.abs(lhs - rhs).max())
-    if residual > tol:
+    if residual > SPLIT_IDENTITY_TOL:
         raise ArithmeticError(
             f"splitting identity violated: sup residual {residual:.3e}")
     return DeltaC(*(_as_operator(m, asm.w) for m in (d1_w, d2_w, d3_w, d4_w)),
@@ -501,15 +490,14 @@ class SquareNormalization:
     samples: int
 
 
-def single_square_normalization(params, cutoff, sites_per_square=4, pad=2,
-                                samples=2000, seed=0, enforced=True,
-                                include_polarization=True):
+def single_square_normalization(params, cutoff, sites_per_square=4,
+                                samples=2000, seed=0):
     """Monte Carlo estimate of the normalized partition integral of a
     single small-field square: the free-covariance average of the window
     weight times det_3^{-N/2}(1 + iA) with the covariance restricted to
     the square.  Tends to 1 faster than N^{-1/5} as N grows."""
     geo = LatticeGeometry(n=1, sites_per_square=sites_per_square)
-    asm = _assembly(params, geo, cutoff, pad, enforced, include_polarization)
+    asm = _assembly(params, geo, cutoff, pad=2)
     idx = np.flatnonzero(region_site_mask(asm.geo, [(0, 0)]))
     root = gaussian_root((asm.c0_w / asm.w)[np.ix_(idx, idx)])
     f_block = propagator_matrix(asm.geo, params.m)[np.ix_(idx, idx)]

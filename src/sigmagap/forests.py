@@ -29,6 +29,13 @@ from .regions import _UnionFind
 # upper bound on the growth of the number of fixed polyominoes per size
 # (Klarner-Rivest), used for the tail of the activity sum
 POLYOMINO_GROWTH = 4.65
+# exhaustive forest enumeration is limited to this many labels
+FOREST_MAX_LABELS = 8
+# the neighbor-link forest weights must sum to 1 within this
+FIRST_FOREST_TOL = 1e-8
+# polymer-count guards of the two Mayer connectivity routes
+MAYER_GRAPH_MAX_Q = 8
+MAYER_TREE_MAX_Q = 6
 
 
 def _edge(i, j):
@@ -62,11 +69,12 @@ class Forest:
         return [frozenset(g) for g in groups.values()]
 
 
-def enumerate_forests(index_set, max_size=8):
+def enumerate_forests(index_set):
     """All forests (acyclic edge subsets) on the label set, exhaustively."""
     labels = tuple(sorted(index_set))
-    if len(labels) > max_size:
-        raise ValueError(f"index set larger than the guard ({max_size})")
+    if len(labels) > FOREST_MAX_LABELS:
+        raise ValueError(
+            f"index set larger than the guard ({FOREST_MAX_LABELS})")
     all_edges = [_edge(a, b) for a, b in itertools.combinations(labels, 2)]
     out = []
 
@@ -85,10 +93,10 @@ def enumerate_forests(index_set, max_size=8):
     return out
 
 
-def spanning_trees(index_set, max_size=8):
+def spanning_trees(index_set):
     labels = tuple(sorted(index_set))
     want = len(labels) - 1
-    return [f for f in enumerate_forests(labels, max_size) if len(f) == want]
+    return [f for f in enumerate_forests(labels) if len(f) == want]
 
 
 def forest_path(edges, i, j):
@@ -115,12 +123,15 @@ def forest_path(edges, i, j):
 
 
 def effective_parameter(edges, h, pair):
-    """inf of the h parameters along the unique connecting path; 0 when
-    the pair is not connected by the forest."""
+    """inf of the h parameters (scalars or arrays) along the unique
+    connecting path; 0 when the pair is not connected by the forest, 1
+    when it is a single label."""
     path = forest_path(edges, *pair)
-    if path is None or len(path) == 0:
-        return 0.0 if path is None else 1.0
-    return min(h[e] for e in path)
+    if path is None:
+        return 0.0
+    if not path:
+        return 1.0
+    return np.minimum.reduce([np.asarray(h[e]) for e in path])
 
 
 # ---------------------------------------------------------------------------
@@ -160,17 +171,7 @@ def _integrate_over_forest(edges, integrand, nodes=12):
     return total
 
 
-def _effective_vectorized(edges, h, pair):
-    """inf-rule value with array-valued h parameters."""
-    path = forest_path(edges, *pair)
-    if path is None:
-        return 0.0
-    if not path:
-        return 1.0
-    return np.minimum.reduce([np.asarray(h[e]) for e in path])
-
-
-def verify_forest_formula(H, index_set, x, nodes=12):
+def verify_forest_formula(H, index_set, x):
     """Residual of the forest interpolation identity for a symbolic H.
 
     H is a sympy expression in the pair variables x[(i,j)]; the right side
@@ -190,28 +191,31 @@ def verify_forest_formula(H, index_set, x, nodes=12):
         f = sympy.lambdify(syms, dH, "numpy")
 
         def integrand(h, edges=edges, f=f):
-            args = [_effective_vectorized(edges, h, p) for p in pairs]
+            args = [effective_parameter(edges, h, p) for p in pairs]
             if h:
                 shape = np.broadcast_shapes(*(np.shape(a) for a in h.values()))
                 args = [np.broadcast_to(a, shape) for a in args]
             return f(*args)
 
-        total += _integrate_over_forest(edges, integrand, nodes)
+        total += _integrate_over_forest(edges, integrand)
     return abs(total - target)
 
 
 # ---------------------------------------------------------------------------
 # neighbor-link forest formula
 
+def _component_links(neighbor_pairs, components):
+    """Sorted distinct neighbor links with both ends in one component."""
+    return sorted({_edge(*sorted(p)) for p in neighbor_pairs
+                   if any(p[0] in c and p[1] in c for c in components)})
+
+
 def surviving_forests(squares, neighbor_pairs, components):
     """Forests of neighbor links whose clusters are exactly the given
     components (the only nonzero terms of the neighbor-link formula)."""
     squares = tuple(sorted(squares))
     comp_sets = [frozenset(c) for c in components]
-    eps_edges = [
-        _edge(a, b) for (a, b) in (tuple(sorted(p)) for p in neighbor_pairs)
-        if any(a in c and b in c for c in comp_sets)
-    ]
+    eps_edges = _component_links(neighbor_pairs, comp_sets)
     out = []
     for edges in enumerate_forests(squares):
         if not all(e in eps_edges for e in edges):
@@ -222,8 +226,7 @@ def surviving_forests(squares, neighbor_pairs, components):
     return out
 
 
-def verify_first_forest_formula(squares, neighbor_pairs, components,
-                                nodes=12, tol=1e-8):
+def verify_first_forest_formula(squares, neighbor_pairs, components):
     """Check the neighbor-link forest formula on a toy region.
 
     Two assertions: the surviving forests are exactly the unions of
@@ -233,13 +236,12 @@ def verify_first_forest_formula(squares, neighbor_pairs, components,
     if len(squares) > 8:
         raise ValueError("toy-region guard: at most 8 squares")
     comp_sets = [frozenset(c) for c in components]
-    neighbor = {_edge(*sorted(p)) for p in neighbor_pairs}
-    survivors = surviving_forests(squares, neighbor, comp_sets)
+    links = _component_links(neighbor_pairs, comp_sets)
+    survivors = surviving_forests(squares, links, comp_sets)
 
     expected = 1
     for comp in comp_sets:
-        comp_edges = [e for e in neighbor
-                      if e[0] in comp and e[1] in comp]
+        comp_edges = [e for e in links if e[0] in comp and e[1] in comp]
         trees = [t for t in enumerate_forests(tuple(sorted(comp)))
                  if len(t) == len(comp) - 1
                  and all(e in comp_edges for e in t)]
@@ -247,20 +249,18 @@ def verify_first_forest_formula(squares, neighbor_pairs, components,
     if len(survivors) != expected:
         return False
 
-    eps_pairs = [e for e in neighbor
-                 if any(e[0] in c and e[1] in c for c in comp_sets)]
     total = 0.0
     for edges in survivors:
-        open_pairs = [p for p in eps_pairs if p not in edges]
+        open_pairs = [p for p in links if p not in edges]
 
         def integrand(h, edges=edges, open_pairs=open_pairs):
             val = 1.0
             for p in open_pairs:
-                val = val * _effective_vectorized(edges, h, p)
+                val = val * effective_parameter(edges, h, p)
             return val
 
-        total += _integrate_over_forest(edges, integrand, nodes)
-    return abs(total - 1.0) < tol
+        total += _integrate_over_forest(edges, integrand)
+    return abs(total - 1.0) < FIRST_FOREST_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +319,12 @@ def positivity_decomposition(K, block_labels, edges, h):
 # ---------------------------------------------------------------------------
 # Mayer connectivity
 
-def mayer_connectivity(overlap_pairs, q, max_q=8):
+def mayer_connectivity(overlap_pairs, q):
     """T(M) by exhaustive enumeration of connected graphs whose edges are
     overlapping pairs (hard core: each edge carries a factor -1)."""
-    if q > max_q:
-        raise ValueError(f"polymer count above the guard ({max_q})")
+    if q > MAYER_GRAPH_MAX_Q:
+        raise ValueError(
+            f"polymer count above the guard ({MAYER_GRAPH_MAX_Q})")
     if q == 1:
         return 1.0
     edges = [_edge(*sorted(p)) for p in overlap_pairs]
@@ -345,12 +346,12 @@ def mayer_connectivity(overlap_pairs, q, max_q=8):
     return total
 
 
-def mayer_tree_formula(overlap_pairs, q, nodes=12, max_q=6):
+def mayer_tree_formula(overlap_pairs, q, nodes=12):
     """T(M) via the tree formula: sum over spanning trees of overlapping
     pairs, each tree edge contributing -1, times the integral of
     prod_{(ij) not in tree, overlapping} (1 - h_T(i,j))."""
-    if q > max_q:
-        raise ValueError(f"polymer count above the guard ({max_q})")
+    if q > MAYER_TREE_MAX_Q:
+        raise ValueError(f"polymer count above the guard ({MAYER_TREE_MAX_Q})")
     if q == 1:
         return 1.0
     overlap = {_edge(*sorted(p)) for p in overlap_pairs}
@@ -363,7 +364,7 @@ def mayer_tree_formula(overlap_pairs, q, nodes=12, max_q=6):
         def integrand(h, tree=tree, open_pairs=open_pairs):
             val = 1.0
             for p in open_pairs:
-                val = val * (1.0 - _effective_vectorized(tree, h, p))
+                val = val * (1.0 - effective_parameter(tree, h, p))
             return val
 
         total += (-1.0) ** (q - 1) * _integrate_over_forest(tree, integrand,
@@ -441,13 +442,13 @@ def polymer_activity_sum(rho, max_size=6, amplitude=None):
                        rho=rho)
 
 
-def activity_threshold(max_size=6, hi=None):
+def activity_threshold():
     """Largest rho for which the enumerated-plus-tail activity sum stays
     at or below 1/2."""
-    hi = hi or 1.0 / (POLYOMINO_GROWTH * math.e) - 1e-9
+    hi = 1.0 / (POLYOMINO_GROWTH * math.e) - 1e-9
 
     def excess(r):
-        return polymer_activity_sum(r, max_size).total - 0.5
+        return polymer_activity_sum(r).total - 0.5
 
     if excess(hi) < 0:
         return hi

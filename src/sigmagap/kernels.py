@@ -44,14 +44,19 @@ from scipy.special import j0, k0, kei
 from .model import ModelParams
 
 R_POLE_SWITCH = 15.0   # beyond this the two-pole residue formula is exact
+Q_MAX = 6.5            # momentum cutoff of the direct route: g < e^{-42} past it
+FIT_FLOOR = 1e-300     # kernel values at or below this are left out of fits
+FIT_ITERS = 6          # fixed-point steps of the decay-rate fit window
+CUTOFF_HALF_EXTENT = 4.0   # half side of the tabulated cutoff kernels
 
 
 # ---------------------------------------------------------------------------
 # quadrature scaffolding
 
-def gauss_panels(edges, nodes=12):
-    """Composite Gauss-Legendre nodes/weights over consecutive [e_i, e_{i+1}]."""
-    x0, w0 = np.polynomial.legendre.leggauss(nodes)
+def gauss_panels(edges):
+    """Composite 12-point Gauss-Legendre nodes/weights over consecutive
+    [e_i, e_{i+1}]."""
+    x0, w0 = np.polynomial.legendre.leggauss(12)
     edges = np.asarray(edges, dtype=float)
     a, b = edges[:-1], edges[1:]
     mid, rad = 0.5 * (a + b), 0.5 * (b - a)
@@ -88,7 +93,7 @@ def pole_params(m2):
     return out
 
 
-def propagator_values(m2, r, q_max=6.5):
+def propagator_values(m2, r):
     """F(r) for an array of radii, vectorized; see module docstring."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
     out = np.empty_like(r)
@@ -101,14 +106,14 @@ def propagator_values(m2, r, q_max=6.5):
 
     if pole is None:
         # strong coupling: direct route everywhere
-        q, w = gauss_panels(_q_edges(m, q_max, max(1.0, r.max())))
+        q, w = gauss_panels(_q_edges(m, Q_MAX, max(1.0, r.max())))
         out[:] = (j0(np.outer(r, q)) * (w * q * g(q))).sum(axis=1) / (2 * np.pi)
         return out
 
     near = r <= R_POLE_SWITCH
     far = ~near
     if near.any():
-        q, w = gauss_panels(_q_edges(m, q_max, R_POLE_SWITCH))
+        q, w = gauss_panels(_q_edges(m, Q_MAX, R_POLE_SWITCH))
         out[near] = (j0(np.outer(r[near], q)) * (w * q * g(q))).sum(axis=1) \
             / (2 * np.pi)
     if far.any():
@@ -174,8 +179,7 @@ def _radial_nodes(r_max):
     return np.concatenate([[0.0], close, far])
 
 
-def fit_decay_rate(r, vals, prefactor_power=0.0, z_window=(2.0, 7.0),
-                   floor=1e-300, iters=6):
+def fit_decay_rate(r, vals, prefactor_power=0.0, z_window=(2.0, 7.0)):
     """Exponential decay rate of |vals(r)| ~ C r^{-rho} e^{-rate r}.
 
     Least squares of ln(r^rho |v|) against r, restricted to the window
@@ -189,14 +193,14 @@ def fit_decay_rate(r, vals, prefactor_power=0.0, z_window=(2.0, 7.0),
     """
     r = np.asarray(r, dtype=float)
     v = np.abs(np.asarray(vals, dtype=float))
-    ok = (r > 0) & (v > floor)
+    ok = (r > 0) & (v > FIT_FLOOR)
     r, v = r[ok], v[ok]
     if len(r) < 8:
         return np.nan, np.nan
     y = prefactor_power * np.log(r) + np.log(v)
     # plain slope over everything as the seed
     rate = max(-np.polyfit(r, np.log(v), 1)[0], 1e-6)
-    for _ in range(iters):
+    for _ in range(FIT_ITERS):
         lo, hi = z_window[0] / rate, z_window[1] / rate
         sel = (r >= lo) & (r <= hi)
         if sel.sum() < 8:
@@ -245,11 +249,9 @@ def propagator_kernel(m, grid_step=0.125, half_extent=None):
     return _fitted_kernel(grid_step, half_extent, grid, rr, vals, 0.5)
 
 
-def polarization_kernel(params: ModelParams, grid_step=0.125, half_extent=None,
-                        fkernel: SampledKernel | None = None):
+def polarization_kernel(params: ModelParams, grid_step=0.125, half_extent=None):
     """Position-space bubble pi(x) = (lam*K/2) F(x)^2; decay rate 2m."""
-    if fkernel is None:
-        fkernel = propagator_kernel(params.m, grid_step, half_extent)
+    fkernel = propagator_kernel(params.m, grid_step, half_extent)
     half = 0.5 * params.lam * params.bigK
     vals = half * fkernel.radial_vals ** 2
     grid = half * fkernel.values ** 2
@@ -295,8 +297,7 @@ def polarization_momentum(p2, params: ModelParams, test_mode_unregulated=False):
     return 0.5 * params.lam * params.bigK * val / (2.0 * np.pi) ** 2
 
 
-def polarization_momentum_table(params: ModelParams, pgrid,
-                                fkernel: SampledKernel | None = None):
+def polarization_momentum_table(params: ModelParams, pgrid):
     """pi(p) on a grid of momenta via the Hankel transform of (lamK/2) F^2.
 
     pi(p) = lam K pi int_0^inf r J0(pr) F(r)^2 dr.  Uses the machine-
@@ -411,7 +412,7 @@ def cutoff_enforced_values(c, r):
     return cutoff_inverse_values(c, r) * _wendland(r) / _enforced_norm(c)
 
 
-def cutoff_inverse_kernel(spec: CutoffSpec, grid_step=0.125, half_extent=4.0):
+def cutoff_inverse_kernel(spec: CutoffSpec, grid_step=0.125):
     """Position kernel of 1/(1+f) plus its compact-support enforced variant.
 
     Returns (raw: SampledKernel, enforced: SampledKernel, diagnostics dict).
@@ -425,13 +426,13 @@ def cutoff_inverse_kernel(spec: CutoffSpec, grid_step=0.125, half_extent=4.0):
     truncation of the oscillatory tail would).
     """
     c = spec.c
-    n = int(round(half_extent / grid_step))
-    idx = np.arange(-n, n + 1) * grid_step
-    dist = np.hypot(idx[:, None], idx[None, :])
+    half_extent = CUTOFF_HALF_EXTENT
+    dist, size = _grid_radii(grid_step, half_extent)
     rr = np.concatenate([[0.0], np.geomspace(1e-3, half_extent, 400)])
 
     if c == 0.0:
         # degenerate f = 0: the operator is the identity, kernel = delta
+        n = size // 2
         grid = np.zeros_like(dist)
         grid[n, n] = 1.0 / grid_step ** 2
         raw = SampledKernel(grid_step=grid_step, half_extent=half_extent,

@@ -117,8 +117,7 @@ def gap_constant(lam: float, bigK: float,
 
 def derive_params(lam: float, bigK: float, bigN: int,
                   regulator: str = "exponential",
-                  corridor_override: float | None = None,
-                  epsilon_override: float | None = None) -> ModelParams:
+                  corridor_override: float | None = None) -> ModelParams:
     """Fill in g, m, epsilon, corridorM from the three physical inputs.
 
     bigN must be even (a factor N/2 is absorbed in the determinant weight
@@ -134,7 +133,7 @@ def derive_params(lam: float, bigK: float, bigN: int,
     m2 = solve_gap_equation(lam, bigK, regulator)
     m = float(np.sqrt(m2))
     g = float(np.sqrt(lam * bigK / bigN))
-    eps = float(bigN ** (-0.4)) if epsilon_override is None else float(epsilon_override)
+    eps = float(bigN ** (-0.4))
     corridor = (2.0 / m) * np.log(bigN)
     if corridor_override is not None:
         corridor = float(corridor_override)

@@ -22,6 +22,9 @@ import numpy as np
 from .kernels import propagator_values
 from .regions import LatticeGeometry, classify_squares
 
+# relative change of sigma^2 at which the power iteration stops
+NORM_TOL = 1e-10
+
 __all__ = [
     "DiscretizedOperator", "AOperator", "site_coordinates", "site_square_labels",
     "radial_site_matrix", "propagator_matrix", "build_A", "operator_norm",
@@ -187,13 +190,11 @@ class AOperator:
         return DiscretizedOperator(mat, self.op.site_weights)
 
 
-def build_A(field, params, geometry=None, kernel=None, assignment=None,
-            symmetrize=False):
+def build_A(field, params, geometry=None, assignment=None, symmetrize=False):
     """Assemble A(x,y) = F(x-y) g tau(y) on the site grid.
 
-    With kernel=None the propagator is evaluated exactly at every site
-    separation (cached per geometry and mass); passing a SampledKernel uses
-    its interpolant instead.  With symmetrize=True the self-adjoint form
+    The propagator is evaluated exactly at every site separation (cached
+    per geometry and mass).  With symmetrize=True the self-adjoint form
     F^{1/2} g tau F^{1/2} is built instead: it has the same spectrum and
     determinants, and is the representation in which the quadratic-form
     bounds on D = B + B* + B*B hold (they need A'' = A''*).
@@ -205,27 +206,19 @@ def build_A(field, params, geometry=None, kernel=None, assignment=None,
     tau = field.tau.reshape(side * side)
     w = np.full(side * side, geometry.site_weight)
     if symmetrize:
-        if kernel is not None:
-            raise ValueError("symmetrize requires the exact kernel route")
         sq = propagator_sqrt(geometry, params.m)
         sw = np.sqrt(w)
         weighted = sq @ ((params.g * tau)[:, None] * sq)
         mat = weighted / sw[:, None] / sw[None, :]
     else:
-        if kernel is None:
-            fmat = propagator_matrix(geometry, params.m)
-        else:
-            coords = site_coordinates(geometry)
-            diff = coords[:, None, :] - coords[None, :, :]
-            fmat = kernel.eval_at(np.hypot(diff[..., 0], diff[..., 1]))
-        mat = fmat * (params.g * tau)[None, :]
+        mat = propagator_matrix(geometry, params.m) * (params.g * tau)[None, :]
     if assignment is None:
         assignment = classify_squares(field, params, geometry)
     small = site_square_labels(geometry, assignment) == 0
     return AOperator(DiscretizedOperator(mat, w), small, geometry)
 
 
-def operator_norm(op, seed=0, tol=1e-10, maxiter=10000):
+def operator_norm(op, seed=0, maxiter=10000):
     """Largest singular value of the weighted matrix via power iteration
     on S*S, with a seeded start vector; deterministic."""
     s = op.weighted if isinstance(op, DiscretizedOperator) else np.asarray(op)
@@ -240,7 +233,7 @@ def operator_norm(op, seed=0, tol=1e-10, maxiter=10000):
         if sigma2 == 0.0:
             return 0.0
         v = u / sigma2
-        if abs(sigma2 - prev) <= 0.5 * tol * sigma2:
+        if abs(sigma2 - prev) <= 0.5 * NORM_TOL * sigma2:
             return math.sqrt(sigma2)
         prev = sigma2
     raise ArithmeticError("power iteration did not converge")
@@ -263,7 +256,7 @@ def log_det_n(lam, order):
     return complex(np.sum(terms))
 
 
-def det_split_identity(field, params, geometry=None, kernel=None):
+def det_split_identity(field, params, geometry=None):
     """Residuals of the determinant factorization and its single-determinant
     rewriting, evaluated on log scale.
 
@@ -274,7 +267,7 @@ def det_split_identity(field, params, geometry=None, kernel=None):
     Returns the max relative residual of the two (both are exact matrix
     algebra; the residual probes conditioning only).
     """
-    aop = build_A(field, params, geometry, kernel)
+    aop = build_A(field, params, geometry)
     A = aop.op.weighted
     As = aop.a_s.weighted
     App = aop.a_doubleprime.weighted
@@ -297,7 +290,7 @@ def det_split_identity(field, params, geometry=None, kernel=None):
     return float(max(res1, res2) / scale)
 
 
-def D_decomposition(field, params, geometry=None, kernel=None):
+def D_decomposition(field, params, geometry=None):
     """Spectral split of D = B + B* + B*B into D_+ - D_-.
 
     Returns (||D_+||, ||D_-||, Tr D_-^2).  When the small-field norm bound
@@ -305,7 +298,7 @@ def D_decomposition(field, params, geometry=None, kernel=None):
     eta ~ 2||A_s||.  Uses the self-adjoint representation of A (see
     build_A), which the quadratic-form argument requires.
     """
-    aop = build_A(field, params, geometry, kernel, symmetrize=True)
+    aop = build_A(field, params, geometry, symmetrize=True)
     As = aop.a_s.weighted
     App = aop.a_doubleprime.weighted
     n = As.shape[0]
@@ -341,13 +334,12 @@ def link_block(aop, src_square, dst_square):
     return aop.op.masked(dst, src)
 
 
-def derived_link_norm(field, params, geometry=None, kernel=None,
-                      square_pair=None):
+def derived_link_norm(field, params, geometry=None, square_pair=None):
     """Operator norm of the single-link block P_{Delta'} A P_{Delta}."""
     if square_pair is None:
         raise ValueError("square_pair is required")
     src, dst = square_pair
     if src == dst:
         raise ValueError("link squares must differ")
-    aop = build_A(field, params, geometry, kernel)
+    aop = build_A(field, params, geometry)
     return operator_norm(link_block(aop, src, dst))

@@ -290,12 +290,12 @@ def _belt(sources, candidates, width):
     return frozenset(out)
 
 
-def _plane_candidates(sources, width, extra=1):
+def _plane_candidates(sources, width):
     """Lower-left corners of all squares of the infinite paving that could
-    lie within width of the source set."""
+    lie within width of the source set (with one square of margin)."""
     if not sources:
         return []
-    w = math.ceil(width) + 1 + extra
+    w = math.ceil(width) + 2
     i_min = min(c[0] for c in sources) - w
     i_max = max(c[0] for c in sources) + w
     j_min = min(c[1] for c in sources) - w
@@ -411,14 +411,13 @@ class SuppressionReport:
     proof_condition_margin: float
 
 
-def large_field_suppression(assignment, field, params, regions=None):
+def large_field_suppression(assignment, field, params):
     """Evaluate both sides of the per-square suppression bound.
 
     The inequality only holds for N large relative to the corridor area;
     at accessible N the direction can flip, which is reported (not raised).
     """
-    if regions is None:
-        regions = build_regions(assignment, field.geometry, params.corridorM)
+    regions = build_regions(assignment, field.geometry, params.corridorM)
     labels = assignment.labels
     large = labels >= 1
     total_mass = float(field.square_masses[large].sum())

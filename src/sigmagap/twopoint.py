@@ -32,6 +32,10 @@ from .operators import build_A, log_det_n, propagator_matrix
 from .regions import LatticeGeometry
 
 
+# slack, in combined standard errors, of the N-scan's monotonicity check
+SCAN_SIGMA_SLACK = 2.0
+
+
 class SignProblemError(ArithmeticError):
     """The phase average is too small for the ratio estimator."""
 
@@ -49,11 +53,11 @@ def _site_index(geometry, site):
     return int(i) * side + int(j)
 
 
-def resolvent_matrix(field, params, geometry=None):
+def resolvent_matrix(field, params):
     """All entries of (1 + F ig tau)^(-1) F by a dense solve.
 
     Symmetric for real tau (every Neumann term F(igtau F)^k is)."""
-    geometry = geometry or field.geometry
+    geometry = field.geometry
     f = propagator_matrix(geometry, params.m)
     tau = field.tau.reshape(-1)
     shift = 1j * params.g * geometry.site_weight * tau
@@ -75,14 +79,12 @@ def resolvent_kernel_entry(field, params, geometry, x, y):
     return complex(row @ f[:, iy])
 
 
-def sample_weight(field, params, geometry=None, assignment=None):
+def sample_weight(field, params):
     """Complex weight det3^{-N/2}(1+iA) through the eigenvalue route.
 
     The principal branch is safe here: N is even, so a 2*pi*i branch
     slip in log det multiplies the weight by exp(-i*pi*N*k) = 1."""
-    geometry = geometry or field.geometry
-    a = build_A(field, params, geometry, assignment=assignment,
-                symmetrize=True)
+    a = build_A(field, params, symmetrize=True)
     logdet3 = log_det_n(np.linalg.eigvals(1j * a.op.weighted), 3)
     return complex(np.exp(-0.5 * params.bigN * logdet3))
 
@@ -150,7 +152,7 @@ def reference_slope(m_trial, separations, wts):
     return slope
 
 
-def match_decay_mass(separations, values, errors=None, m_hint=1e-3):
+def match_decay_mass(separations, values, errors=None):
     """Convert measured decay values to a mass by slope matching.
 
     Fits log(Re S2) over the separations with inverse-variance weights
@@ -292,14 +294,13 @@ def estimate_S2(params, geometry=None, cutoff=None, seed=0,
         gap_mass=params.m, fit_window=(lo, hi))
 
 
-def mass_vs_N_scan(params_list, geometry=None, cutoff=None, seed=0,
-                   n_samples=1000, sigma_slack=2.0):
+def mass_vs_N_scan(params_list, geometry=None, seed=0, n_samples=1000):
     """estimate_S2 over a grid of parameter sets ordered by increasing N;
     asserts |m'/m - 1| is non-increasing in N within the stated sigmas."""
     rows = []
     for i, params in enumerate(params_list):
-        res = estimate_S2(params, geometry=geometry, cutoff=cutoff,
-                          seed=seed + i, n_samples=n_samples)
+        res = estimate_S2(params, geometry=geometry, seed=seed + i,
+                          n_samples=n_samples)
         dev = abs(res.fitted_mprime / params.m - 1.0)
         dev_se = res.mprime_stderr / params.m
         rows.append({"bigN": params.bigN, "m": params.m,
@@ -308,8 +309,8 @@ def mass_vs_N_scan(params_list, geometry=None, cutoff=None, seed=0,
                      "phase_diagnostic": res.phase_diagnostic,
                      "fit_residual": res.fit_residual})
     for a, b in itertools.pairwise(rows):
-        slack = sigma_slack * np.hypot(a["deviation_se"],
-                                       b["deviation_se"])
+        slack = SCAN_SIGMA_SLACK * np.hypot(a["deviation_se"],
+                                            b["deviation_se"])
         if b["deviation"] > a["deviation"] + slack:
             raise ArithmeticError(
                 "mass deviation grew with N beyond the allowed sigmas: "

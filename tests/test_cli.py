@@ -165,6 +165,21 @@ class TestExitCodes:
         code = main(["covariance", "--out", str(tmp_path)])
         assert code == cli.EXIT_NUMERIC
 
+    @pytest.mark.parametrize("argv", [
+        ["twopoint", "--separations", "1,abc"],
+        ["twopoint", "--separations", "0,50"],
+        ["twopoint", "--samples", "10"],
+        ["forest-verify", "--max-size", "0"],
+        ["forest-verify", "--trials", "0"],
+        ["decompose", "--cutoff-c", "3"],
+    ])
+    def test_bad_input_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert not out.exists()
+
     def test_failed_check_exits_1(self, tmp_path, monkeypatch):
         def red(cfg, table):
             table.add("forced", "model", "ref", 1.0, 0.5, False)
@@ -232,6 +247,13 @@ class TestSubcommands:
         assert main(["opcheck", "--out", str(tmp_path)]) == cli.EXIT_CHECK
         rows = {r[0]: r for r in csv.reader(open(tmp_path / "results.csv"))}
         assert rows["det3-dual-route"][5] == "0"
+
+    def test_covariance_catches_truncated_series(self, tmp_path,
+                                                 monkeypatch):
+        # negative control: a Neumann series stopped at a 1e-3 tail
+        monkeypatch.setattr(cli.cov, "NEUMANN_TOL", 1e-3)
+        assert main(["covariance", "--out", str(tmp_path)]) \
+            == cli.EXIT_NUMERIC
 
     def test_accept_all_quick(self, tmp_path):
         assert main(["accept-all", "--profile", "quick",

@@ -5,6 +5,7 @@ bound with its single-square normalization."""
 import numpy as np
 import pytest
 
+from sigmagap import covariance
 from sigmagap.covariance import (
     build_C0,
     build_Cgamma,
@@ -20,7 +21,8 @@ from sigmagap.covariance import (
 )
 from sigmagap.kernels import CutoffSpec
 from sigmagap.model import derive_params
-from sigmagap.operators import propagator_matrix, site_coordinates
+from sigmagap.operators import (DiscretizedOperator, propagator_matrix,
+                                 site_coordinates)
 from sigmagap.regions import (
     FieldConfig,
     LatticeGeometry,
@@ -68,12 +70,11 @@ def site_gamma_distance(grid, regions):
 
 
 class TestBuildC0:
-    def test_identity_mode(self):
-        params = make_params()
+    @pytest.mark.parametrize("c", [0.0, -1.0])
+    def test_nonpositive_cutoff_rejected(self, c):
         geo = LatticeGeometry(n=2, sites_per_square=3)
-        c0 = build_C0(params, geo, CutoffSpec(c=0.0),
-                      include_polarization=False)
-        assert np.abs(c0.weighted - np.eye(geo.sites_per_side ** 2)).max() == 0.0
+        with pytest.raises(ValueError, match="c > 0"):
+            build_C0(make_params(), geo, CutoffSpec(c=c))
 
     def test_spectrum_in_unit_interval(self):
         params = make_params()
@@ -129,6 +130,13 @@ class TestBuildCgamma:
         covset = build_Cgamma(params, geo, CUT, regions, pad=2)
         assert covset.route_residual < 1e-8
         assert covset.neumann_terms > 50
+
+    def test_truncated_series_fails_route_gate(self, monkeypatch):
+        # negative control: a Neumann series stopped at a 1e-3 tail
+        monkeypatch.setattr(covariance, "NEUMANN_TOL", 1e-3)
+        params, geo, fld, assign, regions = setup_single()
+        with pytest.raises(ArithmeticError, match="covariance routes disagree"):
+            build_Cgamma(params, geo, CUT, regions, pad=2)
 
     def test_positive_definite_and_above_C0(self):
         # C_gamma^{-1} <= C0^{-1}, so C_gamma >= C0 > 0
@@ -301,10 +309,11 @@ class TestDeltaC:
 
 class TestSampling:
     def test_identity_covariance_unit_variance(self):
-        params = make_params()
         geo = LatticeGeometry(n=1, sites_per_square=3)
-        ident = build_C0(params, geo, CutoffSpec(c=0.0),
-                         include_polarization=False)
+        nsite = geo.sites_per_side ** 2
+        w = geo.site_weight
+        ident = DiscretizedOperator(np.eye(nsite) / w, np.full(nsite, w),
+                                    hermitian_kernel=True)
         n = 20000
         draws = np.array(sample_gaussian(ident, seed=3, count=n))
         scaled = draws * np.sqrt(geo.site_weight)

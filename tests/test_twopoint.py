@@ -281,3 +281,15 @@ class TestMassScan:
             fits[lam] = res.fitted_mprime
         oracle = np.sqrt(leading_mass(1.0) / leading_mass(0.8))
         assert abs(fits[1.0] / fits[0.8] / oracle - 1.0) < 0.10
+
+
+class TestNegativeControls:
+    @pytest.mark.parametrize("factor", [1.06, 1.3])
+    def test_wrong_free_mass_fails_criterion_11_gate(self, factor):
+        # criterion 11's free-route gate |m'/m - 1| < 0.05 at its own size
+        # (576 sites, 100 samples), fed a propagator of the wrong mass
+        geo = LatticeGeometry(n=4, sites_per_square=3)
+        params = make_params()
+        wrong = dataclasses.replace(params, g=0.0, m=factor * params.m)
+        res = estimate_S2(wrong, geometry=geo, n_samples=100)
+        assert not abs(res.fitted_mprime / params.m - 1.0) < 0.05
