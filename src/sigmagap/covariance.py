@@ -131,14 +131,18 @@ def _assembly_cached(n, sites_per_square, m_key, lamK_key, c_key):
                            u_w=u_w, uinv_w=uinv_w, c0_w=c0_w)
 
 
-def _assembly(params, geometry, cutoff, pad):
+def _assembly_key(params, geometry, cutoff, pad):
+    """(grid n, sites per square, m, lambda K, c): the cache key of every
+    covariance assembled on the padded grid."""
     if not cutoff.c > 0:
         raise ValueError("the covariance needs a cutoff with c > 0")
     grid = padded_geometry(geometry, pad)
-    return _assembly_cached(grid.n, grid.sites_per_square,
-                            round(float(params.m), 12),
-                            round(params.lam * params.bigK, 12),
-                            round(float(cutoff.c), 12))
+    return (grid.n, grid.sites_per_square, round(float(params.m), 12),
+            round(params.lam * params.bigK, 12), round(float(cutoff.c), 12))
+
+
+def _assembly(params, geometry, cutoff, pad):
+    return _assembly_cached(*_assembly_key(params, geometry, cutoff, pad))
 
 
 def _as_operator(weighted, w):
@@ -396,6 +400,21 @@ def gaussian_root(mat):
     if ev.min() < -1e-10 * max(float(ev.max()), 1.0):
         raise ArithmeticError("covariance is not positive semidefinite")
     return vec * np.sqrt(np.clip(ev, 0.0, None))
+
+
+@functools.lru_cache(maxsize=4)
+def _c0_root_cached(n, sites_per_square, m_key, lamK_key, c_key):
+    asm = _assembly_cached(n, sites_per_square, m_key, lamK_key, c_key)
+    root = gaussian_root(asm.c0_w / asm.w)
+    root.flags.writeable = False
+    return root
+
+
+def c0_root(params, geometry, cutoff):
+    """gaussian_root of build_C0(params, geometry, cutoff).matrix, computed
+    once per (grid, m, lambda K, c) and read-only; the cache fills on first
+    use, so callers that never sample never pay the eigh."""
+    return _c0_root_cached(*_assembly_key(params, geometry, cutoff, pad=0))
 
 
 def sample_gaussian(covariance, seed=0, count=1, geometry=None):

@@ -233,8 +233,9 @@ def verify_first_forest_formula(squares, neighbor_pairs, components):
     spanning trees of each component's neighbor graph, and their
     integrated weights sum to 1."""
     squares = tuple(sorted(squares))
-    if len(squares) > 8:
-        raise ValueError("toy-region guard: at most 8 squares")
+    if len(squares) > FOREST_MAX_LABELS:
+        raise ValueError(
+            f"toy-region guard: at most {FOREST_MAX_LABELS} squares")
     comp_sets = [frozenset(c) for c in components]
     links = _component_links(neighbor_pairs, comp_sets)
     survivors = surviving_forests(squares, links, comp_sets)

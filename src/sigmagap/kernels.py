@@ -32,8 +32,8 @@ construction).  The two routes are cross-checked in the tests and must
 not be merged.
 """
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -148,15 +148,14 @@ class SampledKernel:
     fit_residual: float = np.nan
     sup_norm: float = np.nan
     delta_coeff: float = 0.0
-    _spline: CubicSpline | None = field(default=None, repr=False)
 
-    def __post_init__(self):
-        if self._spline is None and len(self.radial_r) > 3:
-            self._spline = CubicSpline(self.radial_r, self.radial_vals)
+    @cached_property
+    def _spline(self):
+        return CubicSpline(self.radial_r, self.radial_vals)
 
     def eval_at(self, r):
-        """Kernel value (smooth part) at arbitrary radii via the radial spline;
-        clamps to 0 beyond the tabulated range."""
+        """Kernel value (smooth part) at arbitrary radii via the radial spline,
+        fitted on the first call; clamps to 0 beyond the tabulated range."""
         r = np.asarray(r, dtype=float)
         out = np.zeros_like(r, dtype=float)
         inside = r <= self.radial_r[-1]

@@ -26,7 +26,7 @@ from .regions import LatticeGeometry, classify_squares
 NORM_TOL = 1e-10
 
 __all__ = [
-    "DiscretizedOperator", "AOperator", "site_coordinates", "site_square_labels",
+    "DiscretizedOperator", "AOperator", "site_square_labels",
     "radial_site_matrix", "propagator_matrix", "build_A", "operator_norm",
     "log_det_n",
     "det_split_identity", "D_decomposition", "trace_projection_inequality",
@@ -85,13 +85,6 @@ class DiscretizedOperator:
         if right_mask is not None:
             mat = mat * right_mask[None, :]
         return DiscretizedOperator(mat, self.site_weights)
-
-
-def site_coordinates(geometry):
-    """(nsite, 2) coordinates, flat index = ix * side + iy."""
-    x = geometry.site_coordinates()
-    xx, yy = np.meshgrid(x, x, indexing="ij")
-    return np.column_stack([xx.ravel(), yy.ravel()])
 
 
 def site_square_labels(geometry, assignment):

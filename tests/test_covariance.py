@@ -21,8 +21,7 @@ from sigmagap.covariance import (
 )
 from sigmagap.kernels import CutoffSpec
 from sigmagap.model import derive_params
-from sigmagap.operators import (DiscretizedOperator, propagator_matrix,
-                                 site_coordinates)
+from sigmagap.operators import DiscretizedOperator, propagator_matrix
 from sigmagap.regions import (
     FieldConfig,
     LatticeGeometry,
@@ -57,6 +56,13 @@ def setup_single(u=50.0, sites=3, corridor=2.0, params=None):
     assign = classify_squares(fld, params, geo)
     regions = build_regions(assign, geo, corridorM=params.corridorM)
     return params, geo, fld, assign, regions
+
+
+def site_coordinates(geometry):
+    """(nsite, 2) coordinates, flat index = ix * side + iy."""
+    x = geometry.site_coordinates()
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    return np.column_stack([xx.ravel(), yy.ravel()])
 
 
 def site_gamma_distance(grid, regions):

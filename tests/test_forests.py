@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import sympy
 
+from sigmagap import forests
 from sigmagap.covariance import build_C0
 from sigmagap.forests import (
     Forest,
@@ -164,6 +165,19 @@ class TestFirstForestFormula:
         assert verify_first_forest_formula(
             [0, 1, 2, 3], [(0, 1), (1, 2), (0, 2), (2, 3)],
             [{0, 1, 2}, {3}])
+
+    def test_nine_squares_exceed_the_guard(self):
+        squares = list(range(9))
+        with pytest.raises(ValueError, match="toy-region guard"):
+            verify_first_forest_formula(
+                squares, list(itertools.pairwise(squares)), [set(squares)])
+
+    def test_guard_reads_the_label_limit(self, monkeypatch):
+        # the guard is FOREST_MAX_LABELS, not a copy of its value
+        monkeypatch.setattr(forests, "FOREST_MAX_LABELS", 2)
+        with pytest.raises(ValueError, match="at most 2 squares"):
+            verify_first_forest_formula([0, 1, 2], [(0, 1), (1, 2)],
+                                        [{0, 1, 2}])
 
 
 def random_psd(rng, size):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor
 
-from sigmagap.covariance import build_C0, sample_gaussian
+from sigmagap.covariance import (_c0_root_cached, build_C0, c0_root,
+                                 gaussian_root, sample_gaussian)
 from sigmagap.kernels import CutoffSpec, propagator_values
 from sigmagap.model import derive_params, leading_mass
 from sigmagap.operators import build_A, log_det_n, propagator_matrix
@@ -253,6 +254,93 @@ class TestEstimateS2:
         assert lo == 2.0 and abs(hi - 8.0 / 3.0) < 1e-15
         seps = default_separations(geo)
         assert seps[0] == 0.0 and seps[-1] == 3.0
+
+
+class TestDualRoute:
+    """estimate_S2 against a replay of its own draws (same C0 root, same
+    default_rng(seed) stream) that takes the resolvent row from the dense
+    solve (resolvent_matrix) and the weight from the eigenvalue route
+    (sample_weight) instead of from the sampler's one LU.
+
+    Tolerance.  Either route gets log det3 to within delta = n * eps
+    (n sites; the measured gap is below 4e-15 at n = 256).  The weight
+    is exp(-N/2 log det3), so each weight w_k carries a relative error up
+    to N/2 * delta.  The ratio sum_k r_k w_k / sum_k w_k moves by
+    sum_k w_k (r_k - S) d(log w_k) / sum_k w_k, so its error is at most
+    N/2 * delta * sum_k |w_k| |r_k - S| / |sum_k w_k|.  The resolvent
+    entries add delta * max_k |r_k| (1 + F ig tau has condition number
+    2.1-2.4 on these draws, so the solves lose about a bit).  The fit
+    window needs two separations, which takes a 256-site grid; at 144
+    sites it holds one and estimate_S2 cannot fit a mass."""
+
+    N_SAMPLES = 20
+
+    def replay(self, params, seed, source_shift=0):
+        side, s = GEO.sites_per_side, GEO.sites_per_square
+        x = (side // 2) * side + 2 * s
+        ys = x + np.rint(default_separations(GEO) * s).astype(int)
+        root = c0_root(params, GEO, CUT)
+        rng = np.random.default_rng(seed)
+        rows, wts = [], []
+        for _ in range(self.N_SAMPLES):
+            tau = root @ rng.standard_normal(side * side)
+            fld = FieldConfig.from_tau(GEO, tau.reshape(side, side))
+            rows.append(resolvent_matrix(fld, params)[x + source_shift, ys])
+            wts.append(sample_weight(fld, params))
+        return np.array(rows), np.array(wts)
+
+    def route_gap(self, params, seed, source_shift=0):
+        """max over separations of |replay - estimate_S2| / tolerance."""
+        res = estimate_S2(params, geometry=GEO, seed=seed,
+                          n_samples=self.N_SAMPLES)
+        rows, wts = self.replay(params, seed, source_shift)
+        est = (rows * wts[:, None]).mean(axis=0) / wts.mean()
+        delta = GEO.sites_per_side ** 2 * np.finfo(float).eps
+        spread = np.abs(wts) @ np.abs(rows - est) / abs(wts.sum())
+        tol = (0.5 * params.bigN * delta * spread
+               + delta * np.abs(rows).max(axis=0))
+        return float(np.max(np.abs(est - res.estimates) / tol))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_replay_matches_estimator(self, seed):
+        assert self.route_gap(make_params(), seed) <= 1.0
+
+    def test_source_off_by_one_site_fails(self):
+        assert self.route_gap(make_params(), 0, source_shift=1) > 1.0
+
+
+class TestC0RootCache:
+    def test_root_is_build_C0_root_and_read_only(self):
+        params = make_params()
+        root = c0_root(params, GEO, CUT)
+        assert np.array_equal(root, gaussian_root(
+            build_C0(params, GEO, CUT).matrix))
+        assert not root.flags.writeable
+
+    def test_second_call_hits_with_identical_estimates(self):
+        params = make_params()
+        _c0_root_cached.cache_clear()
+        a = estimate_S2(params, geometry=GEO, n_samples=20, seed=5)
+        info = _c0_root_cached.cache_info()
+        assert (info.hits, info.misses) == (0, 1)
+        b = estimate_S2(params, geometry=GEO, n_samples=20, seed=5)
+        info = _c0_root_cached.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert np.array_equal(a.estimates, b.estimates)
+        assert np.array_equal(a.stderr, b.stderr)
+        assert a.fitted_mprime == b.fitted_mprime
+
+    def test_other_cutoff_or_mass_misses(self):
+        params = make_params()
+        _c0_root_cached.cache_clear()
+        estimate_S2(params, geometry=GEO, n_samples=20, seed=5)
+        estimate_S2(params, geometry=GEO, cutoff=CutoffSpec(c=1.2),
+                    n_samples=20, seed=5)
+        assert _c0_root_cached.cache_info().misses == 2
+        heavier = dataclasses.replace(params, m=1.1 * params.m)
+        estimate_S2(heavier, geometry=GEO, n_samples=20, seed=5)
+        info = _c0_root_cached.cache_info()
+        assert (info.hits, info.misses) == (0, 3)
 
 
 class TestMassScan:
