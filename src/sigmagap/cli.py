@@ -9,14 +9,25 @@ with [sections], overridable by flags; every output CSV embeds a hash
 of the run's inputs and is byte-identical for a fixed config and seed,
 except for the wall-clock runtime_ms column.
 
+Acceptance criterion NN is one function, criterion_NN_*, that adds one
+results.csv row per gate (its worst value over the gate's inputs) at the
+inputs of a PROFILES entry; tests/test_acceptance.py runs each at "full".
+The subcommands run "quick": gap-solve 01, kernels 02-03, opcheck 04-05,
+decompose 09, covariance 06 and 10, forest-verify 07, 08 and 12;
+accept-all runs all twelve at its --profile.
+
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error,
 3 numerical abort (e.g. the sign-problem guard).
 """
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
+import itertools
+import math
+import operator
 import os
 import sys
 import time
@@ -28,12 +39,14 @@ from . import covariance as cov
 from . import forests as fo
 from . import twopoint as tp
 from .kernels import (CutoffSpec, cutoff_enforced_values,
-                      polarization_momentum, propagator_kernel)
+                      polarization_kernel, polarization_momentum,
+                      propagator_kernel, sqrt_one_plus_pi_kernel)
 from .model import (ModelParams, REGULATORS, derive_params, gap_constant,
                     gap_lhs, solve_gap_equation)
-from .operators import build_A, log_det_n, operator_norm, propagator_matrix
-from .regions import (LatticeGeometry, build_regions, classify_squares,
-                      window_weights)
+from .operators import (DiscretizedOperator, build_A, det_split_identity,
+                        log_det_n, operator_norm, propagator_matrix)
+from .regions import (FieldConfig, LatticeGeometry, build_regions,
+                      classify_squares, square_distance, window_weights)
 
 EXIT_OK, EXIT_CHECK, EXIT_CONFIG, EXIT_NUMERIC = 0, 1, 2, 3
 
@@ -54,7 +67,6 @@ KNOWN_KEYS = {
     "cutoff.c": ("cutoff_c", float),
     "sampler.seed": ("seed", int),
     "sampler.samples": ("samples", int),
-    "sampler.thermalization": ("thermalization", int),
     "output.dir": ("outdir", str),
 }
 
@@ -71,7 +83,6 @@ class RunConfig:
     cutoff_c: float = 1.0
     seed: int = 0
     samples: int = 1000
-    thermalization: int = 0
     outdir: str = None
 
     def validate(self):
@@ -91,9 +102,8 @@ class RunConfig:
         for key in ("n", "sites_per_square", "samples"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"config key {key} must be >= 1")
-        if self.seed < 0 or self.thermalization < 0:
-            raise ConfigError("config keys sampler.seed and "
-                              "sampler.thermalization must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("config key sampler.seed must be >= 0")
         return self
 
     @property
@@ -176,6 +186,9 @@ def build_config(args):
     for flag in ("max_size", "trials"):
         if getattr(args, flag, 1) < 1:
             raise ConfigError(f"--{flag.replace('_', '-')} must be >= 1")
+    if getattr(args, "max_size", 1) > len(FOREST_COUNTS):
+        raise ConfigError(f"--max-size must be <= {len(FOREST_COUNTS)}, "
+                          "the largest forest count on record")
     return RunConfig(**values).validate()
 
 
@@ -196,12 +209,18 @@ def _fmt(x):
 class ResultsTable:
     config_hash: str
     rows: list = dataclasses.field(default_factory=list)
+    clock: float = dataclasses.field(default_factory=time.perf_counter)
 
     COLUMNS = ("check_id", "module", "reference", "value", "bound",
                "passed", "runtime_ms")
 
     def add(self, check_id, module, reference, value, bound, passed,
-            runtime_ms=0.0):
+            runtime_ms=None):
+        """runtime_ms defaults to the wall time since the last row."""
+        now = time.perf_counter()
+        if runtime_ms is None:
+            runtime_ms = 1000.0 * (now - self.clock)
+        self.clock = now
         self.rows.append({"check_id": check_id, "module": module,
                           "reference": reference, "value": value,
                           "bound": bound, "passed": bool(passed),
@@ -209,13 +228,14 @@ class ResultsTable:
 
     @property
     def all_passed(self):
-        return all(r["passed"] for r in self.rows)
+        """True when there are rows and every one passed."""
+        return bool(self.rows) and all(r["passed"] for r in self.rows)
 
-    def report(self, stream=sys.stdout):
+    def report(self):
         for r in self.rows:
             tag = "PASS" if r["passed"] else "FAIL"
-            stream.write(f"{tag} {r['check_id']} value={_fmt(r['value'])}"
-                         f" bound={_fmt(r['bound'])}\n")
+            print(f"{tag} {r['check_id']} value={_fmt(r['value'])}"
+                  f" bound={_fmt(r['bound'])}")
 
 
 def persist_results(table, outdir):
@@ -233,59 +253,81 @@ def persist_results(table, outdir):
     return [path]
 
 
-class _Timer:
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.ms = 1000.0 * (time.perf_counter() - self.t0)
-
-
 # ---------------------------------------------------------------------------
-# per-subcommand check batteries
-
-def run_gap_checks(cfg, table):
-    with _Timer() as t:
-        m2 = solve_gap_equation(cfg.lam, cfg.bigK, cfg.regulator)
-        residual = abs(gap_lhs(m2, cfg.regulator)
-                       - m2 / (cfg.lam * cfg.bigK)
-                       - 1.0 / (2.0 * cfg.lam))
-        c_m = gap_constant(cfg.lam, cfg.bigK, cfg.regulator)
-    table.add("gap-residual", "model", "mass-gap-equation", residual,
-              1e-10, residual < 1e-10, t.ms)
-    table.add("gap-mass-squared", "model", "mass-gap-equation", m2,
-              float("nan"), m2 > 0, 0.0)
-    table.add("gap-constant", "model", "mass-asymptotics", c_m,
-              float("nan"), c_m > 0, 0.0)
-
+# acceptance criteria
 
 # gap mass of the kernel checks: large enough that the decay fit window
 # m*r in [2, 7] fits on a tractable table
 BENCH_MASS = 0.1
 
+FOREST_COUNTS = [1, 2, 7, 38, 291, 2932, 36961]
 
-def run_kernel_checks(cfg, table):
-    p = ModelParams(lam=cfg.lam, bigK=cfg.bigK, bigN=cfg.bigN,
-                    g=np.sqrt(cfg.lam * cfg.bigK / cfg.bigN),
-                    m=BENCH_MASS, epsilon=cfg.bigN ** -0.4, corridorM=5.0)
-    with _Timer() as t:
-        k = propagator_kernel(BENCH_MASS)
-        rate_err = abs(k.fitted_decay_rate / BENCH_MASS - 1.0)
-    table.add("propagator-decay", "kernels", "free-kernel-decay",
-              rate_err, 0.1, rate_err < 0.1, t.ms)
-    with _Timer() as t:
-        pi0 = polarization_momentum(0.0, p, test_mode_unregulated=True)
-        rel = abs(pi0 * 8 * np.pi * BENCH_MASS ** 2
-                  / (cfg.lam * cfg.bigK) - 1.0)
-    table.add("bubble-test-mode", "kernels", "unregulated-bubble", rel,
-              1e-6, rel < 1e-6, t.ms)
-    with _Timer() as t:
-        norm, _ = quad(lambda r: 2 * np.pi * r
-                       * cutoff_enforced_values(cfg.cutoff_c, r),
-                       0.0, 1.0, limit=200)
-    table.add("cutoff-normalization", "kernels", "compact-cutoff",
-              abs(norm - 1.0), 1e-8, abs(norm - 1.0) < 1e-8, t.ms)
+# The inputs of the gates, by criterion: a tuple holds one entry per
+# input.  "full" holds every input of the acceptance tests.
+_FULL = {
+    "gap_lams": (0.8, 1.0),                                     # 01
+    "decay_masses": (0.05, 0.1, 0.15),                          # 02
+    "kernel_masses": (0.05, 0.1, 0.15),
+    "bubble": ((2.0, 1.5),),                                    # 03: lam, K
+    "small_fields": ((0, 100),),                        # 04: seed, fields
+    "det_split": ((1, 50, (1, 2, 3)),),         # 05: seed, fields, orders
+    "two_components": ((1.5, 1.6),),                    # 06: block masses
+    "max_size": 6,                                              # 07
+    "forest_formula": ((2, 3), (3, 3), (4, 3)),  # squares, test functions
+    "trials": 200, "decomposition": ((7, 200),),                # seed, draws
+    "mayer_graph_q": (1, 2, 3, 4), "complete_q": (1, 2, 3, 4, 5, 6),  # 08
+    # 09: seed, N, windows, span / N^(1/3), draws, region configurations
+    "partition": ((3, 4096, 7, 4.0, 1000, 100),),
+    "damping": ((7, 100),),                             # 10: seed, configs
+    "square_normalization": ((10 ** 4, 1200, 5), (10 ** 6, 800, 5)),
+    # 11: sites per square, samples, seed (and the N of a scan)
+    "free_runs": ((3, 100, 0),), "mass_runs": ((3, 10 ** 4, 1),),
+    "fit_runs": ((3, 10 ** 4, 1),),
+    "scans": ((2, 2000, 2, (10 ** 3, 10 ** 4, 10 ** 5)),),
+    "polymer_counts": ({1: 1, 2: 4, 3: 18, 4: 76, 5: 315, 6: 1296},),  # 12
+}
+PROFILES = {
+    # what the subcommands run: no inputs for the gates only the tests
+    # ran, and None for "the config's value" (lambda, K, seed)
+    "quick": dict(dict.fromkeys(_FULL, ()), gap_lams=None,
+                  decay_masses=(BENCH_MASS,), bubble=None, max_size=6,
+                  forest_formula=((3, 1),), trials=30,
+                  partition=((None, 10 ** 6, 6, 3.0, 200, 0),),
+                  mass_runs=((2, 120, None),)),
+    "full": _FULL,
+}
+
+_WORST = {"<": (max, operator.lt), "<=": (max, operator.le),
+          ">": (min, operator.gt), ">=": (min, operator.ge)}
+
+
+def _gate(table, check_id, module, reference, values, op, bound):
+    """Add the gate's row, its worst value over the inputs against the
+    bound; a gate with no inputs adds no row."""
+    if len(values):
+        worst, holds = _WORST[op]
+        value = worst(values)
+        table.add(check_id, module, reference, value, bound,
+                  holds(value, bound))
+
+
+def _holds(table, check_id, module, reference, oks):
+    """A yes/no gate: value 1 when it holds for every input, else 0."""
+    _gate(table, check_id, module, reference, [int(ok) for ok in oks], ">",
+          0)
+
+
+def _bench_params(m, lam, bigK, bigN, corridorM):
+    """Model parameters at a chosen gap mass."""
+    return ModelParams(lam=lam, bigK=bigK, bigN=bigN,
+                       g=math.sqrt(lam * bigK / bigN), m=m,
+                       epsilon=bigN ** -0.4, corridorM=corridorM)
+
+
+def _strong_params(corridorM):
+    """lambda = 32 at its gap mass, N = 10^6."""
+    return _bench_params(math.sqrt(solve_gap_equation(32.0, 1.0)), 32.0,
+                         1.0, 10 ** 6, corridorM)
 
 
 def _small_setup(cfg, scale=1.0):
@@ -294,142 +336,446 @@ def _small_setup(cfg, scale=1.0):
     c0 = cov.build_C0(params, geo, CutoffSpec(c=cfg.cutoff_c))
     fld = cov.sample_gaussian(c0, seed=cfg.seed, count=1, geometry=geo)[0]
     if scale != 1.0:
-        fld = type(fld).from_tau(geo, scale * fld.tau)
+        fld = FieldConfig.from_tau(geo, scale * fld.tau)
     return params, geo, fld
 
 
-def run_decompose_checks(cfg, table):
-    params, geo, fld = _small_setup(cfg)
-    with _Timer() as t:
-        rng = np.random.default_rng(cfg.seed)
-        worst = 0.0
-        for u in rng.uniform(0.0, 3.0 * params.bigN ** (1 / 3), 200):
-            theta_s, theta_n = window_weights(u, params.bigN, 6)
-            worst = max(worst, abs(theta_s + np.sum(theta_n) - 1.0))
-    table.add("partition-of-unity", "regions", "window-partition", worst,
-              1e-12, worst < 1e-12, t.ms)
-    with _Timer() as t:
-        asg = classify_squares(fld, params, geo)
-        regions = build_regions(asg, geo, corridorM=params.corridorM)
-        covered = all(any(tuple(sq) in comp.l_squares
-                          for comp in regions.components)
-                      for sq in asg.large_squares)
-    table.add("component-cover", "regions", "large-field-components",
-              len(regions.components), float("nan"), covered, t.ms)
+def _rescaled_field(geometry, rng, u_targets):
+    """Gaussian field rescaled per square so 32*mass hits u_targets."""
+    side, s = geometry.sites_per_side, geometry.sites_per_square
+    nb = 2 * geometry.n
+    tau = rng.normal(size=(side, side))
+    u = 32.0 * FieldConfig.from_tau(geometry, tau).square_masses
+    scale = np.sqrt(np.asarray(u_targets) / u).reshape(nb, 1, nb, 1)
+    tau = (tau.reshape(nb, s, nb, s) * scale).reshape(side, side)
+    return FieldConfig.from_tau(geometry, tau)
 
 
-def run_opcheck(cfg, table):
+def criterion_01_gap_equation(cfg, table, size):
+    """Gap equation residual, m^2 > 0 and c_m > 0 (the acceptance test
+    alone asserts the advertised window c_m in [0.9, 1.1])."""
+    lams = size["gap_lams"] or (cfg.lam,)
+    m2 = [solve_gap_equation(lam, cfg.bigK, cfg.regulator) for lam in lams]
+    residual = [abs(gap_lhs(x, cfg.regulator) - x / (lam * cfg.bigK)
+                    - 1.0 / (2.0 * lam)) for lam, x in zip(lams, m2)]
+    c_m = [gap_constant(lam, cfg.bigK, cfg.regulator) for lam in lams]
+    _gate(table, "gap-residual", "model", "mass-gap-equation", residual,
+          "<", 1e-10)
+    _gate(table, "gap-mass-squared", "model", "mass-gap-equation", m2, ">",
+          0.0)
+    _gate(table, "gap-constant", "model", "mass-asymptotics", c_m, ">", 0.0)
+
+
+def criterion_02_kernel_decay(table, size):
+    """Decay rate m of F and 2m of the bubble and both square-root
+    kernels; positivity of F."""
+    masses = size["kernel_masses"]
+    kern = {m: propagator_kernel(m) for m in {*size["decay_masses"], *masses}}
+    _gate(table, "propagator-decay", "kernels", "free-kernel-decay",
+          [abs(kern[m].fitted_decay_rate / m - 1.0)
+           for m in size["decay_masses"]], "<", 0.1)
+    _gate(table, "propagator-positivity", "kernels", "free-kernel-decay",
+          [kern[m].values.min() for m in masses], ">", 0.0)
+    bench = [(m, _bench_params(m, 1.0, 1.0, 10 ** 6, 5.0)) for m in masses]
+    _gate(table, "bubble-decay", "kernels", "bubble-kernel-decay",
+          [abs(polarization_kernel(p).fitted_decay_rate / (2 * m) - 1.0)
+           for m, p in bench], "<", 0.1)
+    _gate(table, "sqrt-kernel-decay", "kernels", "bubble-kernel-decay",
+          [abs(sqrt_one_plus_pi_kernel(p, sign).fitted_decay_rate / (2 * m)
+               - 1.0) for m, p in bench for sign in (+1, -1)], "<", 0.1)
+
+
+def criterion_03_bubble_normalization(cfg, table, size):
+    """Unregulated bubble at zero momentum; unit integral of the cutoff."""
+    rel = [abs(polarization_momentum(
+        0.0, _bench_params(BENCH_MASS, lam, bigK, 10 ** 6, 5.0),
+        test_mode_unregulated=True) * 8 * np.pi * BENCH_MASS ** 2
+        / (lam * bigK) - 1.0)
+        for lam, bigK in size["bubble"] or ((cfg.lam, cfg.bigK),)]
+    _gate(table, "bubble-test-mode", "kernels", "unregulated-bubble", rel,
+          "<", 1e-6)
+    norm, _ = quad(lambda r: 2 * np.pi * r
+                   * cutoff_enforced_values(cfg.cutoff_c, r),
+                   0.0, 1.0, limit=200)
+    _gate(table, "cutoff-normalization", "kernels", "compact-cutoff",
+          [abs(norm - 1.0)], "<", 1e-8)
+
+
+def criterion_04_small_field_operator_norm(cfg, table, size):
+    """||A_s|| <= g max|tau| ||F|| on the config's field; ||A_s|| <=
+    N^(-2/5) on fields rescaled into the small-field range."""
     params, geo, fld = _small_setup(cfg, scale=0.4)
-    a = build_A(fld, params, geo, symmetrize=False)
-    with _Timer() as t:
-        k = 1j * a.op.weighted
-        sign, logabs = np.linalg.slogdet(np.eye(len(k)) + k)
-        direct = (np.log(sign) + logabs - np.trace(k)
-                  + 0.5 * np.trace(k @ k))
-        eig = log_det_n(np.linalg.eigvals(k), 3)
-        det_gap = abs(np.exp(direct) - np.exp(eig))
-    table.add("det3-dual-route", "operators", "regularized-determinant",
-              det_gap, 1e-8, det_gap < 1e-8, t.ms)
-    with _Timer() as t:
-        asym = build_A(fld, params, geo, symmetrize=True)
-        sym = log_det_n(np.linalg.eigvals(1j * asym.op.weighted), 3)
-        sym_gap = abs(np.exp(sym) - np.exp(eig))
-    table.add("det3-symmetrization", "operators", "self-adjoint-form",
-              sym_gap, 1e-8, sym_gap < 1e-8, t.ms)
-    with _Timer() as t:
-        bound = (params.g * np.abs(fld.tau).max()
-                 * operator_norm(propagator_matrix(geo, params.m)
-                                 * geo.site_weight))
-        norm = operator_norm(a.a_s)
-        ratio = norm / bound if bound else 0.0
-    table.add("small-block-norm", "operators", "small-field-bound", ratio,
-              1.0 + 1e-9, ratio <= 1.0 + 1e-9, t.ms)
+    bound = (params.g * np.abs(fld.tau).max()
+             * operator_norm(propagator_matrix(geo, params.m)
+                             * geo.site_weight))
+    norm = operator_norm(build_A(fld, params, geo).a_s)
+    _gate(table, "small-block-norm", "operators", "small-field-bound",
+          [norm / bound if bound else 0.0], "<=", 1.0 + 1e-9)
+    params, geo = _strong_params(3.0), LatticeGeometry(n=4, sites_per_square=2)
+    small, norms = [], []
+    for seed, fields in size["small_fields"]:
+        rng = np.random.default_rng(seed)
+        for _ in range(fields):
+            fld = _rescaled_field(geo, rng, rng.uniform(0.5, 7.4,
+                                                        geo.num_squares))
+            small.append(classify_squares(fld, params, geo).labels.max() == 0)
+            norms.append(operator_norm(build_A(fld, params, geo).a_s))
+    _holds(table, "small-field-labels", "regions", "small-field-bound", small)
+    _gate(table, "small-field-norm", "operators", "small-field-bound", norms,
+          "<=", params.bigN ** -0.4)
 
 
-def run_covariance_checks(cfg, table):
-    params, geo, fld = _small_setup(cfg, scale=0.0)
-    side = geo.sites_per_side
-    tau = np.zeros((side, side))
-    s = geo.sites_per_square
-    tau[2 * s:3 * s, 2 * s:3 * s] = np.sqrt(50.0 / (params.lam
-                                                    * params.bigK))
-    fld = type(fld).from_tau(geo, tau)
+def criterion_05_determinant_identities(cfg, table, size):
+    """det_3 by slogdet against the eigenvalues and against the
+    self-adjoint A; the determinant split; det_n against an oracle."""
+    params, geo, fld = _small_setup(cfg, scale=0.4)
+    k = 1j * build_A(fld, params, geo, symmetrize=False).op.weighted
+    sign, logabs = np.linalg.slogdet(np.eye(len(k)) + k)
+    direct = np.log(sign) + logabs - np.trace(k) + 0.5 * np.trace(k @ k)
+    eig = log_det_n(np.linalg.eigvals(k), 3)
+    _gate(table, "det3-dual-route", "operators", "regularized-determinant",
+          [abs(np.exp(direct) - np.exp(eig))], "<", 1e-8)
+    sym = log_det_n(np.linalg.eigvals(
+        1j * build_A(fld, params, geo, symmetrize=True).op.weighted), 3)
+    _gate(table, "det3-symmetrization", "operators", "self-adjoint-form",
+          [abs(np.exp(sym) - np.exp(eig))], "<", 1e-8)
+    params, geo = _strong_params(3.0), LatticeGeometry(n=2, sites_per_square=4)
+    split, oracle_gap = [], []
+    for seed, fields, orders in size["det_split"]:
+        rng = np.random.default_rng(seed)
+        for _ in range(fields):
+            targets = rng.uniform(1.0, 12.0, size=geo.num_squares)
+            idx = rng.choice(geo.num_squares, size=2, replace=False)
+            targets[idx] = rng.uniform(40.0, 80.0, size=2)
+            fld = _rescaled_field(geo, rng, targets)
+            split.append(det_split_identity(fld, params, geo))
+        for order in orders:
+            mat = rng.normal(size=(40, 40))
+            op = DiscretizedOperator(0.05 * (mat + mat.T), np.full(40, 0.7))
+            kw = op.weighted
+            sign, logabs = np.linalg.slogdet(np.eye(40) + kw)
+            oracle = np.exp(sum(
+                ((-1.0) ** j * np.trace(np.linalg.matrix_power(kw, j)) / j
+                 for j in range(1, order)), np.log(sign) + logabs))
+            det_n = np.exp(log_det_n(op.eigenvalues(), order))
+            oracle_gap.append(abs(det_n - oracle) / abs(oracle))
+    _gate(table, "det-split-identity", "operators", "determinant-split",
+          split, "<", 1e-8)
+    _gate(table, "det-n-oracle", "operators", "regularized-determinant",
+          oracle_gap, "<", 1e-10)
+
+
+def criterion_06_covariance_structure(cfg, table, size):
+    """C_gamma by two routes, Z_gamma >= 1 and its factorization over two
+    components, the splitting identity and its negative part's sign."""
+    params = derive_params(32.0, 1.0, 10 ** 6, corridor_override=2.0)
+    geo = LatticeGeometry(n=2, sites_per_square=3)
+    tau = np.zeros((geo.sites_per_side,) * 2)
+    tau[6:9, 6:9] = np.sqrt(50.0 / 32.0)
+    fld = FieldConfig.from_tau(geo, tau)
+    regions = build_regions(classify_squares(fld, params, geo), geo,
+                            corridorM=params.corridorM)
+    cset = cov.build_Cgamma(params, geo, cfg.cutoff(), regions)
+    _gate(table, "covariance-dual-route", "covariance", "resummed-inverse",
+          [cset.route_residual], "<", 1e-8)
+    _gate(table, "normalization-lower-bound", "covariance",
+          "gaussian-normalization", [cov.compute_Zgamma(cset, regions)],
+          ">=", 1.0)
+    dc = cov.build_deltaC(params, geo, cfg.cutoff(), regions)
+    _gate(table, "splitting-identity", "covariance", "covariance-splitting",
+          [dc.identity_residual], "<", 1e-8)
+    _gate(table, "negative-part-sign", "covariance", "covariance-splitting",
+          [float(np.linalg.eigvalsh(dc.d1.weighted).max())], "<=", 1e-10)
+    params = derive_params(32.0, 1.0, 4)
+    geo = LatticeGeometry(n=4, sites_per_square=2)
+    two, factor_gap = [], []
+    for u1, u2 in size["two_components"]:
+        tau = np.zeros((geo.sites_per_side,) * 2)
+        tau[0:2, 0:2] = np.sqrt(u1 / 32.0)
+        tau[14:16, 14:16] = np.sqrt(u2 / 32.0)
+        fld = FieldConfig.from_tau(geo, tau)
+        regions = build_regions(classify_squares(fld, params, geo), geo,
+                                corridorM=2.0)
+        two.append(len(regions.components) == 2)
+        cset = cov.build_Cgamma(params, geo, cfg.cutoff(), regions, pad=2)
+        z = cov.compute_Zgamma(cset, regions)
+        parts = sum(cov.component_log_z(cset, cm)
+                    for cm in cset.component_masks)
+        factor_gap.append(abs(z - np.exp(parts)) / z)
+    _holds(table, "two-components", "regions", "large-field-components", two)
+    _gate(table, "normalization-factorization", "covariance",
+          "gaussian-normalization", factor_gap, "<", 1e-8)
+
+
+def criterion_07_forest_formula(cfg, table, size):
+    """Forest counts, the interpolation and neighbour-link identities,
+    positivity of interpolated kernels and of their level decomposition."""
+    import sympy
+    ok = all(len(fo.enumerate_forests(range(nn))) == FOREST_COUNTS[nn - 1]
+             for nn in range(1, size["max_size"] + 1))
+    table.add("forest-counts", "forests", "forest-enumeration",
+              size["max_size"], math.nan, ok)
+    resid = []
+    for n, count in size["forest_formula"]:
+        x = {p: sympy.Symbol(f"x{p[0]}{p[1]}")
+             for p in itertools.combinations(range(n), 2)}
+        syms = list(x.values())
+        functions = (sympy.prod([1 + s for s in syms]), sympy.exp(sum(syms)),
+                     (1 + sum(syms)) ** 2 + 3 * sympy.prod(syms))
+        resid += [fo.verify_forest_formula(h, range(n), x)
+                  for h in functions[:count]]
+    _gate(table, "interpolation-identity", "forests", "forest-formula",
+          resid, "<", 1e-8)
+    _holds(table, "neighbor-link-identity", "forests", "first-forest-formula",
+           [fo.verify_first_forest_formula([0, 1], [(0, 1)], [{0, 1}]),
+            fo.verify_first_forest_formula(
+                [0, 1, 2], [(0, 1), (1, 2), (0, 2)], [{0, 1, 2}])])
+    rng = np.random.default_rng(cfg.seed)
+    low = []
+    for _ in range(size["trials"]):
+        nb = int(rng.integers(2, 5))
+        labels = rng.integers(0, nb, size=6)
+        b = rng.normal(size=(6, 6))
+        edges = tuple((i, i + 1) for i in range(nb - 1)
+                      if rng.random() < 0.7)
+        h = {e: float(rng.random()) for e in edges}
+        low.append(float(np.linalg.eigvalsh(
+            fo.interpolated_kernel(b @ b.T, labels, edges, h)).min()))
+    _gate(table, "interpolated-positivity", "forests",
+          "positivity-decomposition", low, ">=", -1e-10)
+    recon, term_low = [], []
+    for seed, draws in size["decomposition"]:
+        rng = np.random.default_rng(seed)
+        for _ in range(draws):
+            nblocks = int(rng.integers(2, 5))
+            labels = rng.integers(0, nblocks, size=int(rng.integers(4, 9)))
+            b = rng.normal(size=(len(labels), len(labels)))
+            k = b @ b.T
+            edges = []
+            for e in itertools.combinations(range(nblocks), 2):
+                if rng.random() < 0.4 and len(edges) < nblocks - 1:
+                    with contextlib.suppress(ValueError):  # a cycle
+                        fo.Forest(tuple(range(nblocks)), tuple(edges) + (e,))
+                        edges.append(e)
+            h = {e: float(rng.random()) for e in edges}
+            terms = fo.positivity_decomposition(k, labels, tuple(edges), h)
+            scale = max(float(np.linalg.norm(k, 2)), 1.0)
+            total = sum(wt * term for wt, term in terms)
+            recon.append(np.abs(total - fo.interpolated_kernel(
+                k, labels, tuple(edges), h)).max() / scale)
+            term_low += [np.linalg.eigvalsh(t).min() / scale
+                         for _, t in terms]
+    _gate(table, "decomposition-sum", "forests", "positivity-decomposition",
+          recon, "<", 1e-10)
+    _gate(table, "decomposition-positivity", "forests",
+          "positivity-decomposition", term_low, ">", -1e-10)
+
+
+def criterion_08_mayer_factors(table, size):
+    """Mayer connectivity: graph sum against tree formula, closed forms."""
+    graphs = [(3, [(0, 1), (1, 2), (0, 2)], 12),
+              (4, [(0, 1), (1, 2), (2, 3), (3, 0)], 12)]
+    for q in size["mayer_graph_q"]:
+        pairs = list(itertools.combinations(range(q), 2))
+        graphs += [(q, [p for k, p in enumerate(pairs) if bits >> k & 1], 8)
+                   for bits in range(1 << len(pairs))]
+    _gate(table, "mayer-dual-route", "forests", "connectivity-factor",
+          [abs(fo.mayer_connectivity(pairs, q)
+               - fo.mayer_tree_formula(pairs, q, nodes=nodes))
+           for q, pairs, nodes in graphs], "<", 1e-6)
+    _gate(table, "mayer-complete-graph", "forests", "connectivity-factor",
+          [abs(fo.mayer_connectivity(itertools.combinations(range(q), 2), q)
+               - (-1.0) ** (q - 1) * math.factorial(q - 1))
+           for q in size["complete_q"]], "<=", 0.0)
+
+
+def criterion_09_partition_and_regions(cfg, table, size):
+    """Window partition of unity, the region invariants and corridor
+    widths, and the cover of large squares by components."""
+    gaps, invariant, margin = [], [], []
+    for seed, bigN, windows, span, draws, configs in size["partition"]:
+        rng = np.random.default_rng(cfg.seed if seed is None else seed)
+        for u in rng.uniform(0.0, span * bigN ** (1 / 3), draws):
+            theta_s, theta_n = window_weights(u, bigN, windows)
+            gaps.append(abs(theta_s + np.sum(theta_n) - 1.0))
+        geo = LatticeGeometry(n=5)
+        params = _bench_params(0.3, 1.0, 1.0, bigN, 3.0)
+        s = geo.sites_per_square
+        for _ in range(configs):
+            tau = np.zeros((geo.sites_per_side,) * 2)
+            for c in geo.squares:
+                if rng.random() < 0.1:
+                    i, j = c[0] + geo.n, c[1] + geo.n
+                    tau[i * s:(i + 1) * s, j * s:(j + 1) * s] = \
+                        math.sqrt(10.0 ** rng.uniform(0.5, 2.5))
+            asg = classify_squares(FieldConfig.from_tau(geo, tau), params,
+                                   geo)
+            corridor = float(rng.uniform(1.5, 4.0))
+            reg = build_regions(asg, geo, corridorM=corridor)
+            comps = reg.components
+            gamma_in = reg.gamma & frozenset(geo.squares)
+            union = frozenset().union(*(c.big_gamma for c in comps))
+            invariant.append(
+                reg.lambda_l <= gamma_in <= reg.big_gamma <= reg.big_gamma_e
+                and sum(len(c.l_squares) for c in comps) == len(reg.lambda_l)
+                and union == reg.big_gamma
+                and sum(len(c.big_gamma) for c in comps) == len(union)
+                and len(reg.e_components) <= len(comps))
+            margin.append(min((square_distance(a, b) - corridor / 2
+                               + math.sqrt(2) for a in reg.gamma
+                               for b in geo.squares if b not in reg.big_gamma),
+                              default=math.inf))
+    _gate(table, "partition-of-unity", "regions", "window-partition", gaps,
+          "<", 1e-12)
+    _holds(table, "region-invariants", "regions", "large-field-components",
+           invariant)
+    _gate(table, "corridor-distance", "regions", "large-field-components",
+          margin, ">=", -1e-12)
+    params, geo, fld = _small_setup(cfg)
     asg = classify_squares(fld, params, geo)
     regions = build_regions(asg, geo, corridorM=params.corridorM)
-    cut = CutoffSpec(c=cfg.cutoff_c)
-    with _Timer() as t:
-        cset = cov.build_Cgamma(params, geo, cut, regions)
-    table.add("covariance-dual-route", "covariance", "resummed-inverse",
-              cset.route_residual, 1e-8, cset.route_residual < 1e-8, t.ms)
-    with _Timer() as t:
-        z = cov.compute_Zgamma(cset, regions)
-    table.add("normalization-lower-bound", "covariance",
-              "gaussian-normalization", z, float("nan"), z >= 1.0, t.ms)
-    with _Timer() as t:
-        dc = cov.build_deltaC(params, geo, cut, regions)
-        d1_max = float(np.linalg.eigvalsh(dc.d1.weighted).max())
-    table.add("splitting-identity", "covariance", "covariance-splitting",
-              dc.identity_residual, 1e-8,
-              dc.identity_residual < 1e-8, t.ms)
-    table.add("negative-part-sign", "covariance", "covariance-splitting",
-              d1_max, 1e-10, d1_max <= 1e-10, t.ms)
+    covered = all(any(tuple(sq) in comp.l_squares
+                      for comp in regions.components)
+                  for sq in asg.large_squares)
+    table.add("component-cover", "regions", "large-field-components",
+              len(regions.components), math.nan, covered)
 
 
-FOREST_COUNTS = [1, 2, 7, 38, 291, 2932, 36961]
+def criterion_10_integrand_bound_and_normalization(cfg, table, size):
+    """The damping bound of the large-field integrand with a constant fitted
+    on half the configurations; the single-square normalization."""
+    params = _strong_params(2.0)
+    geo = LatticeGeometry(n=2, sites_per_square=3)
+    fits, holdout, excess = [], [], []
+    for seed, configs in size["damping"]:
+        rng = np.random.default_rng(seed)
+        reports = []
+        while len(reports) < configs:
+            tau = rng.normal(size=(geo.sites_per_side,) * 2) * 0.35
+            nl = 1 + rng.integers(0, 2)
+            for q in rng.choice(16, size=nl, replace=False):
+                i, j = divmod(int(q), 4)
+                u = rng.uniform(15.0, 70.0)
+                blk = rng.normal(size=(3, 3))
+                blk *= np.sqrt(u / 32.0 / (np.sum(blk ** 2)
+                                           * geo.site_weight))
+                tau[i * 3:(i + 1) * 3, j * 3:(j + 1) * 3] = blk
+            fld = FieldConfig.from_tau(geo, tau)
+            asg = classify_squares(fld, params, geo)
+            if asg.labels.max() != 1 or (asg.labels > 0).sum() != nl:
+                continue
+            regions = build_regions(asg, geo, corridorM=params.corridorM)
+            cset = cov.build_Cgamma(params, geo, cfg.cutoff(), regions,
+                                    pad=2, routes="direct")
+            dc = cov.build_deltaC(params, geo, cfg.cutoff(), regions, pad=2)
+            cov.compute_Zgamma(cset, regions)
+            reports.append(cov.damping_report(fld, params, regions, cset, dc,
+                                              asg))
+        consts = [r.required_const for r in reports]
+        fits.append(max(consts[:configs // 2]))
+        holdout.append(max(consts[configs // 2:]) - 3.0 * fits[-1])
+        excess += [r.log_value + 0.49 * r.mass_large - 3.0 * fits[-1]
+                   * params.bigN ** (-0.4) * r.mass_small for r in reports]
+    if fits:
+        table.add("damping-fit-constant", "covariance", "integrand-bound",
+                  min(fits), 0.0, all(np.isfinite(f) and f > 0 for f in fits))
+    _gate(table, "damping-holdout", "covariance", "integrand-bound", holdout,
+          "<=", 0.0)
+    _gate(table, "damping-bound", "covariance", "integrand-bound", excess,
+          "<=", 0.0)
+    dev = []
+    for bigN, samples, seed in size["square_normalization"]:
+        sn = cov.single_square_normalization(
+            derive_params(1.0, 1.0, bigN, corridor_override=2.0),
+            cfg.cutoff(), sites_per_square=3, samples=samples, seed=seed)
+        dev.append(abs(sn.value - 1.0) / bigN ** (-0.2))
+    _gate(table, "square-normalization", "covariance",
+          "square-normalization", dev, "<=", 1.0)
 
 
-def run_forest_checks(cfg, table, max_size=6, trials=50):
-    import itertools
+def criterion_11_two_point_decay(cfg, table, size):
+    """Free-route and interacting decay mass against the gap mass, fit
+    quality and phase of the interacting run, and the N-scan."""
+    params = cfg.params()
 
-    import sympy
-    with _Timer() as t:
-        sizes = range(1, min(max_size, 7) + 1)
-        ok = all(len(fo.enumerate_forests(range(nn)))
-                 == FOREST_COUNTS[nn - 1] for nn in sizes)
-    table.add("forest-counts", "forests", "forest-enumeration",
-              max(sizes), float("nan"), ok, t.ms)
-    with _Timer() as t:
-        pairs = list(itertools.combinations(range(3), 2))
-        x = {p: sympy.Symbol(f"x{p[0]}{p[1]}") for p in pairs}
-        h_expr = sympy.prod([1 + s for s in x.values()])
-        resid = fo.verify_forest_formula(h_expr, range(3), x)
-    table.add("interpolation-identity", "forests", "forest-formula",
-              resid, 1e-8, resid < 1e-8, t.ms)
-    with _Timer() as t:
-        toys = (fo.verify_first_forest_formula([0, 1], [(0, 1)], [{0, 1}])
-                and fo.verify_first_forest_formula(
-                    [0, 1, 2], [(0, 1), (1, 2), (0, 2)], [{0, 1, 2}]))
-    table.add("neighbor-link-identity", "forests", "first-forest-formula",
-              int(toys), float("nan"), toys, t.ms)
-    with _Timer() as t:
-        gap = 0.0
-        for q, pairs in ((3, [(0, 1), (1, 2), (0, 2)]),
-                         (4, [(0, 1), (1, 2), (2, 3), (3, 0)])):
-            gap = max(gap, abs(fo.mayer_connectivity(pairs, q)
-                               - fo.mayer_tree_formula(pairs, q)))
-    table.add("mayer-dual-route", "forests", "connectivity-factor", gap,
-              1e-6, gap < 1e-6, t.ms)
-    with _Timer() as t:
-        rng = np.random.default_rng(cfg.seed)
-        worst = 0.0
-        for _ in range(trials):
-            nb = int(rng.integers(2, 5))
-            labels = rng.integers(0, nb, size=6)
-            b = rng.normal(size=(6, 6))
-            k = b @ b.T
-            edges = tuple((i, i + 1) for i in range(nb - 1)
-                          if rng.random() < 0.7)
-            h = {e: float(rng.random()) for e in edges}
-            interp = fo.interpolated_kernel(k, labels, edges, h)
-            worst = min(worst, float(np.linalg.eigvalsh(interp).min()))
-    table.add("interpolated-positivity", "forests",
-              "positivity-decomposition", worst, -1e-10,
-              worst >= -1e-10, t.ms)
-    with _Timer() as t:
-        rho = fo.activity_threshold()
-        total = fo.polymer_activity_sum(rho).total
-    table.add("polymer-sum", "forests", "polymer-convergence", total,
-              0.5 + 1e-9, total <= 0.5 + 1e-9, t.ms)
+    def run(p, sites, samples, seed):
+        return tp.estimate_S2(
+            p, geometry=LatticeGeometry(n=cfg.n, sites_per_square=sites),
+            cutoff=cfg.cutoff(), seed=cfg.seed if seed is None else seed,
+            n_samples=samples)
+
+    _gate(table, "twopoint-free-mass", "twopoint", "mass-persistence",
+          [abs(run(dataclasses.replace(params, g=0.0), *inp).fitted_mprime
+               / params.m - 1.0) for inp in size["free_runs"]], "<", 0.05)
+    runs = {inp: run(params, *inp)
+            for inp in dict.fromkeys(size["mass_runs"] + size["fit_runs"])}
+    ratios = [runs[inp].fitted_mprime / runs[inp].gap_mass
+              for inp in size["mass_runs"]]
+    if ratios:
+        ratio = max(ratios, key=lambda r: abs(r - 1.0))
+        table.add("twopoint-mass-ratio", "twopoint", "mass-persistence",
+                  ratio, "[0.7,1.3]", 0.7 < ratio < 1.3)
+    _gate(table, "twopoint-fit-residual", "twopoint", "mass-persistence",
+          [runs[inp].fit_residual for inp in size["fit_runs"]], ">=", 0.95)
+    _gate(table, "twopoint-phase", "twopoint", "sign-problem",
+          [runs[inp].phase_diagnostic for inp in size["fit_runs"]], ">=",
+          0.05)
+    ordered = []
+    for sites, samples, seed, bigNs in size["scans"]:
+        rows = tp.mass_vs_N_scan(
+            [dataclasses.replace(cfg, bigN=n).params() for n in bigNs],
+            geometry=LatticeGeometry(n=cfg.n, sites_per_square=sites),
+            seed=seed, n_samples=samples)
+        ordered.append([r["bigN"] for r in rows] == list(bigNs))
+    _holds(table, "twopoint-n-scan", "twopoint", "mass-persistence", ordered)
+
+
+def criterion_12_polymer_sum(table, size):
+    """Activity sum at the threshold <= 1/2, finite tail; polyomino counts."""
+    rho = fo.activity_threshold()
+    total = fo.polymer_activity_sum(rho)
+    table.add("polymer-sum", "forests", "polymer-convergence", total.total,
+              0.5 + 1e-12, rho > 0.0 and np.isfinite(total.tail)
+              and total.total <= 0.5 + 1e-12)
+    _holds(table, "polymer-counts", "forests", "polymer-convergence",
+           [total.counts == counts for counts in size["polymer_counts"]])
+
+
+def run_gap_checks(cfg, table, size):
+    criterion_01_gap_equation(cfg, table, size)
+
+
+def run_kernel_checks(cfg, table, size):
+    criterion_02_kernel_decay(table, size)
+    criterion_03_bubble_normalization(cfg, table, size)
+
+
+def run_decompose_checks(cfg, table, size):
+    criterion_09_partition_and_regions(cfg, table, size)
+
+
+def run_opcheck(cfg, table, size):
+    criterion_05_determinant_identities(cfg, table, size)
+    criterion_04_small_field_operator_norm(cfg, table, size)
+
+
+def run_covariance_checks(cfg, table, size):
+    criterion_06_covariance_structure(cfg, table, size)
+    criterion_10_integrand_bound_and_normalization(cfg, table, size)
+
+
+def run_forest_checks(cfg, table, size):
+    criterion_07_forest_formula(cfg, table, size)
+    criterion_08_mayer_factors(table, size)
+    criterion_12_polymer_sum(table, size)
+
+
+def run_accept_all(cfg, table, size):
+    """Every criterion, at the profile's inputs."""
+    for runner in (run_gap_checks, run_kernel_checks, run_decompose_checks,
+                   run_opcheck, run_covariance_checks, run_forest_checks,
+                   criterion_11_two_point_decay):
+        runner(cfg, table, size)
 
 
 def run_twopoint(cfg, args):
@@ -444,7 +790,6 @@ def run_twopoint(cfg, args):
         res = tp.estimate_S2(cfg.params(), geometry=cfg.geometry(),
                              cutoff=cfg.cutoff(), seed=cfg.seed,
                              n_samples=cfg.samples,
-                             thermalization=cfg.thermalization,
                              separations=seps)
     except ValueError as exc:  # separations or sample count it rejects
         raise ConfigError(str(exc)) from exc
@@ -472,36 +817,14 @@ def run_twopoint(cfg, args):
     return EXIT_OK
 
 
-PROFILES = {
-    "quick": {"samples": 120, "sites": 2, "trials": 30},
-    "full": {"samples": 2000, "sites": 4, "trials": 200},
-}
-
-
-def run_accept_all(cfg, table, profile):
-    """The whole battery; the profile sets the forest trials and the size
-    of the two-point run."""
-    profile = PROFILES[profile]
-    run_gap_checks(cfg, table)
-    run_kernel_checks(cfg, table)
-    run_decompose_checks(cfg, table)
-    run_opcheck(cfg, table)
-    run_covariance_checks(cfg, table)
-    run_forest_checks(cfg, table, trials=profile["trials"])
-    with _Timer() as t:
-        geo = LatticeGeometry(n=cfg.n, sites_per_square=profile["sites"])
-        res = tp.estimate_S2(cfg.params(), geometry=geo,
-                             cutoff=cfg.cutoff(), seed=cfg.seed,
-                             n_samples=profile["samples"])
-        ratio = res.fitted_mprime / res.gap_mass
-    table.add("twopoint-mass-ratio", "twopoint", "mass-persistence",
-              ratio, "[0.7,1.3]", 0.7 < ratio < 1.3, t.ms)
-
-
-def _table_command(runner, extra=()):
+def _table_command(runner):
     def cmd(cfg, args):
+        size = dict(PROFILES[getattr(args, "profile", "quick")])
+        # forest-verify's --max-size and --trials override the profile
+        size.update({k: getattr(args, k) for k in ("max_size", "trials")
+                     if hasattr(args, k)})
         table = ResultsTable(run_hash(cfg, args))
-        runner(cfg, table, **{k: getattr(args, k) for k in extra})
+        runner(cfg, table, size)
         table.report()
         paths = persist_results(table, cfg.resolved_outdir())
         print(f"wrote {paths[0]}")
@@ -515,10 +838,9 @@ COMMANDS = {
     "decompose": _table_command(run_decompose_checks),
     "opcheck": _table_command(run_opcheck),
     "covariance": _table_command(run_covariance_checks),
-    "forest-verify": _table_command(run_forest_checks,
-                                    ("max_size", "trials")),
+    "forest-verify": _table_command(run_forest_checks),
     "twopoint": run_twopoint,
-    "accept-all": _table_command(run_accept_all, ("profile",)),
+    "accept-all": _table_command(run_accept_all),
 }
 
 

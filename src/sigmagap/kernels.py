@@ -370,11 +370,8 @@ class CutoffSpec:
     c: float = 1.0
     alpha: float = 0.5
     bigA: float = 2.0
-    form: str = "quartic"
 
     def __post_init__(self):
-        if self.form != "quartic":
-            raise ValueError("only the quartic form is implemented")
         if self.c > 0 and not (self.alpha <= self.c <= self.bigA):
             raise ValueError("need alpha <= c <= bigA")
 
@@ -426,19 +423,8 @@ def cutoff_inverse_kernel(spec: CutoffSpec, grid_step=0.125):
     """
     c = spec.c
     half_extent = CUTOFF_HALF_EXTENT
-    dist, size = _grid_radii(grid_step, half_extent)
+    dist, _ = _grid_radii(grid_step, half_extent)
     rr = np.concatenate([[0.0], np.geomspace(1e-3, half_extent, 400)])
-
-    if c == 0.0:
-        # degenerate f = 0: the operator is the identity, kernel = delta
-        n = size // 2
-        grid = np.zeros_like(dist)
-        grid[n, n] = 1.0 / grid_step ** 2
-        raw = SampledKernel(grid_step=grid_step, half_extent=half_extent,
-                            values=grid, radial_r=rr,
-                            radial_vals=np.zeros_like(rr),
-                            sup_norm=float(grid[n, n]))
-        return raw, raw, {"leaked": 0.0, "norm_factor": 1.0}
 
     vals = cutoff_inverse_values(c, rr)
     grid = cutoff_inverse_values(c, dist)

@@ -45,14 +45,6 @@ def default_geometry():
     return LatticeGeometry(n=4, sites_per_square=4)
 
 
-def _site_index(geometry, site):
-    side = geometry.sites_per_side
-    if np.isscalar(site):
-        return int(site)
-    i, j = site
-    return int(i) * side + int(j)
-
-
 def resolvent_matrix(field, params):
     """All entries of (1 + F ig tau)^(-1) F by a dense solve.
 
@@ -63,20 +55,6 @@ def resolvent_matrix(field, params):
     shift = 1j * params.g * geometry.site_weight * tau
     m_mat = np.eye(len(tau)) + f * shift[None, :]
     return np.linalg.solve(m_mat, f)
-
-
-def resolvent_kernel_entry(field, params, geometry, x, y):
-    """Single entry of the tau-shifted resolvent (one transposed solve)."""
-    geometry = geometry or field.geometry
-    f = propagator_matrix(geometry, params.m)
-    tau = field.tau.reshape(-1)
-    shift = 1j * params.g * geometry.site_weight * tau
-    m_mat = np.eye(len(tau)) + f * shift[None, :]
-    ix, iy = _site_index(geometry, x), _site_index(geometry, y)
-    e = np.zeros(len(tau))
-    e[ix] = 1.0
-    row = np.linalg.solve(m_mat.T, e)
-    return complex(row @ f[:, iy])
 
 
 def sample_weight(field, params):
@@ -204,7 +182,7 @@ def fit_window(geometry):
 
 
 def estimate_S2(params, geometry=None, cutoff=None, seed=0,
-                n_samples=1000, thermalization=0, separations=None,
+                n_samples=1000, separations=None,
                 n_batches=20, phase_floor=0.05):
     """Reweighted ratio estimator of S2 along a lattice axis.
 
@@ -220,6 +198,11 @@ def estimate_S2(params, geometry=None, cutoff=None, seed=0,
     separations = np.asarray(separations, dtype=float)
     if n_samples < n_batches:
         raise ValueError("need at least one sample per batch")
+    lo, hi = fit_window(geometry)
+    sel = (separations >= lo - 1e-12) & (separations <= hi + 1e-12)
+    if sel.sum() < 2:
+        raise ValueError(f"the fit window [{lo:g}, {hi:g}] holds "
+                         f"{sel.sum()} separation(s); the fit needs two")
 
     side = geometry.sites_per_side
     s = geometry.sites_per_square
@@ -240,8 +223,6 @@ def estimate_S2(params, geometry=None, cutoff=None, seed=0,
 
     root = c0_root(params, geometry, cutoff)
     rng = np.random.default_rng(seed)
-    for _ in range(thermalization):
-        rng.standard_normal(side * side)
 
     num = np.zeros((n_samples, len(separations)), dtype=complex)
     den = np.zeros(n_samples, dtype=complex)
@@ -282,8 +263,6 @@ def estimate_S2(params, geometry=None, cutoff=None, seed=0,
                           for b in batches])
     stderr = batch_est.std(axis=0, ddof=1) / np.sqrt(len(batches))
 
-    lo, hi = fit_window(geometry)
-    sel = (separations >= lo - 1e-12) & (separations <= hi + 1e-12)
     mprime, mprime_se, r2, _ = match_decay_mass(
         separations[sel], estimates[sel],
         None if free else np.abs(stderr[sel]))
@@ -294,7 +273,6 @@ def estimate_S2(params, geometry=None, cutoff=None, seed=0,
         sample_count=n_samples,
         params_hash=_params_hash(
             params, geometry, cutoff, seed=seed, n_samples=n_samples,
-            thermalization=thermalization,
             separations=separations.tolist(), n_batches=n_batches,
             phase_floor=phase_floor),
         phase_diagnostic=diag, mean_weight=complex(mean_w),

@@ -157,7 +157,7 @@ class TestExitCodes:
         assert code == cli.EXIT_NUMERIC
 
     def test_numerical_abort_maps_to_3(self, tmp_path, monkeypatch):
-        def boom(cfg, table):
+        def boom(cfg, table, size):
             raise ArithmeticError("grid too coarse")
         monkeypatch.setattr(cli, "run_covariance_checks", boom)
         monkeypatch.setitem(cli.COMMANDS, "covariance",
@@ -170,8 +170,10 @@ class TestExitCodes:
         ["twopoint", "--separations", "0,50"],
         ["twopoint", "--samples", "10"],
         ["forest-verify", "--max-size", "0"],
+        ["forest-verify", "--max-size", "8"],
         ["forest-verify", "--trials", "0"],
         ["decompose", "--cutoff-c", "3"],
+        ["twopoint", "--n", "3", "--sites", "2", "--samples", "20"],
     ])
     def test_bad_input_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -181,7 +183,7 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_failed_check_exits_1(self, tmp_path, monkeypatch):
-        def red(cfg, table):
+        def red(cfg, table, size):
             table.add("forced", "model", "ref", 1.0, 0.5, False)
         monkeypatch.setitem(cli.COMMANDS, "gap-solve",
                             cli._table_command(red))
@@ -254,6 +256,29 @@ class TestSubcommands:
         monkeypatch.setattr(cli.cov, "NEUMANN_TOL", 1e-3)
         assert main(["covariance", "--out", str(tmp_path)]) \
             == cli.EXIT_NUMERIC
+
+    def test_wrong_tree_formula_fails_only_its_row(self, tmp_path,
+                                                   monkeypatch):
+        # negative control: the Mayer tree formula off by 1e-3 fails
+        # criterion 08's pytest check and forest-verify, and no other row
+        from test_acceptance import run_criterion
+
+        def rows(out):
+            with open(out / "results.csv") as fh:
+                return {r[0]: r[:6] for r in csv.reader(fh.readlines()[1:])}
+
+        assert main(["forest-verify", "--out", str(tmp_path / "a")]) == 0
+        real = cli.fo.mayer_tree_formula
+        monkeypatch.setattr(cli.fo, "mayer_tree_formula",
+                            lambda *a, **k: real(*a, **k) + 1e-3)
+        with pytest.raises(AssertionError, match="mayer-dual-route"):
+            run_criterion(60.0, cli.criterion_08_mayer_factors)
+        assert main(["forest-verify", "--out", str(tmp_path / "b")]) \
+            == cli.EXIT_CHECK
+        good, bad = rows(tmp_path / "a"), rows(tmp_path / "b")
+        assert bad.pop("mayer-dual-route")[5] == "0"
+        assert good.pop("mayer-dual-route")[5] == "1"
+        assert bad == good
 
     def test_accept_all_quick(self, tmp_path):
         assert main(["accept-all", "--profile", "quick",

@@ -204,16 +204,6 @@ def test_cutoff_zero_momentum_mass():
         assert total == pytest.approx(1.0, rel=1e-8)
 
 
-def test_cutoff_degenerate_delta():
-    raw, enf, diag = cutoff_inverse_kernel(CutoffSpec(c=0.0, alpha=0.0))
-    n = raw.values.shape[0] // 2
-    assert raw.values[n, n] == pytest.approx(1.0 / raw.grid_step ** 2)
-    off = raw.values.copy()
-    off[n, n] = 0.0
-    assert np.all(off == 0.0)
-    assert diag["leaked"] == 0.0
-
-
 def test_cutoff_leakage_reported():
     # the quartic form cannot have compact support: the tails at c=1 hold
     # ~76% of the absolute mass outside |x| > 1 (frozen measurement).
@@ -258,8 +248,6 @@ def test_cutoff_momentum_power_bound():
 def test_cutoff_spec_validation():
     with pytest.raises(ValueError):
         CutoffSpec(c=5.0, alpha=0.5, bigA=2.0)
-    with pytest.raises(ValueError):
-        CutoffSpec(form="gaussian")
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,8 +5,7 @@ The source of ``src/sigmagap`` is parsed with ``ast``; calls are collected
 from ``src``, ``tests`` and ``perfbench`` and matched to definitions by
 name.  A call sets a parameter when it passes it by keyword, by position,
 or as a key of a ``**`` dict literal (directly, or through a loop variable
-that runs over dict literals).  The flag names that ``cli._table_command``
-forwards to its runner count as keywords of that runner.
+that runs over dict literals).
 """
 
 import ast
@@ -106,13 +105,6 @@ def _calls():
                     elif isinstance(kw.value, ast.Name):
                         kws |= loop_keys.get(kw.value.id, set())
                 calls.setdefault(name, []).append((npos, kws))
-                # _table_command(runner, ("flag", ...)) forwards the flags
-                if (name == "_table_command" and len(node.args) == 2
-                        and isinstance(node.args[0], ast.Name)
-                        and isinstance(node.args[1], ast.Tuple)):
-                    flags = {e.value for e in node.args[1].elts
-                             if isinstance(e, ast.Constant)}
-                    calls.setdefault(node.args[0].id, []).append((0, flags))
     return calls
 
 

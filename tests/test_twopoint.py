@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor
 
+from sigmagap import twopoint
 from sigmagap.covariance import (_c0_root_cached, build_C0, c0_root,
                                  gaussian_root, sample_gaussian)
 from sigmagap.kernels import CutoffSpec, propagator_values
@@ -22,7 +23,6 @@ from sigmagap.twopoint import (
     fit_window,
     mass_vs_N_scan,
     match_decay_mass,
-    resolvent_kernel_entry,
     resolvent_matrix,
     sample_weight,
 )
@@ -56,14 +56,6 @@ class TestResolvent:
         f = propagator_matrix(GEO, params.m)
         assert np.abs(r - f).max() == 0.0
 
-    def test_entry_matches_matrix(self):
-        params = make_params()
-        fld = random_field(params, 3)
-        r = resolvent_matrix(fld, params)
-        for (x, y) in [(0, 0), (5, 91), (200, 17)]:
-            assert abs(resolvent_kernel_entry(fld, params, GEO, x, y)
-                       - r[x, y]) < 1e-12
-
     def test_entry_against_eigendecomposition_oracle(self):
         # the purely imaginary shift diagonalized independently:
         # (1 + F igtau)^{-1} F = V (1+Lambda)^{-1} V^{-1} F
@@ -82,15 +74,6 @@ class TestResolvent:
         fld = random_field(params, 5)
         r = resolvent_matrix(fld, params)
         assert np.abs(r - r.T).max() < 1e-12
-
-    def test_site_tuple_indexing(self):
-        params = make_params()
-        fld = random_field(params, 6)
-        side = GEO.sites_per_side
-        a = resolvent_kernel_entry(fld, params, GEO, (2, 3), (7, 1))
-        b = resolvent_kernel_entry(fld, params, GEO, 2 * side + 3,
-                                   7 * side + 1)
-        assert a == b
 
 
 class TestSampleWeight:
@@ -222,24 +205,25 @@ class TestEstimateS2:
         assert a.params_hash != c.params_hash
         assert not np.array_equal(a.estimates, c.estimates)
         # every estimator input enters the hash
-        for change in ({"thermalization": 1},
-                       {"separations": default_separations(GEO)[1:]},
+        for change in ({"separations": default_separations(GEO)[1:]},
                        {"n_batches": 30}, {"phase_floor": 0.01}):
             d = estimate_S2(params, geometry=GEO, n_samples=60, seed=3,
                             **change)
             assert d.params_hash != a.params_hash, change
 
-    def test_thermalization_shifts_stream(self):
-        params = make_params()
-        a = estimate_S2(params, geometry=GEO, n_samples=40, seed=3,
-                        thermalization=5)
-        b = estimate_S2(params, geometry=GEO, n_samples=40, seed=3)
-        assert not np.array_equal(a.estimates, b.estimates)
-
     def test_batch_floor(self):
         params = make_params()
         with pytest.raises(ValueError):
             estimate_S2(params, geometry=GEO, n_samples=10)
+
+    def test_short_fit_window_rejected_before_sampling(self, monkeypatch):
+        # n = 3: the window [2, 2] holds one separation, too few to fit
+        def no_draws(*args):
+            raise AssertionError("sampling started")
+        monkeypatch.setattr(twopoint, "c0_root", no_draws)
+        geo = LatticeGeometry(n=3, sites_per_square=2)
+        with pytest.raises(ValueError, match=r"fit window \[2, 2\] holds 1"):
+            estimate_S2(make_params(), geometry=geo, n_samples=20)
 
     def test_sign_problem_abort(self):
         params = make_params()
