@@ -27,8 +27,8 @@ NORM_TOL = 1e-10
 
 __all__ = [
     "DiscretizedOperator", "AOperator", "site_square_labels",
-    "radial_site_matrix", "propagator_matrix", "build_A", "operator_norm",
-    "log_det_n",
+    "radial_site_matrix", "propagator_matrix", "propagator_factor",
+    "build_A", "operator_norm", "log_det_n",
     "det_split_identity", "D_decomposition", "trace_projection_inequality",
     "link_block", "derived_link_norm",
 ]
@@ -135,6 +135,18 @@ def propagator_matrix(geometry, m):
     discretization sites (positive definite: samples of a PD function)."""
     return _propagator_matrix_cached(geometry.n, geometry.sites_per_square,
                                      round(float(m), 12))
+
+
+@functools.lru_cache(maxsize=8)
+def propagator_factor(geometry, m):
+    """Read-only V with propagator_matrix = V V^T on its numerical range:
+    the eigenvectors of the eigenvalues above numpy matrix_rank's
+    tolerance n * eps * max eigenvalue, scaled by their square roots."""
+    ev, vec = np.linalg.eigh(propagator_matrix(geometry, m))
+    keep = ev > ev.max() * len(ev) * np.finfo(float).eps
+    factor = vec[:, keep] * np.sqrt(ev[keep])
+    factor.flags.writeable = False
+    return factor
 
 
 @functools.lru_cache(maxsize=8)

@@ -10,6 +10,11 @@ free covariance.  Draws are independent (direct Gaussian sampling), the
 complex weight is handled by reweighting, and a phase diagnostic
 |<w>| / <|w|> guards against the sign problem.
 
+Each draw lives on the range of F = V V^T (rank r < n/2 under the cutoff):
+with S = V^T diag(w tau) V, det3(1 + igF diag(w tau)) = det3(1 + igS)
+(Sylvester) and R_tau = V (1 + igS)^{-1} V^T (push-through), an r x r
+solve that 1 + igS, with its spectrum on Re = 1, never makes singular.
+
 Mass extraction: at desk couplings the box sits deep in the m*r << 1
 regime where the raw log-slope of the free kernel is dominated by its
 Bessel-type prefactor, not by the mass.  The fitted decay slope is
@@ -23,12 +28,11 @@ import hashlib
 import itertools
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 from scipy.optimize import brentq
 
 from .covariance import c0_root
 from .kernels import CutoffSpec, propagator_values
-from .operators import build_A, log_det_n, propagator_matrix
+from .operators import build_A, log_det_n, propagator_factor, propagator_matrix
 from .regions import LatticeGeometry
 
 
@@ -67,17 +71,13 @@ def sample_weight(field, params):
     return complex(np.exp(-0.5 * params.bigN * logdet3))
 
 
-def _logdet3_from_lu(lu, piv, f_diag, f_sq, g, wtau):
-    """log det3(1 + igFtau) from an LU factorization of 1 + F ig tau w,
-    subtracting the explicit first and second traces."""
-    diag = np.diag(lu)
-    logdet = np.sum(np.log(diag.astype(complex)))
-    swaps = np.sum(piv != np.arange(len(piv)))
-    if swaps % 2:
-        logdet += 1j * np.pi
-    tr1 = 1j * g * np.sum(f_diag * wtau)
-    tr2 = -(g ** 2) * (wtau @ (f_sq @ wtau))
-    return logdet - tr1 + 0.5 * tr2
+def _sample_on_range(v, g, wtau, v_x, v_y):
+    """Resolvent row R_tau[x, ys] and log det3 of one draw through S; 1 + igS
+    is complex symmetric, so row x of its inverse is a solve against V[x]."""
+    s_mat = v.T @ (wtau[:, None] * v)
+    logdet3 = log_det_n(1j * g * np.linalg.eigvalsh(s_mat), 3)
+    rrow = np.linalg.solve(np.eye(len(s_mat)) + 1j * g * s_mat, v_x) @ v_y
+    return rrow, logdet3
 
 
 @dataclasses.dataclass
@@ -186,9 +186,9 @@ def estimate_S2(params, geometry=None, cutoff=None, seed=0,
                 n_batches=20, phase_floor=0.05):
     """Reweighted ratio estimator of S2 along a lattice axis.
 
-    Draws are independent Gaussians with the free covariance; each draw
-    costs one LU factorization, reused for the resolvent row and for the
-    determinant weight.  Standard errors come from >= 20 batch means of
+    Draws are independent Gaussians with the free covariance; each costs
+    one r x r eigvalsh and one r x r solve on the range of F (see the
+    module docstring).  Standard errors come from >= 20 batch means of
     the ratio.  Raises SignProblemError when the phase average drops
     below phase_floor."""
     geometry = geometry or default_geometry()
@@ -208,9 +208,7 @@ def estimate_S2(params, geometry=None, cutoff=None, seed=0,
     s = geometry.sites_per_square
     w = geometry.site_weight
     f = propagator_matrix(geometry, params.m)
-    f_diag = np.diag(f).copy()
-    f_sq = f * f.T
-    diag_idx = np.diag_indices(side * side)
+    v = propagator_factor(geometry, params.m)
 
     # source two units in from the left edge, on the middle row
     row0, col0 = side // 2, 2 * s
@@ -219,7 +217,7 @@ def estimate_S2(params, geometry=None, cutoff=None, seed=0,
                       for r in separations])
     if y_idx.max() >= (row0 + 1) * side:
         raise ValueError("separations leave the grid")
-    f_y = f[:, y_idx]
+    v_x, v_y = v[x_idx], v[y_idx].T
 
     root = c0_root(params, geometry, cutoff)
     rng = np.random.default_rng(seed)
@@ -233,19 +231,7 @@ def estimate_S2(params, geometry=None, cutoff=None, seed=0,
             num[k] = f[x_idx, y_idx]
             den[k] = 1.0
             continue
-        shift = 1j * params.g * w * tau
-        # M = 1 + F ig w tau, Fortran-ordered so the LU overwrites it:
-        # F is exactly symmetric (block-Toeplitz in |x - y|), so the
-        # transpose of the C-ordered product F[y, x] shift[y] is M
-        m_mat = (f * shift[:, None]).T
-        m_mat[diag_idx] += 1.0
-        lu, piv = lu_factor(m_mat, overwrite_a=True)
-        # e_x^T M^-1 F[:, y] read off an untransposed solve: with 2-thread
-        # OpenBLAS the transposed route's extra row @ F[:, y] product cost
-        # 12-18 ms a sample at 576 sites, more than the LU itself
-        rrow = lu_solve((lu, piv), f_y)[x_idx]
-        logdet3 = _logdet3_from_lu(lu, piv, f_diag, f_sq, params.g,
-                                   w * tau)
+        rrow, logdet3 = _sample_on_range(v, params.g, w * tau, v_x, v_y)
         wt = np.exp(-0.5 * params.bigN * logdet3)
         num[k] = rrow * wt
         den[k] = wt
@@ -280,8 +266,12 @@ def estimate_S2(params, geometry=None, cutoff=None, seed=0,
 
 
 def mass_vs_N_scan(params_list, geometry=None, seed=0, n_samples=1000):
-    """estimate_S2 over a grid of parameter sets ordered by increasing N;
-    asserts |m'/m - 1| is non-increasing in N within the stated sigmas."""
+    """estimate_S2 over a grid of parameter sets ordered by increasing N.
+
+    Returns the rows and, for each step to the next N, the excess of the
+    growth of |m'/m - 1| over its slack of SCAN_SIGMA_SLACK combined
+    standard errors: the deviation is non-increasing in N within the
+    stated sigmas when no excess is positive."""
     rows = []
     for i, params in enumerate(params_list):
         res = estimate_S2(params, geometry=geometry, seed=seed + i,
@@ -293,12 +283,7 @@ def mass_vs_N_scan(params_list, geometry=None, seed=0, n_samples=1000):
                      "deviation_se": dev_se,
                      "phase_diagnostic": res.phase_diagnostic,
                      "fit_residual": res.fit_residual})
-    for a, b in itertools.pairwise(rows):
-        slack = SCAN_SIGMA_SLACK * np.hypot(a["deviation_se"],
-                                            b["deviation_se"])
-        if b["deviation"] > a["deviation"] + slack:
-            raise ArithmeticError(
-                "mass deviation grew with N beyond the allowed sigmas: "
-                f"{a['deviation']:.3g} -> {b['deviation']:.3g} "
-                f"(slack {slack:.3g})")
-    return rows
+    excess = [b["deviation"] - a["deviation"] - SCAN_SIGMA_SLACK
+              * np.hypot(a["deviation_se"], b["deviation_se"])
+              for a, b in itertools.pairwise(rows)]
+    return rows, excess

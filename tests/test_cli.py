@@ -2,6 +2,7 @@
 exit codes, and subcommand dispatch."""
 
 import csv
+import dataclasses
 import os
 
 import numpy as np
@@ -189,6 +190,61 @@ class TestExitCodes:
                             cli._table_command(red))
         assert main(["gap-solve", "--out", str(tmp_path)]) \
             == cli.EXIT_CHECK
+
+
+class TestCriterion11Rows:
+    """Negative controls for criterion 11's interacting gates: a low phase
+    and a deviation that grows with N fail their rows (exit 1) instead of
+    aborting the run (exit 3)."""
+
+    @staticmethod
+    def run(out, monkeypatch, **inputs):
+        """accept-all running criterion 11 alone, on the given inputs."""
+        size = dict(cli.PROFILES["full"], free_runs=(), mass_runs=(),
+                    fit_runs=(), scans=())
+        size.update(inputs)
+        monkeypatch.setitem(cli.PROFILES, "quick", size)
+        monkeypatch.setitem(cli.COMMANDS, "accept-all", cli._table_command(
+            cli.criterion_11_two_point_decay))
+        code = main(["accept-all", "--out", str(out)])
+        with open(out / "results.csv") as fh:
+            return code, {r[0]: r[:6] for r in csv.reader(fh.readlines()[1:])}
+
+    def test_low_phase_fails_its_row(self, tmp_path, monkeypatch):
+        real = cli.tp.estimate_S2
+
+        def low_phase(*args, phase_floor=0.05, **kwargs):
+            # reports phase 0.04 and, like estimate_S2, raises when the
+            # floor is above it
+            if phase_floor > 0.04:
+                raise SignProblemError("phase average 0.04 below the floor")
+            res = real(*args, phase_floor=phase_floor, **kwargs)
+            return dataclasses.replace(res, phase_diagnostic=0.04)
+
+        fit = {"fit_runs": ((2, 120, 0),)}
+        code, good = self.run(tmp_path / "a", monkeypatch, **fit)
+        assert code == cli.EXIT_OK
+        monkeypatch.setattr(cli.tp, "estimate_S2", low_phase)
+        code, bad = self.run(tmp_path / "b", monkeypatch, **fit)
+        assert code == cli.EXIT_CHECK
+        row = bad.pop("twopoint-phase")
+        assert float(row[3]) == 0.04 and row[5] == "0"
+        assert good.pop("twopoint-phase")[5] == "1"
+        assert bad == good
+
+    @pytest.mark.parametrize("growth,code,passed", [
+        (0.0, cli.EXIT_OK, "1"), (1e-6, cli.EXIT_CHECK, "0")])
+    def test_scan_row_is_the_largest_excess(self, tmp_path, monkeypatch,
+                                            growth, code, passed):
+        # deviations 1e-3, 1e-2, 1e-1 grow past a slack of 2.8e-3
+        from test_twopoint import drifting_fit
+        monkeypatch.setattr(cli.tp, "estimate_S2", drifting_fit(growth))
+        got, rows = self.run(tmp_path, monkeypatch, scans=(
+            (2, 20, 2, (10 ** 3, 10 ** 4, 10 ** 5)),))
+        assert got == code
+        row = rows["twopoint-n-scan"]
+        assert row[4:] == ["0", passed]
+        assert (float(row[3]) > 0.08) == (growth > 0.0)
 
 
 class TestSubcommands:

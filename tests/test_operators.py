@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sigmagap.model import ModelParams, solve_gap_equation
+from sigmagap.model import ModelParams, derive_params, solve_gap_equation
 from sigmagap.regions import FieldConfig, LatticeGeometry, classify_squares
 from sigmagap.operators import (
     DiscretizedOperator,
@@ -16,6 +16,7 @@ from sigmagap.operators import (
     link_block,
     log_det_n,
     operator_norm,
+    propagator_factor,
     propagator_matrix,
     trace_projection_inequality,
 )
@@ -137,6 +138,36 @@ class TestBuildA:
         ev2 = np.sort(build_A(cfg, params, GEO, symmetrize=True)
                       .op.eigenvalues().real)
         np.testing.assert_allclose(ev1, ev2, atol=1e-10)
+
+
+class TestPropagatorFactor:
+    """F = V V^T on the numerical range of F, at criterion 11's grid
+    (576 sites) and mass."""
+
+    GEO576 = LatticeGeometry(n=4, sites_per_square=3)
+    M = derive_params(1.0, 1.0, 10 ** 4).m
+
+    def test_reproduces_F_to_rank_tolerance(self):
+        f = propagator_matrix(self.GEO576, self.M)
+        v = propagator_factor(self.GEO576, self.M)
+        n = f.shape[0]
+        tol = n * np.finfo(float).eps * np.linalg.eigvalsh(f).max()
+        assert np.linalg.norm(v @ v.T - f, 2) <= tol
+
+    def test_rank_below_half_the_sites(self):
+        v = propagator_factor(self.GEO576, self.M)
+        assert v.shape[0] == 576
+        assert v.shape[1] < 576 // 2
+
+    def test_read_only_and_cached(self):
+        propagator_factor.cache_clear()
+        v = propagator_factor(self.GEO576, self.M)
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0, 0] = 1.0
+        assert propagator_factor(self.GEO576, self.M) is v
+        info = propagator_factor.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
 
 
 class TestOperatorNorm:

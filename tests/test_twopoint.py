@@ -2,21 +2,22 @@
 reweighted ratio estimator, and the decay-mass extraction."""
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor
 
 from sigmagap import twopoint
 from sigmagap.covariance import (_c0_root_cached, build_C0, c0_root,
                                  gaussian_root, sample_gaussian)
 from sigmagap.kernels import CutoffSpec, propagator_values
 from sigmagap.model import derive_params, leading_mass
-from sigmagap.operators import build_A, log_det_n, propagator_matrix
+from sigmagap.operators import (build_A, log_det_n, propagator_factor,
+                                propagator_matrix)
 from sigmagap.regions import FieldConfig, LatticeGeometry
 from sigmagap.twopoint import (
     SignProblemError,
-    _logdet3_from_lu,
+    _sample_on_range,
     default_geometry,
     default_separations,
     estimate_S2,
@@ -37,6 +38,16 @@ def make_params(lam=1.0, bigN=10 ** 4, bigK=1.0):
 
 def free_params(lam=1.0, bigN=10 ** 4):
     return dataclasses.replace(make_params(lam, bigN), g=0.0)
+
+
+def drifting_fit(growth):
+    """estimate_S2 stand-in: |m'/m - 1| = growth * N, stderr 1e-3 m."""
+    def fit(params, geometry=None, seed=0, n_samples=1000):
+        return types.SimpleNamespace(
+            fitted_mprime=params.m * (1.0 + growth * params.bigN),
+            mprime_stderr=1e-3 * params.m, phase_diagnostic=1.0,
+            fit_residual=1.0)
+    return fit
 
 
 def random_field(params, seed, geometry=GEO, scale=1.0):
@@ -120,26 +131,25 @@ class TestSampleWeight:
         assert abs(w - alt) < 1e-8 * abs(w)
 
 
-class TestLogdet3FromLU:
-    """The hot loop's weight: log det3 from the LU factors against the
-    eigenvalue route, on 144-site fields up to one whose factorization
-    pivots an odd number of times."""
+class TestRangeWeight:
+    """The hot loop's weight: log det3(1 + igS) from the r x r spectrum
+    of S = V^T diag(w tau) V against the eigenvalues of the full n x n
+    K = igF diag(w tau), on 144-site fields up to 300 times the drawn
+    scale."""
 
     GEO144 = LatticeGeometry(n=3, sites_per_square=2)
 
-    @pytest.mark.parametrize("seed,scale,odd_swaps", [
-        (0, 1.0, False), (0, 100.0, False), (1, 300.0, True)])
-    def test_matches_eigenvalue_route(self, seed, scale, odd_swaps):
+    @pytest.mark.parametrize("seed,scale", [(0, 1.0), (0, 100.0),
+                                            (1, 300.0)])
+    def test_matches_full_spectrum(self, seed, scale):
         params = make_params()
         geo, w = self.GEO144, self.GEO144.site_weight
         f = propagator_matrix(geo, params.m)
+        v = propagator_factor(geo, params.m)
         fld = random_field(params, seed, geometry=geo, scale=scale)
         wtau = w * fld.tau.reshape(-1)
+        _, got = _sample_on_range(v, params.g, wtau, v[0], v[:2].T)
         k = f * (1j * params.g * wtau)[None, :]
-        lu, piv = lu_factor(np.eye(len(wtau)) + k)
-        assert (np.sum(piv != np.arange(len(piv))) % 2 == 1) == odd_swaps
-        got = _logdet3_from_lu(lu, piv, np.diag(f).copy(), f * f.T,
-                               params.g, wtau)
         diff = got - log_det_n(np.linalg.eigvals(k), 3)
         # the two logs may sit on branches 2 pi i apart; the weight
         # exp(-N/2 log det3) cannot tell them apart for even N
@@ -244,10 +254,13 @@ class TestDualRoute:
     """estimate_S2 against a replay of its own draws (same C0 root, same
     default_rng(seed) stream) that takes the resolvent row from the dense
     solve (resolvent_matrix) and the weight from the eigenvalue route
-    (sample_weight) instead of from the sampler's one LU.
+    (sample_weight) instead of from the sampler's r x r spectrum and
+    solve on the range of F = V V^T.
 
     Tolerance.  Either route gets log det3 to within delta = n * eps
-    (n sites; the measured gap is below 4e-15 at n = 256).  The weight
+    (n sites; the measured gap is below 1e-17 at n = 256), and the
+    sampler's V V^T differs from F by at most delta times its largest
+    eigenvalue.  The weight
     is exp(-N/2 log det3), so each weight w_k carries a relative error up
     to N/2 * delta.  The ratio sum_k r_k w_k / sum_k w_k moves by
     sum_k w_k (r_k - S) d(log w_k) / sum_k w_k, so its error is at most
@@ -292,6 +305,18 @@ class TestDualRoute:
     def test_source_off_by_one_site_fails(self):
         assert self.route_gap(make_params(), 0, source_shift=1) > 1.0
 
+    def test_overtruncated_factor_fails(self, monkeypatch):
+        # negative control: the sampler's F = V V^T cut at 1e-10 of the
+        # largest eigenvalue instead of n * eps of it (column j of V has
+        # squared norm eigenvalue j)
+        def cut(geometry, m):
+            v = propagator_factor(geometry, m)
+            ev = np.sum(v ** 2, axis=0)
+            return v[:, ev > 1e-10 * ev.max()]
+
+        monkeypatch.setattr(twopoint, "propagator_factor", cut)
+        assert self.route_gap(make_params(), 0) > 1.0
+
 
 class TestC0RootCache:
     def test_root_is_build_C0_root_and_read_only(self):
@@ -329,19 +354,31 @@ class TestC0RootCache:
 
 class TestMassScan:
     def test_free_scan_monotone_and_exact(self):
-        rows = mass_vs_N_scan(
+        rows, excess = mass_vs_N_scan(
             [free_params(bigN=n) for n in (10 ** 3, 10 ** 4)],
             geometry=GEO, n_samples=40)
         for row in rows:
             assert row["deviation"] < 0.05
+        assert len(excess) == 1 and excess[0] <= 0.0
 
     def test_interacting_scan(self):
-        rows = mass_vs_N_scan(
+        rows, excess = mass_vs_N_scan(
             [make_params(bigN=n) for n in (10 ** 3, 10 ** 4)],
             geometry=GEO, n_samples=120, seed=5)
         assert [r["bigN"] for r in rows] == [10 ** 3, 10 ** 4]
         for row in rows:
             assert row["phase_diagnostic"] > 0.1
+        assert len(excess) == 1
+
+    def test_excess_is_growth_beyond_the_slack(self, monkeypatch):
+        # stubbed fits: deviation 1e-6 N with standard error 1e-3 grows
+        # by 9e-3 and 9e-2 against a slack of 2 * sqrt(2) * 1e-3
+        monkeypatch.setattr(twopoint, "estimate_S2", drifting_fit(1e-6))
+        _, excess = mass_vs_N_scan(
+            [make_params(bigN=n) for n in (10 ** 3, 10 ** 4, 10 ** 5)])
+        slack = twopoint.SCAN_SIGMA_SLACK * np.sqrt(2.0) * 1e-3
+        np.testing.assert_allclose(excess, [9e-3 - slack, 9e-2 - slack],
+                                   rtol=1e-9)
 
     def test_lambda_ratio_matches_gap_equation(self):
         # fitted masses from the exact free route, ratio against the
