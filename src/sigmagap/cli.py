@@ -695,7 +695,8 @@ def criterion_10_integrand_bound_and_normalization(cfg, table, size):
 
 def criterion_11_two_point_decay(cfg, table, size):
     """Free-route and interacting decay mass against the gap mass, fit
-    quality and phase of the interacting run, and the N-scan."""
+    quality of the interacting fit run, phase of every interacting run,
+    and the N-scan."""
     params = cfg.params()
 
     def run(p, sites, samples, seed):
@@ -720,8 +721,7 @@ def criterion_11_two_point_decay(cfg, table, size):
     _gate(table, "twopoint-fit-residual", "twopoint", "mass-persistence",
           [runs[inp].fit_residual for inp in size["fit_runs"]], ">=", 0.95)
     _gate(table, "twopoint-phase", "twopoint", "sign-problem",
-          [runs[inp].phase_diagnostic for inp in size["fit_runs"]], ">=",
-          0.05)
+          [r.phase_diagnostic for r in runs.values()], ">=", 0.05)
     excess = []
     for sites, samples, seed, bigNs in size["scans"]:
         _, steps = tp.mass_vs_N_scan(

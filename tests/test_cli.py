@@ -210,7 +210,12 @@ class TestCriterion11Rows:
         with open(out / "results.csv") as fh:
             return code, {r[0]: r[:6] for r in csv.reader(fh.readlines()[1:])}
 
-    def test_low_phase_fails_its_row(self, tmp_path, monkeypatch):
+    # the full profile's fit runs, and the quick profile's inputs (mass
+    # runs only, no fit runs)
+    @pytest.mark.parametrize("inputs", [
+        {"fit_runs": ((2, 120, 0),)},
+        {"mass_runs": cli.PROFILES["quick"]["mass_runs"]}])
+    def test_low_phase_fails_its_row(self, tmp_path, monkeypatch, inputs):
         real = cli.tp.estimate_S2
 
         def low_phase(*args, phase_floor=0.05, **kwargs):
@@ -221,11 +226,10 @@ class TestCriterion11Rows:
             res = real(*args, phase_floor=phase_floor, **kwargs)
             return dataclasses.replace(res, phase_diagnostic=0.04)
 
-        fit = {"fit_runs": ((2, 120, 0),)}
-        code, good = self.run(tmp_path / "a", monkeypatch, **fit)
+        code, good = self.run(tmp_path / "a", monkeypatch, **inputs)
         assert code == cli.EXIT_OK
         monkeypatch.setattr(cli.tp, "estimate_S2", low_phase)
-        code, bad = self.run(tmp_path / "b", monkeypatch, **fit)
+        code, bad = self.run(tmp_path / "b", monkeypatch, **inputs)
         assert code == cli.EXIT_CHECK
         row = bad.pop("twopoint-phase")
         assert float(row[3]) == 0.04 and row[5] == "0"
@@ -235,9 +239,9 @@ class TestCriterion11Rows:
     @pytest.mark.parametrize("growth,code,passed", [
         (0.0, cli.EXIT_OK, "1"), (1e-6, cli.EXIT_CHECK, "0")])
     def test_scan_row_is_the_largest_excess(self, tmp_path, monkeypatch,
-                                            growth, code, passed):
+                                            drifting_fit, growth, code,
+                                            passed):
         # deviations 1e-3, 1e-2, 1e-1 grow past a slack of 2.8e-3
-        from test_twopoint import drifting_fit
         monkeypatch.setattr(cli.tp, "estimate_S2", drifting_fit(growth))
         got, rows = self.run(tmp_path, monkeypatch, scans=(
             (2, 20, 2, (10 ** 3, 10 ** 4, 10 ** 5)),))

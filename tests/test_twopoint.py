@@ -2,7 +2,6 @@
 reweighted ratio estimator, and the decay-mass extraction."""
 
 import dataclasses
-import types
 
 import numpy as np
 import pytest
@@ -38,16 +37,6 @@ def make_params(lam=1.0, bigN=10 ** 4, bigK=1.0):
 
 def free_params(lam=1.0, bigN=10 ** 4):
     return dataclasses.replace(make_params(lam, bigN), g=0.0)
-
-
-def drifting_fit(growth):
-    """estimate_S2 stand-in: |m'/m - 1| = growth * N, stderr 1e-3 m."""
-    def fit(params, geometry=None, seed=0, n_samples=1000):
-        return types.SimpleNamespace(
-            fitted_mprime=params.m * (1.0 + growth * params.bigN),
-            mprime_stderr=1e-3 * params.m, phase_diagnostic=1.0,
-            fit_residual=1.0)
-    return fit
 
 
 def random_field(params, seed, geometry=GEO, scale=1.0):
@@ -368,9 +357,10 @@ class TestMassScan:
         assert [r["bigN"] for r in rows] == [10 ** 3, 10 ** 4]
         for row in rows:
             assert row["phase_diagnostic"] > 0.1
-        assert len(excess) == 1
+        assert len(excess) == 1 and excess[0] <= 0.0
 
-    def test_excess_is_growth_beyond_the_slack(self, monkeypatch):
+    def test_excess_is_growth_beyond_the_slack(self, monkeypatch,
+                                               drifting_fit):
         # stubbed fits: deviation 1e-6 N with standard error 1e-3 grows
         # by 9e-3 and 9e-2 against a slack of 2 * sqrt(2) * 1e-3
         monkeypatch.setattr(twopoint, "estimate_S2", drifting_fit(1e-6))
