@@ -48,6 +48,7 @@ Q_MAX = 6.5            # momentum cutoff of the direct route: g < e^{-42} past i
 FIT_FLOOR = 1e-300     # kernel values at or below this are left out of fits
 FIT_ITERS = 6          # fixed-point steps of the decay-rate fit window
 CUTOFF_HALF_EXTENT = 4.0   # half side of the tabulated cutoff kernels
+GAUSS_12 = np.polynomial.legendre.leggauss(12)   # nodes, weights on [-1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +57,7 @@ CUTOFF_HALF_EXTENT = 4.0   # half side of the tabulated cutoff kernels
 def gauss_panels(edges):
     """Composite 12-point Gauss-Legendre nodes/weights over consecutive
     [e_i, e_{i+1}]."""
-    x0, w0 = np.polynomial.legendre.leggauss(12)
+    x0, w0 = GAUSS_12
     edges = np.asarray(edges, dtype=float)
     a, b = edges[:-1], edges[1:]
     mid, rad = 0.5 * (a + b), 0.5 * (b - a)

@@ -121,29 +121,57 @@ class TestSampleWeight:
 
 
 class TestRangeWeight:
-    """The hot loop's weight: log det3(1 + igS) from the r x r spectrum
-    of S = V^T diag(w tau) V against the eigenvalues of the full n x n
-    K = igF diag(w tau), on 144-site fields up to 300 times the drawn
-    scale."""
+    """The hot loop's weight: log det3(1 + igS) from numpy's LU of
+    1 + igS with the trace terms of det3 taken from S = V^T diag(w tau) V,
+    against the eigenvalues of the full n x n K = igF diag(w tau), on
+    144-site fields up to 300 times the drawn scale."""
 
     GEO144 = LatticeGeometry(n=3, sites_per_square=2)
+    SCALES = [(0, 1.0), (0, 100.0), (1, 300.0)]
+    TOL = 1e-10
 
-    @pytest.mark.parametrize("seed,scale", [(0, 1.0), (0, 100.0),
-                                            (1, 300.0)])
-    def test_matches_full_spectrum(self, seed, scale):
+    def draw(self, seed, scale):
         params = make_params()
         geo, w = self.GEO144, self.GEO144.site_weight
         f = propagator_matrix(geo, params.m)
         v = propagator_factor(geo, params.m)
         fld = random_field(params, seed, geometry=geo, scale=scale)
         wtau = w * fld.tau.reshape(-1)
-        _, got = _sample_on_range(v, params.g, wtau, v[0], v[:2].T)
         k = f * (1j * params.g * wtau)[None, :]
-        diff = got - log_det_n(np.linalg.eigvals(k), 3)
-        # the two logs may sit on branches 2 pi i apart; the weight
-        # exp(-N/2 log det3) cannot tell them apart for even N
-        assert abs(diff.real) < 1e-10
-        assert abs((diff.imag + np.pi) % (2.0 * np.pi) - np.pi) < 1e-10
+        return params.g, v, wtau, log_det_n(np.linalg.eigvals(k), 3)
+
+    @staticmethod
+    def gap(got, want):
+        """|got - want| with the imaginary part taken modulo 2 pi: the two
+        logs may sit on branches 2 pi i apart, and the weight
+        exp(-N/2 log det3) cannot tell them apart for even N."""
+        diff = got - want
+        return max(abs(diff.real),
+                   abs((diff.imag + np.pi) % (2.0 * np.pi) - np.pi))
+
+    @pytest.mark.parametrize("seed,scale", SCALES)
+    def test_matches_full_spectrum(self, seed, scale):
+        g, v, wtau, want = self.draw(seed, scale)
+        _, got = _sample_on_range(v, g, wtau, v[0], v[:2].T)
+        assert self.gap(got, want) < self.TOL
+
+    @pytest.mark.parametrize("seed,scale", SCALES)
+    def test_bound_rejects_wrong_weights(self, seed, scale):
+        # negative controls: log det2 (no -(g^2/2)|S|_F^2 term) and the
+        # phase-free log|det(1 + igS)| each miss the bound at every scale
+        g, v, wtau, want = self.draw(seed, scale)
+        s_mat = v.T @ (wtau[:, None] * v)
+        sign, logabs = np.linalg.slogdet(np.eye(len(s_mat)) + 1j * g * s_mat)
+        logdet2 = logabs + np.log(sign) - 1j * g * np.trace(s_mat)
+        assert self.gap(logdet2, want) > self.TOL
+        assert self.gap(complex(logabs), want) > self.TOL
+
+    def test_singular_lu_raises(self, monkeypatch):
+        g, v, wtau, _ = self.draw(0, 1.0)
+        monkeypatch.setattr(np.linalg, "slogdet",
+                            lambda m: (np.complex128(0.0), -np.inf))
+        with pytest.raises(ArithmeticError, match="singular"):
+            _sample_on_range(v, g, wtau, v[0], v[:2].T)
 
 
 class TestMassMatching:
@@ -238,21 +266,42 @@ class TestEstimateS2:
         seps = default_separations(geo)
         assert seps[0] == 0.0 and seps[-1] == 3.0
 
+    def test_no_eigen_solve_after_warm_up(self, monkeypatch):
+        # the sampler's weight comes from an LU and the quadrature nodes
+        # of the mass fit are computed once, so a warm call (caches of
+        # propagator_factor and c0_root filled) solves no eigenproblem
+        params = make_params()
+        estimate_S2(params, geometry=GEO, n_samples=20, seed=1)
+        calls = []
+
+        def counted(name):
+            real = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        estimate_S2(params, geometry=GEO, n_samples=20, seed=2)
+        assert calls == []
+
 
 class TestDualRoute:
     """estimate_S2 against a replay of its own draws (same C0 root, same
     default_rng(seed) stream) that takes the resolvent row from the dense
     solve (resolvent_matrix) and the weight from the eigenvalue route
-    (sample_weight) instead of from the sampler's r x r spectrum and
-    solve on the range of F = V V^T.
+    (sample_weight) instead of from the sampler's LU and solve of the
+    r x r 1 + igS on the range of F = V V^T.
 
     Tolerance.  Either route gets log det3 to within delta = n * eps
-    (n sites; the measured gap is below 1e-17 at n = 256), and the
-    sampler's V V^T differs from F by at most delta times its largest
-    eigenvalue.  The weight
-    is exp(-N/2 log det3), so each weight w_k carries a relative error up
-    to N/2 * delta.  The ratio sum_k r_k w_k / sum_k w_k moves by
-    sum_k w_k (r_k - S) d(log w_k) / sum_k w_k, so its error is at most
+    (n sites; the measured gap is below 5e-15 at n = 256, where
+    delta = 5.7e-14), and the sampler's V V^T differs from F by at most
+    delta times its largest eigenvalue.  The weight is exp(-N/2 log det3),
+    so each weight w_k carries a relative error up to N/2 * delta.  The
+    ratio sum_k r_k w_k / sum_k w_k moves by sum_k w_k (r_k - S)
+    d(log w_k) / sum_k w_k, so its error is at most
     N/2 * delta * sum_k |w_k| |r_k - S| / |sum_k w_k|.  The resolvent
     entries add delta * max_k |r_k| (1 + F ig tau has condition number
     2.1-2.4 on these draws, so the solves lose about a bit).  The fit
