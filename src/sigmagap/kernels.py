@@ -126,6 +126,30 @@ def propagator_values(m2, r):
 
 
 # ---------------------------------------------------------------------------
+# lattice tabulation
+
+def radial_grid(radial, n, per_unit):
+    """radial(sqrt(i^2 + j^2) / per_unit) at the integer offsets
+    -n <= i, j <= n, as a (2n+1, 2n+1) array indexed [i + n, j + n].
+
+    i^2 + j^2 is an integer, so the dedupe is exact: radial is called once,
+    on the distinct distances only, and every lattice table (kernel grids
+    and site matrices) reads its values from here."""
+    k = np.arange(n + 1)
+    d2 = (k[:, None] ** 2 + k[None, :] ** 2).ravel()
+    uniq, inv = np.unique(d2, return_inverse=True)
+    quadrant = np.asarray(radial(np.sqrt(uniq) / per_unit))[inv]
+    a = np.abs(np.arange(-n, n + 1))
+    return quadrant.reshape(n + 1, n + 1)[a[:, None], a[None, :]]
+
+
+def _kernel_grid(radial, grid_step, half_extent):
+    """radial_grid at spacing grid_step out to half_extent."""
+    return radial_grid(radial, int(round(half_extent / grid_step)),
+                       1.0 / grid_step)
+
+
+# ---------------------------------------------------------------------------
 # sampled kernels
 
 @dataclass
@@ -133,7 +157,8 @@ class SampledKernel:
     """Radial kernel tabulated on a 2D displacement grid.
 
     values[i, j] is the kernel at displacement ((i-n)*h, (j-n)*h) with
-    n = half_extent/grid_step.  delta_coeff carries an explicit delta
+    h = grid_step and n = half_extent/grid_step, read from radial_grid
+    (one kernel evaluation per distinct distance).  delta_coeff carries an explicit delta
     contribution (coefficient of the identity operator) for kernels of
     the form c*delta + smooth part.  radial_r / radial_vals hold a dense
     radial profile (typically out to ~8/rate) used for the decay fits
@@ -162,12 +187,6 @@ class SampledKernel:
         inside = r <= self.radial_r[-1]
         out[inside] = self._spline(r[inside])
         return out
-
-
-def _grid_radii(grid_step, half_extent):
-    n = int(round(half_extent / grid_step))
-    idx = np.arange(-n, n + 1) * grid_step
-    return np.hypot(idx[:, None], idx[None, :]), 2 * n + 1
 
 
 def _radial_nodes(r_max):
@@ -244,8 +263,8 @@ def propagator_kernel(m, grid_step=0.125, half_extent=None):
     r_fit = 8.0 / m + 2.0
     rr = _radial_nodes(r_fit)
     vals = propagator_values(m2, rr)
-    dist, _ = _grid_radii(grid_step, half_extent)
-    grid = propagator_values(m2, dist.ravel()).reshape(dist.shape)
+    grid = _kernel_grid(lambda r: propagator_values(m2, r), grid_step,
+                        half_extent)
     return _fitted_kernel(grid_step, half_extent, grid, rr, vals, 0.5)
 
 
@@ -348,12 +367,12 @@ def sqrt_one_plus_pi_kernel(params: ModelParams, sign, grid_step=0.125,
     G = np.power(1.0 + piv, 0.5 * sign) - 1.0
     core = pw * pq * G
 
+    def back_transform(r):
+        return (j0(np.outer(r, pq)) @ core) / (2.0 * np.pi)
+
     rr = _radial_nodes(r_fit)
-    vals = (j0(np.outer(rr, pq)) @ core) / (2.0 * np.pi)
-    dist, _ = _grid_radii(grid_step, half_extent)
-    uniq, inv = np.unique(np.round(dist.ravel(), 12), return_inverse=True)
-    gvals = (j0(np.outer(uniq, pq)) @ core) / (2.0 * np.pi)
-    grid = gvals[inv].reshape(dist.shape)
+    vals = back_transform(rr)
+    grid = _kernel_grid(back_transform, grid_step, half_extent)
     # prefactor powers from the two-particle threshold branch point of pi
     # at p^2 = -4m^2: (1+pi)^{-1/2} vanishes like t^{1/2} there -> r^{-2}
     # prefactor; (1+pi)^{+1/2} diverges like t^{-1/4} -> r^{-5/4}
@@ -424,11 +443,11 @@ def cutoff_inverse_kernel(spec: CutoffSpec, grid_step=0.125):
     """
     c = spec.c
     half_extent = CUTOFF_HALF_EXTENT
-    dist, _ = _grid_radii(grid_step, half_extent)
     rr = np.concatenate([[0.0], np.geomspace(1e-3, half_extent, 400)])
 
     vals = cutoff_inverse_values(c, rr)
-    grid = cutoff_inverse_values(c, dist)
+    grid = _kernel_grid(lambda r: cutoff_inverse_values(c, r), grid_step,
+                        half_extent)
     raw = _fitted_kernel(grid_step, half_extent, grid, rr, vals, 0.5,
                          z_window=(2.0, 6.0))
 
@@ -439,13 +458,14 @@ def cutoff_inverse_kernel(spec: CutoffSpec, grid_step=0.125):
                        1.0, 60.0 * c ** 0.25 + 5.0, limit=400)
     leaked = mass_out / (mass_in + mass_out)
 
-    wvals = vals * _wendland(rr)
-    mu = _enforced_norm(c)
-    wgrid = grid * _wendland(dist) / mu
+    wgrid = _kernel_grid(lambda r: cutoff_enforced_values(c, r), grid_step,
+                         half_extent)
     enforced = SampledKernel(grid_step=grid_step, half_extent=half_extent,
-                             values=wgrid, radial_r=rr, radial_vals=wvals / mu,
+                             values=wgrid, radial_r=rr,
+                             radial_vals=cutoff_enforced_values(c, rr),
                              sup_norm=float(np.abs(wgrid).max()))
-    return raw, enforced, {"leaked": float(leaked), "norm_factor": float(mu)}
+    return raw, enforced, {"leaked": float(leaked),
+                           "norm_factor": float(_enforced_norm(c))}
 
 
 def cutoff_momentum_integral(spec: CutoffSpec, r_power):

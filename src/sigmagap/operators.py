@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .kernels import propagator_values
+from .kernels import propagator_values, radial_grid
 from .regions import LatticeGeometry, classify_squares
 
 # relative change of sigma^2 at which the power iteration stops
@@ -108,18 +108,16 @@ def site_square_mask(geometry, corner):
 def radial_site_matrix(geometry, radial):
     """Matrix radial(|x_i - x_j|) over the discretization sites.
 
-    All site-pair offsets share the subgrid spacing 1/s, so radial is
-    evaluated once per distinct distance and expanded through the
-    block-Toeplitz structure full[ix, iy, jx, jy] = block[|ix-jx|, |iy-jy|].
+    Site-pair offsets are integer multiples of the subgrid spacing 1/s, so
+    the values come from kernels.radial_grid (radial called once per
+    distinct distance), read at the offset of each pair through the
+    block-Toeplitz structure full[ix, iy, jx, jy] = grid[ix-jx, iy-jy].
     """
     side = geometry.sites_per_side
+    grid = radial_grid(radial, side - 1, geometry.sites_per_square)
     d = np.arange(side)
-    d2 = (d[:, None] ** 2 + d[None, :] ** 2).ravel()
-    uniq, inv = np.unique(d2, return_inverse=True)
-    vals = radial(np.sqrt(uniq) / geometry.sites_per_square)
-    block = vals[inv].reshape(side, side)
-    di = np.abs(d[:, None] - d[None, :])
-    full = block[di[:, None, :, None], di[None, :, None, :]]
+    off = d[:, None] - d[None, :] + side - 1
+    full = grid[off[:, None, :, None], off[None, :, None, :]]
     return full.reshape(side * side, side * side)
 
 

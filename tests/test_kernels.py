@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from scipy.signal import fftconvolve
 from scipy.special import j0
 
+from sigmagap import kernels
 from sigmagap.model import ModelParams
 from sigmagap.kernels import (CutoffSpec, cutoff_inverse_kernel,
                               cutoff_inverse_values, cutoff_momentum_integral,
@@ -18,7 +19,7 @@ from sigmagap.kernels import (CutoffSpec, cutoff_inverse_kernel,
                               polarization_momentum,
                               polarization_momentum_table, pole_params,
                               propagator_kernel, propagator_values,
-                              sqrt_one_plus_pi_kernel)
+                              radial_grid, sqrt_one_plus_pi_kernel)
 
 
 def params_for(m, lam=1.0, K=1.0, N=10**6):
@@ -83,6 +84,29 @@ def test_propagator_kernel_positive_and_symmetric():
     assert k.sup_norm == k.values.max()
     n = k.values.shape[0] // 2
     assert k.values[n, n] == k.sup_norm  # max at origin
+
+
+@pytest.mark.parametrize("n,per_unit", [(5, 3), (12, 8.0)])
+def test_radial_grid_matches_hypot(n, per_unit):
+    radial = lambda r: np.exp(-r) / (1.0 + r)
+    i = np.arange(-n, n + 1)
+    ref = radial(np.hypot(i[:, None], i[None, :]) / per_unit)
+    np.testing.assert_allclose(radial_grid(radial, n, per_unit), ref,
+                               rtol=4 * np.finfo(float).eps, atol=0)
+
+
+def test_propagator_grid_evaluates_each_distance_once(monkeypatch):
+    sizes = []
+
+    def counting(m2, r):
+        sizes.append(np.size(r))
+        return propagator_values(m2, r)
+
+    monkeypatch.setattr(kernels, "propagator_values", counting)
+    k = kernels.propagator_kernel(0.1)
+    assert k.values.shape == (161, 161)
+    # the profile, plus the 2,461 distinct distances of the 161 x 161 grid
+    assert sum(sizes) <= len(k.radial_r) + 2461
 
 
 @pytest.mark.parametrize("m", [0.05, 0.1, 0.15])
@@ -158,16 +182,14 @@ def test_bubble_position_equals_F_squared():
 def test_bubble_operator_inequality():
     # 0 <= pi <= pi(0) spectrally, on a small discretization
     p = params_for(0.1)
-    k = polarization_kernel(p, grid_step=0.25, half_extent=4.0)
-    idx = np.arange(-12, 13) * 0.25
-    X, Y = np.meshgrid(idx, idx, indexing="ij")
-    pts = np.column_stack([X.ravel(), Y.ravel()])
-    D = np.hypot(pts[:, 0, None] - pts[None, :, 0],
-                 pts[:, 1, None] - pts[None, :, 1])
-    # exact kernel values (the spline's ~5e-7 interpolation error would
-    # spoil exact positive semidefiniteness of the sampled PD function)
-    M = 0.5 * p.lam * p.bigK * propagator_values(p.m ** 2, D.ravel()) \
-        .reshape(D.shape) ** 2 * 0.0625
+    # the grid holds exact kernel values at offsets -24..24 (the spline's
+    # ~5e-7 interpolation error would spoil exact positive
+    # semidefiniteness of the sampled PD function); the 25 x 25 sites
+    # at spacing 0.25 read it at their pairwise offsets
+    k = polarization_kernel(p, grid_step=0.25, half_extent=6.0)
+    off = np.arange(25)[:, None] - np.arange(25)[None, :] + 24
+    M = k.values[off[:, None, :, None], off[None, :, None, :]] \
+        .reshape(625, 625) * 0.0625
     ev = np.linalg.eigvalsh(M)
     pi0 = polarization_momentum(0.0, p)
     assert ev.min() > -1e-10

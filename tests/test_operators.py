@@ -18,6 +18,7 @@ from sigmagap.operators import (
     operator_norm,
     propagator_factor,
     propagator_matrix,
+    radial_site_matrix,
     trace_projection_inequality,
 )
 
@@ -138,6 +139,20 @@ class TestBuildA:
         ev2 = np.sort(build_A(cfg, params, GEO, symmetrize=True)
                       .op.eigenvalues().real)
         np.testing.assert_allclose(ev1, ev2, atol=1e-10)
+
+
+class TestRadialSiteMatrix:
+    def test_matches_pairwise_loop(self):
+        # 144 sites at 3 per square: the site offsets k/3 are inexact, so
+        # the table and the pairwise distances agree to a few ulp
+        geo = LatticeGeometry(n=2, sites_per_square=3)
+        radial = lambda r: np.exp(-r) / (1.0 + r)
+        x = geo.site_coordinates()
+        pts = [(a, b) for a in x for b in x]
+        ref = np.array([[radial(math.hypot(p[0] - q[0], p[1] - q[1]))
+                         for q in pts] for p in pts])
+        np.testing.assert_allclose(radial_site_matrix(geo, radial), ref,
+                                   rtol=8 * np.finfo(float).eps, atol=0)
 
 
 class TestPropagatorFactor:
