@@ -63,10 +63,7 @@ class Forest:
         uf = _UnionFind(self.labels)
         for (i, j) in self.edges:
             uf.union(i, j)
-        groups = {}
-        for x in self.labels:
-            groups.setdefault(uf.find(x), set()).add(x)
-        return [frozenset(g) for g in groups.values()]
+        return [frozenset(g) for g in uf.groups()]
 
 
 def enumerate_forests(index_set):
@@ -341,7 +338,7 @@ def mayer_connectivity(overlap_pairs, q):
             seen.add(b)
         if len(seen) < q:
             continue
-        if len({uf.find(v) for v in range(q)}) != 1:
+        if len(uf.groups()) != 1:
             continue
         total += (-1.0) ** len(chosen)
     return total

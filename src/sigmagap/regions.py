@@ -203,30 +203,6 @@ def square_distance(a, b):
     return math.hypot(dx, dy)
 
 
-def _adjacency_components(corners):
-    """Connected components of closed squares touching at edges or corners."""
-    corners = list(corners)
-    index = {c: k for k, c in enumerate(corners)}
-    seen = set()
-    comps = []
-    for start in corners:
-        if start in index and start not in seen:
-            stack = [start]
-            seen.add(start)
-            comp = []
-            while stack:
-                c = stack.pop()
-                comp.append(c)
-                for di in (-1, 0, 1):
-                    for dj in (-1, 0, 1):
-                        nb = (c[0] + di, c[1] + dj)
-                        if nb in index and nb not in seen:
-                            seen.add(nb)
-                            stack.append(nb)
-            comps.append(sorted(comp))
-    return comps
-
-
 class _UnionFind:
     """Disjoint sets over hashable items, with path halving."""
 
@@ -246,6 +222,13 @@ class _UnionFind:
             return False
         self.parent[ra] = rb
         return True
+
+    def groups(self):
+        """The disjoint sets as lists, in the order of their first items."""
+        out = {}
+        for x in self.parent:
+            out.setdefault(self.find(x), []).append(x)
+        return list(out.values())
 
 
 @dataclasses.dataclass
@@ -333,7 +316,13 @@ def build_regions(assignment, geometry=None, corridorM=None):
         return RegionSet(M, frozenset(), lambda_s, {}, frozenset(), frozenset(),
                          frozenset(), [], [])
 
-    raw = _adjacency_components(lambda_l)
+    # raw components: closed squares touching at edges or corners
+    adjacent = _UnionFind(lambda_l)
+    for (i, j) in lambda_l:
+        for nb in ((i + 1, j - 1), (i + 1, j), (i + 1, j + 1), (i, j + 1)):
+            if nb in adjacent.parent:
+                adjacent.union((i, j), nb)
+    raw = [sorted(g) for g in adjacent.groups()]
     r = len(raw)
 
     # distance from every lattice square to every l-square, for witness search
@@ -360,10 +349,7 @@ def build_regions(assignment, geometry=None, corridorM=None):
                 uf_elink.union(i, j)
 
     def grouped(uf):
-        groups = {}
-        for i in range(r):
-            groups.setdefault(uf.find(i), []).extend(raw[i])
-        return [sorted(g) for g in groups.values()]
+        return [sorted(c for i in g for c in raw[i]) for g in uf.groups()]
 
     l_comps = grouped(uf_link)
     le_comps = grouped(uf_elink)
