@@ -175,15 +175,12 @@ class CovarianceSet:
     Cgamma_correction: DiscretizedOperator
     component_corrections: list
     component_masks: list
-    gamma_mask: np.ndarray
     grid: LatticeGeometry
-    geometry: LatticeGeometry
     route_residual: float
     neumann_terms: int
     epsilon: float
     cutoff_weighted: np.ndarray
     Zgamma: float = None
-    deltaC: tuple = None
 
 
 def _neumann_correction(asm, mask, eps):
@@ -261,9 +258,7 @@ def build_Cgamma(params, geometry, cutoff, regions, pad=2, routes="both"):
         Cgamma_correction=_as_operator(corr_sum, asm.w),
         component_corrections=comp_ops,
         component_masks=comp_masks,
-        gamma_mask=gmask,
         grid=asm.geo,
-        geometry=geometry,
         route_residual=residual,
         neumann_terms=total_terms,
         epsilon=eps,
