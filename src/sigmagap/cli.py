@@ -104,6 +104,10 @@ class RunConfig:
                 raise ConfigError(f"config key {key} must be >= 1")
         if self.seed < 0:
             raise ConfigError("config key sampler.seed must be >= 0")
+        try:
+            self.params()
+        except ValueError as exc:
+            raise ConfigError(f"config section model: {exc}") from exc
         return self
 
     @property
@@ -184,9 +188,10 @@ def build_config(args):
         if val is not None:
             values[field] = val
     for flag in ("max_size", "trials"):
-        if getattr(args, flag, 1) < 1:
+        val = getattr(args, flag, None)
+        if val is not None and val < 1:
             raise ConfigError(f"--{flag.replace('_', '-')} must be >= 1")
-    if getattr(args, "max_size", 1) > len(FOREST_COUNTS):
+    if (getattr(args, "max_size", None) or 0) > len(FOREST_COUNTS):
         raise ConfigError(f"--max-size must be <= {len(FOREST_COUNTS)}, "
                           "the largest forest count on record")
     return RunConfig(**values).validate()
@@ -825,7 +830,7 @@ def _table_command(runner):
         size = dict(PROFILES[getattr(args, "profile", "quick")])
         # forest-verify's --max-size and --trials override the profile
         size.update({k: getattr(args, k) for k in ("max_size", "trials")
-                     if hasattr(args, k)})
+                     if getattr(args, k, None) is not None})
         table = ResultsTable(run_hash(cfg, args))
         runner(cfg, table, size)
         table.report()
@@ -868,9 +873,8 @@ def make_parser():
         p.add_argument("--samples", type=int)
         p.add_argument("--out")
         if name == "forest-verify":
-            p.add_argument("--max-size", dest="max_size", type=int,
-                           default=6)
-            p.add_argument("--trials", type=int, default=50)
+            p.add_argument("--max-size", dest="max_size", type=int)
+            p.add_argument("--trials", type=int)
         if name == "twopoint":
             p.add_argument("--separations")
         if name == "accept-all":

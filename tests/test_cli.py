@@ -175,6 +175,9 @@ class TestExitCodes:
         ["forest-verify", "--trials", "0"],
         ["decompose", "--cutoff-c", "3"],
         ["twopoint", "--n", "3", "--sites", "2", "--samples", "20"],
+        ["accept-all", "--corridor", "-1"],
+        ["accept-all", "--corridor", "0"],
+        ["gap-solve", "--lambda", "1000"],
     ])
     def test_bad_input_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -251,6 +254,14 @@ class TestCriterion11Rows:
         assert (float(row[3]) > 0.08) == (growth > 0.0)
 
 
+@pytest.fixture(scope="module")
+def quick_battery(tmp_path_factory):
+    """Exit code and results.csv lines of accept-all --profile quick."""
+    out = tmp_path_factory.mktemp("quick")
+    code = main(["accept-all", "--profile", "quick", "--out", str(out)])
+    return code, open(out / "results.csv").read().splitlines()
+
+
 class TestSubcommands:
     def test_kernels_battery(self, tmp_path):
         assert main(["kernels", "--out", str(tmp_path)]) == 0
@@ -266,6 +277,18 @@ class TestSubcommands:
         code = main(["forest-verify", "--out", str(tmp_path),
                      "--max-size", "5", "--trials", "10"])
         assert code == 0
+
+    def test_forest_verify_runs_the_quick_profile(self, tmp_path,
+                                                  quick_battery):
+        # without flags forest-verify runs accept-all's quick-profile gate
+        assert main(["forest-verify", "--out", str(tmp_path)]) == 0
+
+        def positivity(lines):
+            rows = {r[0]: r[:6] for r in csv.reader(lines[1:])}
+            return rows["interpolated-positivity"]
+
+        body = open(tmp_path / "results.csv").read().splitlines()
+        assert positivity(body) == positivity(quick_battery[1])
 
     def test_twopoint_csv_deterministic(self, tmp_path):
         argv = ["twopoint", "--N", "10000", "--sites", "2",
@@ -340,10 +363,9 @@ class TestSubcommands:
         assert good.pop("mayer-dual-route")[5] == "1"
         assert bad == good
 
-    def test_accept_all_quick(self, tmp_path):
-        assert main(["accept-all", "--profile", "quick",
-                     "--out", str(tmp_path)]) == 0
-        body = open(tmp_path / "results.csv").read().splitlines()
+    def test_accept_all_quick(self, quick_battery):
+        code, body = quick_battery
+        assert code == 0
         # every module contributes at least one row
         for module in ("model", "kernels", "regions", "operators",
                        "covariance", "forests", "twopoint"):
