@@ -95,29 +95,28 @@ def embed_tau(field, grid):
 # cached kernel assembly
 
 @functools.lru_cache(maxsize=4)
-def _cutoff_matrix_cached(n, sites_per_square, c_key):
+def _cutoff_matrix_cached(n, sites_per_square, c):
     """Weighted-representation matrix of the compact-support kernel of
     1/(1+f)."""
     geo = LatticeGeometry(n=n, sites_per_square=sites_per_square)
-    c = float(c_key)
     return (radial_site_matrix(geo, lambda r: cutoff_enforced_values(c, r))
             * geo.site_weight)
 
 
 @functools.lru_cache(maxsize=4)
-def _assembly_cached(n, sites_per_square, m_key, lamK_key, c_key):
+def _assembly_cached(n, sites_per_square, m, lamK, c):
     geo = LatticeGeometry(n=n, sites_per_square=sites_per_square)
     nsite = geo.sites_per_side ** 2
     w = geo.site_weight
-    fmat = propagator_matrix(geo, float(m_key))
+    fmat = propagator_matrix(geo, m)
     # entrywise square of a pd function is pd, so pi_w is exactly PSD
-    pi_w = 0.5 * float(lamK_key) * fmat * fmat * w
+    pi_w = 0.5 * lamK * fmat * fmat * w
     ev, vec = np.linalg.eigh(np.eye(nsite) + pi_w)
     if ev.min() <= 0.0:
         raise ArithmeticError("1 + pi lost positivity on the grid")
     s_plus = (vec * np.sqrt(ev)) @ vec.T
     s_minus = (vec / np.sqrt(ev)) @ vec.T
-    u_w = _cutoff_matrix_cached(n, sites_per_square, c_key)
+    u_w = _cutoff_matrix_cached(n, sites_per_square, c)
     try:
         cf = scipy.linalg.cho_factor(u_w)
     except np.linalg.LinAlgError as exc:
@@ -133,12 +132,13 @@ def _assembly_cached(n, sites_per_square, m_key, lamK_key, c_key):
 
 def _assembly_key(params, geometry, cutoff, pad):
     """(grid n, sites per square, m, lambda K, c): the cache key of every
-    covariance assembled on the padded grid."""
+    covariance assembled on the padded grid, and the exact values it is
+    computed at."""
     if not cutoff.c > 0:
         raise ValueError("the covariance needs a cutoff with c > 0")
     grid = padded_geometry(geometry, pad)
-    return (grid.n, grid.sites_per_square, round(float(params.m), 12),
-            round(params.lam * params.bigK, 12), round(float(cutoff.c), 12))
+    return (grid.n, grid.sites_per_square, float(params.m),
+            float(params.lam * params.bigK), float(cutoff.c))
 
 
 def _assembly(params, geometry, cutoff, pad):
@@ -398,8 +398,8 @@ def gaussian_root(mat):
 
 
 @functools.lru_cache(maxsize=4)
-def _c0_root_cached(n, sites_per_square, m_key, lamK_key, c_key):
-    asm = _assembly_cached(n, sites_per_square, m_key, lamK_key, c_key)
+def _c0_root_cached(n, sites_per_square, m, lamK, c):
+    asm = _assembly_cached(n, sites_per_square, m, lamK, c)
     root = gaussian_root(asm.c0_w / asm.w)
     root.flags.writeable = False
     return root

@@ -122,8 +122,7 @@ def radial_site_matrix(geometry, radial):
 
 
 @functools.lru_cache(maxsize=8)
-def _propagator_matrix_cached(n, sites_per_square, m_key):
-    m = float(m_key)
+def _propagator_matrix_cached(n, sites_per_square, m):
     geo = LatticeGeometry(n=n, sites_per_square=sites_per_square)
     return radial_site_matrix(geo, lambda r: propagator_values(m * m, r))
 
@@ -132,7 +131,7 @@ def propagator_matrix(geometry, m):
     """Symmetric matrix of exact propagator values F(|x_i - x_j|) over the
     discretization sites (positive definite: samples of a PD function)."""
     return _propagator_matrix_cached(geometry.n, geometry.sites_per_square,
-                                     round(float(m), 12))
+                                     float(m))
 
 
 @functools.lru_cache(maxsize=8)
@@ -148,9 +147,9 @@ def propagator_factor(geometry, m):
 
 
 @functools.lru_cache(maxsize=8)
-def _propagator_sqrt_cached(n, sites_per_square, m_key):
+def _propagator_sqrt_cached(n, sites_per_square, m):
     geo = LatticeGeometry(n=n, sites_per_square=sites_per_square)
-    sf = propagator_matrix(geo, float(m_key)) * geo.site_weight
+    sf = propagator_matrix(geo, m) * geo.site_weight
     ev, vec = np.linalg.eigh(sf)
     return (vec * np.sqrt(np.clip(ev, 0.0, None))) @ vec.T
 
@@ -158,7 +157,7 @@ def _propagator_sqrt_cached(n, sites_per_square, m_key):
 def propagator_sqrt(geometry, m):
     """F^{1/2} in the weighted representation (W^{1/2} F W^{1/2})^{1/2}."""
     return _propagator_sqrt_cached(geometry.n, geometry.sites_per_square,
-                                   round(float(m), 12))
+                                   float(m))
 
 
 @dataclasses.dataclass

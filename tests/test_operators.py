@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sigmagap.kernels import propagator_values
 from sigmagap.model import ModelParams, derive_params, solve_gap_equation
 from sigmagap.regions import FieldConfig, LatticeGeometry, classify_squares
 from sigmagap.operators import (
@@ -153,6 +154,16 @@ class TestRadialSiteMatrix:
                          for q in pts] for p in pts])
         np.testing.assert_allclose(radial_site_matrix(geo, radial), ref,
                                    rtol=8 * np.finfo(float).eps, atol=0)
+
+
+    def test_propagator_matrix_at_the_exact_mass(self):
+        # at lambda = 0.5 the gap mass has digits past the 12th decimal;
+        # the cached matrix must be computed at m itself
+        m = derive_params(0.5, 1.0, 10 ** 4).m
+        geo = LatticeGeometry(n=1, sites_per_square=2)
+        np.testing.assert_array_equal(
+            propagator_matrix(geo, m),
+            radial_site_matrix(geo, lambda r: propagator_values(m * m, r)))
 
 
 class TestPropagatorFactor:
