@@ -158,11 +158,11 @@ class SampledKernel:
 
     values[i, j] is the kernel at displacement ((i-n)*h, (j-n)*h) with
     h = grid_step and n = half_extent/grid_step, read from radial_grid
-    (one kernel evaluation per distinct distance).  delta_coeff carries an explicit delta
-    contribution (coefficient of the identity operator) for kernels of
-    the form c*delta + smooth part.  radial_r / radial_vals hold a dense
-    radial profile (typically out to ~8/rate) used for the decay fits
-    and by eval_at.
+    (one kernel evaluation per distinct distance).  delta_coeff carries
+    an explicit delta contribution (coefficient of the identity operator)
+    for kernels of the form c*delta + smooth part.  radial_r / radial_vals
+    hold a dense radial profile (typically out to ~8/rate) used for the
+    decay fits and by eval_at.
     """
 
     grid_step: float

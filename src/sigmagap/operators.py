@@ -147,17 +147,11 @@ def propagator_factor(geometry, m):
 
 
 @functools.lru_cache(maxsize=8)
-def _propagator_sqrt_cached(n, sites_per_square, m):
-    geo = LatticeGeometry(n=n, sites_per_square=sites_per_square)
-    sf = propagator_matrix(geo, m) * geo.site_weight
-    ev, vec = np.linalg.eigh(sf)
-    return (vec * np.sqrt(np.clip(ev, 0.0, None))) @ vec.T
-
-
 def propagator_sqrt(geometry, m):
     """F^{1/2} in the weighted representation (W^{1/2} F W^{1/2})^{1/2}."""
-    return _propagator_sqrt_cached(geometry.n, geometry.sites_per_square,
-                                   float(m))
+    sf = propagator_matrix(geometry, m) * geometry.site_weight
+    ev, vec = np.linalg.eigh(sf)
+    return (vec * np.sqrt(np.clip(ev, 0.0, None))) @ vec.T
 
 
 @dataclasses.dataclass
