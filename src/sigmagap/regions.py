@@ -316,7 +316,8 @@ def build_regions(assignment, geometry=None, corridorM=None):
         return RegionSet(M, frozenset(), lambda_s, {}, frozenset(), frozenset(),
                          frozenset(), [], [])
 
-    # raw components: closed squares touching at edges or corners
+    # raw components: closed squares touching at edges or corners; the
+    # four forward neighbours reach each adjacent pair once
     adjacent = _UnionFind(lambda_l)
     for (i, j) in lambda_l:
         for nb in ((i + 1, j - 1), (i + 1, j), (i + 1, j + 1), (i, j + 1)):
