@@ -24,6 +24,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import hashlib
 import itertools
 import math
@@ -105,7 +106,7 @@ class RunConfig:
         if self.seed < 0:
             raise ConfigError("config key sampler.seed must be >= 0")
         try:
-            self.params()
+            self.params
         except ValueError as exc:
             raise ConfigError(f"config section model: {exc}") from exc
         return self
@@ -117,7 +118,9 @@ class RunConfig:
                            if k != "outdir"))
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
+    @functools.cached_property
     def params(self):
+        """Derived once per config: one gap-equation solve per run."""
         return derive_params(self.lam, self.bigK, self.bigN,
                              regulator=self.regulator,
                              corridor_override=self.corridor)
@@ -167,9 +170,19 @@ def parse_config_file(path):
 RUN_FLAGS = ("profile", "separations", "max_size", "trials")
 
 
+def run_size(args):
+    """The --profile inputs, with forest-verify's flags in their place."""
+    size = dict(PROFILES[getattr(args, "profile", "quick")])
+    size.update({k: getattr(args, k) for k in ("max_size", "trials")
+                 if getattr(args, k, None) is not None})
+    return size
+
+
 def run_hash(cfg, args):
-    """cfg.config_hash extended by the subcommand's RUN_FLAGS values."""
-    flags = [(k, getattr(args, k)) for k in RUN_FLAGS if hasattr(args, k)]
+    """cfg.config_hash extended by the RUN_FLAGS values the run uses."""
+    size = run_size(args)
+    flags = [(k, size.get(k, getattr(args, k))) for k in RUN_FLAGS
+             if hasattr(args, k)]
     text = repr((cfg.config_hash, flags))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -456,7 +469,7 @@ def criterion_05_determinant_identities(cfg, table, size):
             split.append(det_split_identity(fld, params, geo))
         for order in orders:
             mat = rng.normal(size=(40, 40))
-            op = DiscretizedOperator(0.05 * (mat + mat.T), np.full(40, 0.7))
+            op = DiscretizedOperator(0.035 * (mat + mat.T), 0.7)
             kw = op.weighted
             sign, logabs = np.linalg.slogdet(np.eye(40) + kw)
             oracle = np.exp(sum(
@@ -702,7 +715,7 @@ def criterion_11_two_point_decay(cfg, table, size):
     """Free-route and interacting decay mass against the gap mass, fit
     quality of the interacting fit run, phase of every interacting run,
     and the N-scan."""
-    params = cfg.params()
+    params = cfg.params
 
     def run(p, sites, samples, seed):
         # no phase floor: a phase below the twopoint-phase bound fails
@@ -730,7 +743,8 @@ def criterion_11_two_point_decay(cfg, table, size):
     excess = []
     for sites, samples, seed, bigNs in size["scans"]:
         _, steps = tp.mass_vs_N_scan(
-            [dataclasses.replace(cfg, bigN=n).params() for n in bigNs],
+            [dataclasses.replace(cfg, bigN=n).params for n in bigNs],
+            cfg.cutoff(),
             geometry=LatticeGeometry(n=cfg.n, sites_per_square=sites),
             seed=seed, n_samples=samples)
         excess += steps
@@ -795,7 +809,7 @@ def run_twopoint(cfg, args):
             raise ConfigError("--separations must be comma-separated "
                               f"numbers, got {args.separations!r}")
     try:
-        res = tp.estimate_S2(cfg.params(), geometry=cfg.geometry(),
+        res = tp.estimate_S2(cfg.params, geometry=cfg.geometry(),
                              cutoff=cfg.cutoff(), seed=cfg.seed,
                              n_samples=cfg.samples,
                              separations=seps)
@@ -827,12 +841,8 @@ def run_twopoint(cfg, args):
 
 def _table_command(runner):
     def cmd(cfg, args):
-        size = dict(PROFILES[getattr(args, "profile", "quick")])
-        # forest-verify's --max-size and --trials override the profile
-        size.update({k: getattr(args, k) for k in ("max_size", "trials")
-                     if getattr(args, k, None) is not None})
         table = ResultsTable(run_hash(cfg, args))
-        runner(cfg, table, size)
+        runner(cfg, table, run_size(args))
         table.report()
         paths = persist_results(table, cfg.resolved_outdir())
         print(f"wrote {paths[0]}")

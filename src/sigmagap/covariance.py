@@ -125,6 +125,7 @@ def _assembly_cached(n, sites_per_square, m, lamK, c):
     uinv_w = scipy.linalg.cho_solve(cf, np.eye(nsite))
     uinv_w = 0.5 * (uinv_w + uinv_w.T)
     c0_w = s_minus @ u_w @ s_minus
+    c0_w.flags.writeable = False  # build_C0 hands it out uncopied
     return SimpleNamespace(geo=geo, nsite=nsite, w=w, pi_w=pi_w,
                            s_plus=s_plus, s_minus=s_minus,
                            u_w=u_w, uinv_w=uinv_w, c0_w=c0_w)
@@ -145,12 +146,6 @@ def _assembly(params, geometry, cutoff, pad):
     return _assembly_cached(*_assembly_key(params, geometry, cutoff, pad))
 
 
-def _as_operator(weighted, w):
-    nsite = weighted.shape[0]
-    return DiscretizedOperator(weighted / w, np.full(nsite, w),
-                               hermitian_kernel=True)
-
-
 # ---------------------------------------------------------------------------
 # C0 and C_gamma
 
@@ -162,7 +157,7 @@ def build_C0(params, geometry, cutoff):
     loses positivity under discretization and ValueError when the cutoff
     has c <= 0."""
     asm = _assembly(params, geometry, cutoff, pad=0)
-    return _as_operator(asm.c0_w, asm.w)
+    return DiscretizedOperator(asm.c0_w, asm.w, hermitian_kernel=True)
 
 
 @dataclasses.dataclass
@@ -240,7 +235,8 @@ def build_Cgamma(params, geometry, cutoff, regions, pad=2, routes="both"):
             corr = 0.5 * (corr + corr.T)
             total_terms = max(total_terms, terms)
             corr_sum += corr
-            comp_ops.append(_as_operator(corr, asm.w))
+            comp_ops.append(DiscretizedOperator(corr, asm.w,
+                                                hermitian_kernel=True))
             comp_masks.append(cmask)
         residual = float(np.abs(cg_w - asm.c0_w - corr_sum).max() / asm.w)
         if residual > ROUTE_AGREE_TOL:
@@ -253,9 +249,10 @@ def build_Cgamma(params, geometry, cutoff, regions, pad=2, routes="both"):
             comp_masks.append(region_site_mask(asm.geo, comp.gamma))
 
     return CovarianceSet(
-        C0=_as_operator(asm.c0_w, asm.w),
-        Cgamma=_as_operator(cg_w, asm.w),
-        Cgamma_correction=_as_operator(corr_sum, asm.w),
+        C0=DiscretizedOperator(asm.c0_w, asm.w, hermitian_kernel=True),
+        Cgamma=DiscretizedOperator(cg_w, asm.w, hermitian_kernel=True),
+        Cgamma_correction=DiscretizedOperator(corr_sum, asm.w,
+                                              hermitian_kernel=True),
         component_corrections=comp_ops,
         component_masks=comp_masks,
         grid=asm.geo,
@@ -381,7 +378,8 @@ def build_deltaC(params, geometry, cutoff, regions, pad=2):
     if residual > SPLIT_IDENTITY_TOL:
         raise ArithmeticError(
             f"splitting identity violated: sup residual {residual:.3e}")
-    return DeltaC(*(_as_operator(m, asm.w) for m in (d1_w, d2_w, d3_w, d4_w)),
+    return DeltaC(*(DiscretizedOperator(m, asm.w, hermitian_kernel=True)
+                    for m in (d1_w, d2_w, d3_w, d4_w)),
                   identity_residual=residual)
 
 

@@ -160,9 +160,9 @@ def _integrate_over_forest(edges, integrand, nodes=12):
     k = len(edges)
     if k == 0:
         return float(integrand({}))
+    hvals, weights = _simplex_points(k, nodes)
     total = 0.0
     for perm in itertools.permutations(range(k)):
-        hvals, weights = _simplex_points(k, nodes)
         h = {edges[perm[pos]]: hvals[pos] for pos in range(k)}
         total += float(np.sum(weights * integrand(h)))
     return total
@@ -407,7 +407,6 @@ class ActivitySum:
     enumerated: float
     tail: float
     counts: dict
-    rho: float
 
     @property
     def total(self):
@@ -436,8 +435,7 @@ def polymer_activity_sum(rho, max_size=6, amplitude=None):
         n0 = max_size + 1
         # sum_{n >= n0} n q^n  (n polyominoes-anchored <= n * growth^n)
         tail = qq ** n0 * (n0 - (n0 - 1) * qq) / (1.0 - qq) ** 2
-    return ActivitySum(enumerated=enumerated, tail=tail, counts=counts,
-                       rho=rho)
+    return ActivitySum(enumerated=enumerated, tail=tail, counts=counts)
 
 
 def activity_threshold():

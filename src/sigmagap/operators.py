@@ -2,10 +2,11 @@
 
 The central object is A = P_Lambda F g tau P_Lambda with F the regulated
 propagator: kernel A(x,y) = F(x-y) g tau(y) on the midpoint discretization
-sites of the volume.  Operators are stored as integral kernels plus site
-quadrature weights; all algebra (composition, traces, determinants, norms)
-is carried out on the weighted matrix W^{1/2} K W^{1/2}, which has the same
-spectrum as the operator acting on L^2 of the site measure.
+sites of the volume.  Operators are stored as the weighted matrix
+W^{1/2} K W^{1/2} of their kernel K and the site quadrature weight; all
+algebra (composition, traces, determinants, norms) is carried out on that
+matrix, which has the same spectrum as the operator acting on L^2 of the
+site measure.
 
 The determinant identities tested here (factorization across the s/l block
 split, the single-determinant rewriting, and |det^{-1}(1+B)| =
@@ -36,41 +37,34 @@ __all__ = [
 
 @dataclasses.dataclass
 class DiscretizedOperator:
-    """An integral kernel sampled on discretization sites.
+    """An integral kernel K on discretization sites of quadrature weight w,
+    held as its weighted matrix W^{1/2} K W^{1/2} = w K, which carries the
+    operator's spectrum and algebra: composition is the matrix product and
+    the trace the matrix trace.  matrix recovers the kernel values."""
 
-    matrix[x, y] holds the kernel value; site_weights are the quadrature
-    weights, so the operator action is (K phi)(x) = sum_y matrix[x,y] w_y
-    phi(y) and composition is (AB) = A . diag(w) . B.
-    """
-
-    matrix: np.ndarray
-    site_weights: np.ndarray
+    weighted: np.ndarray
+    site_weight: float
     hermitian_kernel: bool = False
 
     def __post_init__(self):
-        nsite = self.matrix.shape[0]
-        if self.matrix.shape != (nsite, nsite):
-            raise ValueError("matrix must be square")
-        if self.site_weights.shape != (nsite,):
-            raise ValueError("site_weights length must match matrix dimension")
-        if np.any(self.site_weights <= 0):
-            raise ValueError("site_weights must be positive")
+        nsite = self.weighted.shape[0]
+        if self.weighted.shape != (nsite, nsite):
+            raise ValueError("weighted matrix must be square")
+        if not self.site_weight > 0:
+            raise ValueError("site_weight must be positive")
 
-    @functools.cached_property
-    def weighted(self):
-        """W^{1/2} K W^{1/2}: same spectrum as the operator, Hermitian iff
-        the kernel is."""
-        sw = np.sqrt(self.site_weights)
-        return sw[:, None] * self.matrix * sw[None, :]
+    @property
+    def matrix(self):
+        return self.weighted / self.site_weight
 
     def compose(self, other):
-        if self.matrix.shape != other.matrix.shape:
+        if self.weighted.shape != other.weighted.shape:
             raise ValueError("dimension mismatch in composition")
-        prod = (self.matrix * self.site_weights[None, :]) @ other.matrix
-        return DiscretizedOperator(prod, self.site_weights)
+        return DiscretizedOperator(self.weighted @ other.weighted,
+                                   self.site_weight)
 
     def trace(self):
-        return np.sum(np.diagonal(self.matrix) * self.site_weights)
+        return np.trace(self.weighted)
 
     def eigenvalues(self):
         if self.hermitian_kernel:
@@ -79,12 +73,12 @@ class DiscretizedOperator:
 
     def masked(self, left_mask=None, right_mask=None):
         """P_left K P_right with diagonal projector masks (bool per site)."""
-        mat = self.matrix
+        mat = self.weighted
         if left_mask is not None:
             mat = mat * left_mask[:, None]
         if right_mask is not None:
             mat = mat * right_mask[None, :]
-        return DiscretizedOperator(mat, self.site_weights)
+        return DiscretizedOperator(mat, self.site_weight)
 
 
 def site_square_labels(geometry, assignment):
@@ -176,14 +170,14 @@ class AOperator:
 
     @property
     def a_prime(self):
-        mat = (self.op.masked(self.small_sites, self.large_sites).matrix
-               + self.op.masked(self.large_sites, self.small_sites).matrix)
-        return DiscretizedOperator(mat, self.op.site_weights)
+        mat = (self.op.masked(self.small_sites, self.large_sites).weighted
+               + self.op.masked(self.large_sites, self.small_sites).weighted)
+        return DiscretizedOperator(mat, self.op.site_weight)
 
     @property
     def a_doubleprime(self):
-        mat = self.op.matrix - self.a_s.matrix
-        return DiscretizedOperator(mat, self.op.site_weights)
+        mat = self.op.weighted - self.a_s.weighted
+        return DiscretizedOperator(mat, self.op.site_weight)
 
 
 def build_A(field, params, geometry=None, assignment=None, symmetrize=False):
@@ -200,18 +194,18 @@ def build_A(field, params, geometry=None, assignment=None, symmetrize=False):
     if field.tau.shape != (side, side):
         raise ValueError("field grid does not match geometry")
     tau = field.tau.reshape(side * side)
-    w = np.full(side * side, geometry.site_weight)
+    w = geometry.site_weight
     if symmetrize:
         sq = propagator_sqrt(geometry, params.m)
-        sw = np.sqrt(w)
         weighted = sq @ ((params.g * tau)[:, None] * sq)
-        mat = weighted / sw[:, None] / sw[None, :]
     else:
-        mat = propagator_matrix(geometry, params.m) * (params.g * tau)[None, :]
+        sw = math.sqrt(w)
+        weighted = sw * (propagator_matrix(geometry, params.m)
+                         * (params.g * tau)[None, :]) * sw
     if assignment is None:
         assignment = classify_squares(field, params, geometry)
     small = site_square_labels(geometry, assignment) == 0
-    return AOperator(DiscretizedOperator(mat, w), small, geometry)
+    return AOperator(DiscretizedOperator(weighted, w), small, geometry)
 
 
 def operator_norm(op, seed=0, maxiter=10000):

@@ -148,7 +148,6 @@ class LSAssignment:
     labels: np.ndarray
     theta_s: np.ndarray
     theta_n: np.ndarray
-    n_max: int
 
     @property
     def large_squares(self):
@@ -192,7 +191,7 @@ def classify_squares(field, params, geometry=None):
         theta_s[k], theta_n[k] = window_weights(uk, bigN, n_max)
         if uk >= thr:
             labels[k] = 1 + int(np.argmax(theta_n[k]))
-    return LSAssignment(geometry, labels, theta_s, theta_n, n_max)
+    return LSAssignment(geometry, labels, theta_s, theta_n)
 
 
 def square_distance(a, b):
@@ -253,7 +252,6 @@ class RegionSet:
     corridorM: float
     lambda_l: frozenset
     lambda_s: frozenset
-    lambda_ln: dict
     gamma: frozenset
     big_gamma: frozenset
     big_gamma_e: frozenset
@@ -307,13 +305,9 @@ def build_regions(assignment, geometry=None, corridorM=None):
     labels = {c: lab for c, lab in zip(all_squares, assignment.labels)}
     lambda_l = [c for c in all_squares if labels[c] >= 1]
     lambda_s = frozenset(c for c in all_squares if labels[c] == 0)
-    lambda_ln = {}
-    for c in lambda_l:
-        lambda_ln.setdefault(labels[c], set()).add(c)
-    lambda_ln = {n: frozenset(s) for n, s in sorted(lambda_ln.items())}
 
     if not lambda_l:
-        return RegionSet(M, frozenset(), lambda_s, {}, frozenset(), frozenset(),
+        return RegionSet(M, frozenset(), lambda_s, frozenset(), frozenset(),
                          frozenset(), [], [])
 
     # raw components: closed squares touching at edges or corners; the
@@ -356,7 +350,7 @@ def build_regions(assignment, geometry=None, corridorM=None):
     le_comps = grouped(uf_elink)
 
     gamma_candidates = _plane_candidates(lambda_l, M / 2.0)
-    n_top = max(lambda_ln)
+    n_top = max(labels[c] for c in lambda_l)
 
     components = []
     for comp in l_comps:
@@ -376,8 +370,8 @@ def build_regions(assignment, geometry=None, corridorM=None):
     gamma = frozenset().union(*(c.gamma for c in components))
     big_gamma = frozenset().union(*(c.big_gamma for c in components))
     big_gamma_e = frozenset().union(*(c.big_gamma_e for c in e_components))
-    return RegionSet(M, frozenset(lambda_l), lambda_s, lambda_ln, gamma,
-                     big_gamma, big_gamma_e, components, e_components)
+    return RegionSet(M, frozenset(lambda_l), lambda_s, gamma, big_gamma,
+                     big_gamma_e, components, e_components)
 
 
 @dataclasses.dataclass

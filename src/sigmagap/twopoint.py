@@ -275,7 +275,8 @@ def estimate_S2(params, geometry=None, cutoff=None, seed=0,
         gap_mass=params.m, fit_window=(lo, hi))
 
 
-def mass_vs_N_scan(params_list, geometry=None, seed=0, n_samples=1000):
+def mass_vs_N_scan(params_list, cutoff, geometry=None, seed=0,
+                   n_samples=1000):
     """estimate_S2 over a grid of parameter sets ordered by increasing N.
 
     Returns the rows and, for each step to the next N, the excess of the
@@ -284,8 +285,8 @@ def mass_vs_N_scan(params_list, geometry=None, seed=0, n_samples=1000):
     stated sigmas when no excess is positive."""
     rows = []
     for i, params in enumerate(params_list):
-        res = estimate_S2(params, geometry=geometry, seed=seed + i,
-                          n_samples=n_samples)
+        res = estimate_S2(params, geometry=geometry, cutoff=cutoff,
+                          seed=seed + i, n_samples=n_samples)
         dev = abs(res.fitted_mprime / params.m - 1.0)
         dev_se = res.mprime_stderr / params.m
         rows.append({"bigN": params.bigN, "m": params.m,

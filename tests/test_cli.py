@@ -4,11 +4,12 @@ exit codes, and subcommand dispatch."""
 import csv
 import dataclasses
 import os
+import types
 
 import numpy as np
 import pytest
 
-from sigmagap import cli
+from sigmagap import cli, model
 from sigmagap.cli import (
     ConfigError,
     ResultsTable,
@@ -201,7 +202,7 @@ class TestCriterion11Rows:
     aborting the run (exit 3)."""
 
     @staticmethod
-    def run(out, monkeypatch, **inputs):
+    def run(out, monkeypatch, *flags, **inputs):
         """accept-all running criterion 11 alone, on the given inputs."""
         size = dict(cli.PROFILES["full"], free_runs=(), mass_runs=(),
                     fit_runs=(), scans=())
@@ -209,7 +210,7 @@ class TestCriterion11Rows:
         monkeypatch.setitem(cli.PROFILES, "quick", size)
         monkeypatch.setitem(cli.COMMANDS, "accept-all", cli._table_command(
             cli.criterion_11_two_point_decay))
-        code = main(["accept-all", "--out", str(out)])
+        code = main(["accept-all", "--out", str(out), *flags])
         with open(out / "results.csv") as fh:
             return code, {r[0]: r[:6] for r in csv.reader(fh.readlines()[1:])}
 
@@ -253,6 +254,25 @@ class TestCriterion11Rows:
         assert row[4:] == ["0", passed]
         assert (float(row[3]) > 0.08) == (growth > 0.0)
 
+    def test_every_run_sees_the_configured_cutoff(self, tmp_path,
+                                                  monkeypatch):
+        # the free, mass and scan runs all draw under --cutoff-c
+        seen = []
+
+        def spy(params, cutoff=None, **kwargs):
+            seen.append(getattr(cutoff, "c", None))
+            return types.SimpleNamespace(
+                fitted_mprime=params.m, gap_mass=params.m,
+                mprime_stderr=1e-3 * params.m, phase_diagnostic=1.0,
+                fit_residual=1.0)
+
+        monkeypatch.setattr(cli.tp, "estimate_S2", spy)
+        code, _ = self.run(tmp_path, monkeypatch, "--cutoff-c", "1.5",
+                           free_runs=((2, 20, 0),), mass_runs=((2, 20, 1),),
+                           scans=((2, 20, 2, (10 ** 3, 10 ** 4)),))
+        assert code == cli.EXIT_OK
+        assert seen == [1.5] * 4
+
 
 @pytest.fixture(scope="module")
 def quick_battery(tmp_path_factory):
@@ -277,6 +297,33 @@ class TestSubcommands:
         code = main(["forest-verify", "--out", str(tmp_path),
                      "--max-size", "5", "--trials", "10"])
         assert code == 0
+
+    def test_forest_verify_hash_covers_the_values_it_runs_at(self,
+                                                             tmp_path):
+        # the quick profile's max size and trials, given as flags
+        def rows(out, *flags):
+            assert main(["forest-verify", "--out", str(out), *flags]) == 0
+            lines = open(out / "results.csv").read().splitlines()
+            return [line.rsplit(",", 1)[0] for line in lines]
+
+        quick = cli.PROFILES["quick"]
+        assert rows(tmp_path / "a") == rows(
+            tmp_path / "b", "--max-size", str(quick["max_size"]),
+            "--trials", str(quick["trials"]))
+
+    def test_twopoint_solves_the_gap_equation_once(self, tmp_path,
+                                                   monkeypatch):
+        calls = []
+        real = model.solve_gap_equation
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model, "solve_gap_equation", counted)
+        assert main(["twopoint", "--N", "10000", "--sites", "2",
+                     "--samples", "40", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
 
     def test_forest_verify_runs_the_quick_profile(self, tmp_path,
                                                   quick_battery):

@@ -95,6 +95,15 @@ class TestBuildC0:
         mat = build_C0(params, geo, CUT).matrix
         assert np.abs(mat - mat.T).max() < 1e-12
 
+    def test_kernel_matrix_is_the_assembly_over_w(self):
+        # the sampler draws from .matrix: it must keep the bits of c0_w / w
+        params = make_params()
+        geo = LatticeGeometry(n=2, sites_per_square=3)
+        asm = covariance._assembly(params, geo, CUT, pad=0)
+        c0 = build_C0(params, geo, CUT)
+        assert c0.weighted is asm.c0_w
+        np.testing.assert_array_equal(c0.matrix, asm.c0_w / asm.w)
+
     def test_exponential_decay_fitted(self):
         # |C0(x,y)| <= O(1) e^{-2m|x-y|}; the fitted constant must be
         # modest and stable under grid refinement
@@ -318,8 +327,7 @@ class TestSampling:
         geo = LatticeGeometry(n=1, sites_per_square=3)
         nsite = geo.sites_per_side ** 2
         w = geo.site_weight
-        ident = DiscretizedOperator(np.eye(nsite) / w, np.full(nsite, w),
-                                    hermitian_kernel=True)
+        ident = DiscretizedOperator(np.eye(nsite), w, hermitian_kernel=True)
         n = 20000
         draws = np.array(sample_gaussian(ident, seed=3, count=n))
         scaled = draws * np.sqrt(geo.site_weight)

@@ -63,27 +63,44 @@ GEO = LatticeGeometry(n=2, sites_per_square=4)  # 4x4 squares, 256 sites
 
 
 class TestDiscretizedOperator:
+    # the stored matrix is the weighted W^{1/2} K W^{1/2} = w K; a site
+    # weight other than 1 tells the kernel values apart from it
+
     def test_composition_uses_weights(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(5, 5))
         b = rng.normal(size=(5, 5))
-        w = rng.uniform(0.5, 2.0, size=5)
-        oa = DiscretizedOperator(a, w)
-        ob = DiscretizedOperator(b, w)
-        np.testing.assert_allclose(oa.compose(ob).matrix, a @ np.diag(w) @ b)
+        oa = DiscretizedOperator(a, 0.7)
+        ob = DiscretizedOperator(b, 0.7)
+        prod = oa.compose(ob)
+        np.testing.assert_array_equal(prod.weighted, a @ b)
+        assert prod.site_weight == 0.7
+        # kernel composition integrates over the site measure
+        np.testing.assert_allclose(prod.matrix,
+                                   oa.matrix @ (0.7 * np.eye(5)) @ ob.matrix)
 
     def test_trace_weighted(self):
-        mat = np.diag([1.0, 2.0, 3.0])
-        w = np.array([0.5, 0.5, 2.0])
-        assert DiscretizedOperator(mat, w).trace() == pytest.approx(7.5)
+        op = DiscretizedOperator(np.diag([0.5, 1.0, 1.5]), 0.5)
+        np.testing.assert_array_equal(np.diagonal(op.matrix), [1.0, 2.0, 3.0])
+        # Tr K = sum_x K(x, x) w
+        assert op.trace() == pytest.approx(3.0)
+
+    def test_masked(self):
+        rng = np.random.default_rng(1)
+        a = rng.normal(size=(4, 4))
+        left = np.array([True, False, True, False])
+        right = np.array([True, True, False, False])
+        op = DiscretizedOperator(a, 0.7).masked(left, right)
+        np.testing.assert_array_equal(
+            op.weighted, a * left[:, None] * right[None, :])
+        assert op.site_weight == 0.7
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            DiscretizedOperator(np.zeros((2, 3)), np.ones(2))
-        with pytest.raises(ValueError):
-            DiscretizedOperator(np.zeros((2, 2)), np.ones(3))
-        with pytest.raises(ValueError):
-            DiscretizedOperator(np.zeros((2, 2)), np.array([1.0, -1.0]))
+            DiscretizedOperator(np.zeros((2, 3)), 1.0)
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                DiscretizedOperator(np.zeros((2, 2)), bad)
 
 
 class TestBuildA:
@@ -198,24 +215,24 @@ class TestPropagatorFactor:
 
 class TestOperatorNorm:
     def test_scaled_identity(self):
-        op = DiscretizedOperator(-2.5 * np.eye(10), np.ones(10))
+        op = DiscretizedOperator(-2.5 * np.eye(10), 1.0)
         assert operator_norm(op) == pytest.approx(2.5, rel=1e-8)
 
     def test_matches_svd(self):
         rng = np.random.default_rng(8)
         mat = rng.normal(size=(50, 50))
-        op = DiscretizedOperator(mat, np.ones(50))
+        op = DiscretizedOperator(mat, 1.0)
         assert operator_norm(op) == pytest.approx(
             np.linalg.svd(mat, compute_uv=False)[0], rel=1e-8)
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)
-        op = DiscretizedOperator(rng.normal(size=(20, 20)), np.ones(20))
+        op = DiscretizedOperator(rng.normal(size=(20, 20)), 1.0)
         assert operator_norm(op, seed=3) == operator_norm(op, seed=3)
 
     def test_nonconvergence_error(self):
         rng = np.random.default_rng(10)
-        op = DiscretizedOperator(rng.normal(size=(30, 30)), np.ones(30))
+        op = DiscretizedOperator(rng.normal(size=(30, 30)), 1.0)
         with pytest.raises(ArithmeticError):
             operator_norm(op, maxiter=1)
 
@@ -235,14 +252,14 @@ def det_n(op, order):
 
 class TestDetReg:
     def test_zero_operator(self):
-        op = DiscretizedOperator(np.zeros((6, 6)), np.ones(6))
+        op = DiscretizedOperator(np.zeros((6, 6)), 1.0)
         for order in (1, 2, 3):
             assert det_n(op, order) == pytest.approx(1.0)
 
     def test_rank_one(self):
         mat = np.zeros((5, 5))
         mat[0, 0] = 0.5
-        op = DiscretizedOperator(mat, np.ones(5))
+        op = DiscretizedOperator(mat, 1.0)
         assert det_n(op, 2) == pytest.approx(1.5 * math.exp(-0.5), rel=1e-12)
 
     def test_hermitian_eigen_oracle(self):
@@ -251,16 +268,16 @@ class TestDetReg:
         h = 0.1 * (h + h.conj().T)
         lam = np.linalg.eigvalsh(h)
         oracle = np.prod((1 + lam) * np.exp(-lam + lam ** 2 / 2))
-        op = DiscretizedOperator(h, np.ones(40), hermitian_kernel=True)
+        op = DiscretizedOperator(h, 1.0, hermitian_kernel=True)
         assert det_n(op, 3) == pytest.approx(oracle, rel=1e-10)
 
     def test_singularity_error(self):
-        op = DiscretizedOperator(np.diag([-1.0, 0.2]), np.ones(2))
+        op = DiscretizedOperator(np.diag([-1.0, 0.2]), 1.0)
         with pytest.raises(ArithmeticError):
             det_n(op, 2)
 
     def test_order_validation(self):
-        op = DiscretizedOperator(np.zeros((2, 2)), np.ones(2))
+        op = DiscretizedOperator(np.zeros((2, 2)), 1.0)
         with pytest.raises(ValueError):
             det_n(op, 0)
 
@@ -479,12 +496,12 @@ class TestLinkNorms:
             order = rng.permutation(len(squares))
             pairs = [(squares[order[2 * k]], squares[order[2 * k + 1]])
                      for k in range(8)]  # disjoint square pairs
-            total = np.zeros_like(aop.op.matrix)
+            total = np.zeros_like(aop.op.weighted)
             for src, dst in pairs:
                 d = math.hypot(max(0, abs(src[0] - dst[0]) - 1),
                                max(0, abs(src[1] - dst[1]) - 1))
                 alpha = BIGN ** (1.0 / 6.0) * math.exp(0.9 * params.m * d)
-                total += alpha * link_block(aop, src, dst).matrix
-            nrm = operator_norm(DiscretizedOperator(total, aop.op.site_weights))
+                total += alpha * link_block(aop, src, dst).weighted
+            nrm = operator_norm(DiscretizedOperator(total, aop.op.site_weight))
             fitted.append(nrm / BIGN ** -0.25)
         assert max(fitted) < 100.0

@@ -393,7 +393,7 @@ class TestC0RootCache:
 class TestMassScan:
     def test_free_scan_monotone_and_exact(self):
         rows, excess = mass_vs_N_scan(
-            [free_params(bigN=n) for n in (10 ** 3, 10 ** 4)],
+            [free_params(bigN=n) for n in (10 ** 3, 10 ** 4)], CUT,
             geometry=GEO, n_samples=40)
         for row in rows:
             assert row["deviation"] < 0.05
@@ -401,7 +401,7 @@ class TestMassScan:
 
     def test_interacting_scan(self):
         rows, excess = mass_vs_N_scan(
-            [make_params(bigN=n) for n in (10 ** 3, 10 ** 4)],
+            [make_params(bigN=n) for n in (10 ** 3, 10 ** 4)], CUT,
             geometry=GEO, n_samples=120, seed=5)
         assert [r["bigN"] for r in rows] == [10 ** 3, 10 ** 4]
         for row in rows:
@@ -414,7 +414,7 @@ class TestMassScan:
         # by 9e-3 and 9e-2 against a slack of 2 * sqrt(2) * 1e-3
         monkeypatch.setattr(twopoint, "estimate_S2", drifting_fit(1e-6))
         _, excess = mass_vs_N_scan(
-            [make_params(bigN=n) for n in (10 ** 3, 10 ** 4, 10 ** 5)])
+            [make_params(bigN=n) for n in (10 ** 3, 10 ** 4, 10 ** 5)], CUT)
         slack = twopoint.SCAN_SIGMA_SLACK * np.sqrt(2.0) * 1e-3
         np.testing.assert_allclose(excess, [9e-3 - slack, 9e-2 - slack],
                                    rtol=1e-9)
