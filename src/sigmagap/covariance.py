@@ -12,6 +12,13 @@ the gamma-restricted kernel chain), the normalization Z_gamma with its
 component factorization, the four correction terms deltaC_1..deltaC_4 of
 the small/large splitting, and a seeded Gaussian sampler.
 
+Z_gamma = det^{1/2}(C0^{-1} C_gamma) needs no n x n work: with U the
+cutoff kernel (1+f)^{-1}, Sylvester's identity turns it into
+det^{-1/2}(1 - (1-eps) U[gamma, gamma]), one determinant of the gamma
+block.  That is the primary route; the generalized eigenvalues of
+(C_gamma, C0) are the dual route, computed per component where the
+series route of C_gamma supplies the components.
+
 Grids: region bookkeeping lives on the inner lattice covering Lambda; the
 covariance kernels are assembled on a padded grid (pad extra unit squares
 per side) so that the belt around Lambda is actually represented.  All
@@ -146,6 +153,19 @@ def _assembly(params, geometry, cutoff, pad):
     return _assembly_cached(*_assembly_key(params, geometry, cutoff, pad))
 
 
+@functools.lru_cache(maxsize=4)
+def _split_reference_cached(n, sites_per_square, m, lamK, c):
+    """S (U^{-1} - 1) S, the configuration-independent part of the
+    splitting identity's C_ls^{-1}; read-only.  Kept apart from
+    _assembly_cached so that callers of C0 alone never pay its two
+    products."""
+    asm = _assembly_cached(n, sites_per_square, m, lamK, c)
+    sp = asm.s_plus
+    out = sp @ ((asm.uinv_w - np.eye(asm.nsite)) @ sp)
+    out.flags.writeable = False
+    return out
+
+
 # ---------------------------------------------------------------------------
 # C0 and C_gamma
 
@@ -267,28 +287,35 @@ def build_Cgamma(params, geometry, cutoff, regions, pad=2, routes="both"):
 # normalization
 
 def compute_Zgamma(covset, regions):
-    """Z_gamma = det^{1/2}(C0^{-1} C_gamma) via generalized eigenvalues.
+    """Z_gamma = det^{1/2}(C0^{-1} C_gamma) from one |gamma| x |gamma| block.
 
-    Checks Z_gamma >= 1, the product factorization over components (exact
-    for the compact-support cutoff kernel, since distinct components are
-    separated by more than the kernel range), and per component the
-    independent determinant route det^{-1/2}(1 - (1-eps) P_i U)."""
-    c0_w = covset.C0.weighted
-    cg_w = covset.Cgamma.weighted
-    mu = scipy.linalg.eigh(cg_w, c0_w, eigvals_only=True)
-    if mu.min() <= 0:
-        raise ArithmeticError("C_gamma/C0 lost positivity")
-    log_z = 0.5 * float(np.sum(np.log(mu)))
-    z = float(np.exp(log_z))
+    C_gamma^{-1} = C0^{-1} - S (1-eps) P_gamma S with S = sqrt(1+pi), so
+    det(C0^{-1} C_gamma) = det^{-1}(1 - (1-eps) U P_gamma), and Sylvester's
+    identity det(1 - A B) = det(1 - B A) with P_gamma = E E^T reduces it
+    to the gamma block: log Z_gamma = component_log_z over the gamma mask.
+    This determinant route is primary; Z_gamma >= 1 is checked.
+
+    When the set carries the per-component corrections (routes="both"),
+    the generalized eigenvalues of (C0 + C^{gamma_i}, C0) give each
+    log Z_{gamma_i} by the independent route.  Each must match its
+    component's determinant, and exp of their sum must match Z_gamma (the
+    product factorization, exact for the compact-support cutoff kernel
+    since distinct components lie further apart than its range), both at
+    FACTOR_TOL."""
+    z = float(np.exp(component_log_z(
+        covset, region_site_mask(covset.grid, regions.gamma))))
     if z < 1.0 - 1e-9:
         raise ArithmeticError(f"Z_gamma = {z} below 1")
 
     if covset.component_corrections:
+        c0_w = covset.C0.weighted
         log_parts = []
         for corr, cmask in zip(covset.component_corrections,
                                covset.component_masks):
             mu_i = scipy.linalg.eigh(c0_w + corr.weighted, c0_w,
                                      eigvals_only=True)
+            if mu_i.min() <= 0:
+                raise ArithmeticError("C_gamma/C0 lost positivity")
             log_i = 0.5 * float(np.sum(np.log(mu_i)))
             log_det = component_log_z(covset, cmask)
             if abs(log_i - log_det) > FACTOR_TOL * max(1.0, abs(log_i)):
@@ -299,16 +326,21 @@ def compute_Zgamma(covset, regions):
         rel = abs(z - np.exp(sum(log_parts))) / z
         if rel > FACTOR_TOL:
             raise ArithmeticError(
-                f"component factorization broke: rel {rel:.3e}")
+                "determinant route and generalized-eigenvalue product "
+                f"disagree: rel {rel:.3e}")
     covset.Zgamma = z
     return z
 
 
 def component_log_z(covset, cmask):
-    """log Z_{gamma_i} = -1/2 logdet(1 - (1-eps) U P_i): the
-    single-determinant route for one component's normalization."""
-    scaled = covset.cutoff_weighted * ((1.0 - covset.epsilon) * cmask)[None, :]
-    sign, logdet = np.linalg.slogdet(np.eye(len(cmask)) - scaled)
+    """log Z = -1/2 logdet(1 - (1-eps) U[mask, mask]) for a site mask.
+
+    By Sylvester's identity this equals -1/2 logdet(1 - (1-eps) U P) over
+    the whole grid, so it is the determinant route for one component's
+    normalization and, on the gamma mask, for Z_gamma itself."""
+    idx = np.flatnonzero(cmask)
+    block = (1.0 - covset.epsilon) * covset.cutoff_weighted[np.ix_(idx, idx)]
+    sign, logdet = np.linalg.slogdet(np.eye(len(idx)) - block)
     if sign <= 0:
         raise ArithmeticError("component determinant changed sign")
     return -0.5 * float(logdet)
@@ -351,8 +383,10 @@ def build_deltaC(params, geometry, cutoff, regions, pad=2):
 
     and the assembly is verified against the independently computed
     difference C_gamma^{-1} - C_ls^{-1} = deltaC - P_l - (1 - P_Lambda)
-    where C_ls^{-1} = P_s pi P_s + 1 + S f S."""
-    asm = _assembly(params, geometry, cutoff, pad)
+    where C_ls^{-1} = P_s pi P_s + 1 + S f S.  S f S = S (U^{-1} - 1) S
+    does not depend on the configuration and is computed once per grid."""
+    key = _assembly_key(params, geometry, cutoff, pad)
+    asm = _assembly_cached(*key)
     eps = params.epsilon
     gmask = region_site_mask(asm.geo, regions.gamma).astype(float)
     s_mask = region_site_mask(asm.geo, regions.lambda_s).astype(float)
@@ -371,7 +405,7 @@ def build_deltaC(params, geometry, cutoff, regions, pad=2):
 
     lhs = sp @ ((asm.uinv_w - np.diag((1.0 - eps) * gmask)) @ sp) \
         - (_block(asm.pi_w, s_mask, s_mask) + np.eye(asm.nsite)
-           + sp @ ((asm.uinv_w - np.eye(asm.nsite)) @ sp))
+           + _split_reference_cached(*key))
     rhs = (d1_w + d2_w + d3_w + d4_w - np.diag(l_mask)
            - np.diag(1.0 - lam_mask))
     residual = float(np.abs(lhs - rhs).max())

@@ -12,6 +12,7 @@ for small lam; we report c_m numerically rather than trusting any
 asymptotic claim about its value.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,7 @@ def gap_lhs(m2: float, regulator: str = "exponential") -> float:
     return (val1 + val2) / (8.0 * np.pi)
 
 
+@functools.lru_cache(maxsize=128)
 def solve_gap_equation(lam: float, bigK: float,
                        regulator: str = "exponential") -> float:
     """Solve the gap equation for m^2 by bracketed root finding.
@@ -85,7 +87,9 @@ def solve_gap_equation(lam: float, bigK: float,
     Returns m^2 to relative tolerance 1e-12.  Both sides are monotone in
     m^2 (left decreasing, right increasing) so the root is unique; raises
     ValueError if the bracket [1e-30, 1] shows no sign change, which
-    signals lam or K outside the regime m < cutoff.
+    signals lam or K outside the regime m < cutoff.  The root is cached
+    on the arguments, so parameters derived at several N share one solve;
+    a call that raises is not cached and raises again.
     """
     if not (lam > 0 and bigK > 0):
         raise ValueError("lam and bigK must be positive")

@@ -273,6 +273,33 @@ class TestCriterion11Rows:
         assert code == cli.EXIT_OK
         assert seen == [1.5] * 4
 
+    def test_full_runs_solve_the_gap_equation_once(self, tmp_path,
+                                                   monkeypatch):
+        # m depends on (lambda, K, regulator), not on N, so the N-scan's
+        # parameters reuse the run's solve; each real solve is one brentq
+        solves = []
+        real = model.brentq
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return real(*args, **kwargs)
+
+        def fit(params, **kwargs):
+            return types.SimpleNamespace(
+                fitted_mprime=params.m, gap_mass=params.m,
+                mprime_stderr=1e-3 * params.m, phase_diagnostic=1.0,
+                fit_residual=1.0)
+
+        monkeypatch.setattr(cli.tp, "estimate_S2", fit)
+        model.solve_gap_equation.cache_clear()
+        monkeypatch.setattr(model, "brentq", counted)
+        full = cli.PROFILES["full"]
+        code, _ = self.run(tmp_path, monkeypatch, **{
+            k: full[k] for k in ("free_runs", "mass_runs", "fit_runs",
+                                 "scans")})
+        assert code == cli.EXIT_OK
+        assert len(solves) == 1
+
 
 @pytest.fixture(scope="module")
 def quick_battery(tmp_path_factory):

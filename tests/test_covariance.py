@@ -4,6 +4,7 @@ bound with its single-square normalization."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sigmagap import covariance
 from sigmagap.covariance import (
@@ -241,12 +242,39 @@ class TestZgamma:
         assert abs(z - np.exp(sum(log_parts))) / z < 1e-8
 
     def test_determinant_route_matches_eigenvalues(self):
+        # the gamma-block determinant against the generalized eigenvalues
+        # of the whole (C_gamma, C0) pencil
         params, geo, fld, assign, regions = setup_single()
         covset = build_Cgamma(params, geo, CUT, regions, pad=2)
         z = compute_Zgamma(covset, regions)
-        assert len(covset.component_masks) == 1
-        log_det = component_log_z(covset, covset.component_masks[0])
-        assert abs(np.log(z) - log_det) < 1e-8 * max(1.0, abs(log_det))
+        mu = scipy.linalg.eigh(covset.Cgamma.weighted, covset.C0.weighted,
+                               eigvals_only=True)
+        log_eig = 0.5 * float(np.sum(np.log(mu)))
+        assert abs(np.log(z) - log_eig) < 1e-8 * max(1.0, abs(log_eig))
+
+    @pytest.mark.parametrize("which", ["gamma", "component"])
+    def test_moved_site_fails_the_route_gate(self, monkeypatch, which):
+        # one boundary site of the mask moved by one; translating the
+        # whole mask would not show, since the kernel block is translation
+        # invariant
+        params, geo, fld, assign, regions = setup_single()
+        covset = build_Cgamma(params, geo, CUT, regions, pad=2)
+
+        def moved(mask):
+            out = mask.copy()
+            i = np.flatnonzero(mask)[0]
+            out[i], out[i - 1] = False, True
+            return out
+
+        if which == "gamma":
+            real = covariance.region_site_mask
+            monkeypatch.setattr(covariance, "region_site_mask",
+                                lambda grid, corners: moved(real(grid,
+                                                                 corners)))
+        else:
+            covset.component_masks[0] = moved(covset.component_masks[0])
+        with pytest.raises(ArithmeticError, match="disagree"):
+            compute_Zgamma(covset, regions)
 
 
 class TestDeltaC:
@@ -254,6 +282,48 @@ class TestDeltaC:
         params, geo, fld, assign, regions = setup_single()
         dc = build_deltaC(params, geo, CUT, regions, pad=2)
         assert dc.identity_residual < 1e-10
+
+    def test_cached_term_keeps_the_bits(self):
+        # d1..d4 and the residual against the splitting identity written
+        # out here with S (U^{-1} - 1) S recomputed, not read from cache
+        params, geo, fld, assign, regions = setup_single()
+        cache = covariance._split_reference_cached
+        cache.cache_clear()
+        dc = build_deltaC(params, geo, CUT, regions, pad=2)
+        assert cache.cache_info().misses == 1
+        again = build_deltaC(params, geo, CUT, regions, pad=2)
+        assert cache.cache_info().hits == 1
+
+        asm = covariance._assembly(params, geo, CUT, pad=2)
+        eps, n, sp = params.epsilon, asm.nsite, asm.s_plus
+
+        def mask(corners):
+            return region_site_mask(asm.geo, corners).astype(float)
+
+        def block(mat, left, right):
+            return mat * left[:, None] * right[None, :]
+
+        g, sm, lm = (mask(regions.gamma), mask(regions.lambda_s),
+                     mask(regions.lambda_l))
+        lam = inner_site_mask(asm.geo, geo).astype(float)
+        spgs = sp @ (g[:, None] * sp)
+        t = np.eye(n) + asm.pi_w - spgs
+        d = [-block(spgs, sm, sm),
+             block(t, lm, sm) + block(t, sm, lm) + block(t, lm, lm),
+             t - block(t, lam, lam), eps * spgs]
+        fixed = sp @ ((asm.uinv_w - np.eye(n)) @ sp)
+        lhs = sp @ ((asm.uinv_w - np.diag((1.0 - eps) * g)) @ sp) \
+            - (block(asm.pi_w, sm, sm) + np.eye(n) + fixed)
+        rhs = d[0] + d[1] + d[2] + d[3] - np.diag(lm) - np.diag(1.0 - lam)
+        for got in (dc, again):
+            assert got.identity_residual == float(np.abs(lhs - rhs).max())
+            for op, ref in zip(got, d):
+                assert np.array_equal(op.weighted, ref)
+
+        key = covariance._assembly_key(params, geo, CUT, pad=2)
+        cached = cache(*key)
+        assert np.array_equal(cached, fixed)
+        assert not cached.flags.writeable
 
     def test_d1_negative_semidefinite(self):
         params, geo, fld, assign, regions = setup_single()

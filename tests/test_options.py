@@ -16,10 +16,7 @@ SRC = ROOT / "src" / "sigmagap"
 CALLER_DIRS = (SRC, ROOT / "tests", ROOT / "perfbench")
 
 # (module, function, parameter) -> why the audit lets it stand
-ALLOWED_UNREAD = {
-    ("covariance", "compute_Zgamma", "regions"):
-        "perfbench passes it; the signature is kept for that caller",
-}
+ALLOWED_UNREAD = {}
 
 
 def _parse(path):
