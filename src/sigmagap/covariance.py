@@ -7,17 +7,24 @@ large-field region gamma the quadratic form is opened up,
     C_gamma^{-1} = sqrt(1+pi) (1 - (1-eps) P_gamma + f) sqrt(1+pi),
 
 with a floor eps on the gamma block so the inverse stays bounded.  The
-module assembles C_gamma twice (direct inversion and the Neumann series in
-the gamma-restricted kernel chain), the normalization Z_gamma with its
-component factorization, the four correction terms deltaC_1..deltaC_4 of
-the small/large splitting, and a seeded Gaussian sampler.
+module assembles C_gamma, the normalization Z_gamma with its component
+factorization, the four correction terms deltaC_1..deltaC_4 of the
+small/large splitting, and a seeded Gaussian sampler.
 
-Z_gamma = det^{1/2}(C0^{-1} C_gamma) needs no n x n work: with U the
-cutoff kernel (1+f)^{-1}, Sylvester's identity turns it into
+Per configuration, neither C_gamma nor Z_gamma needs an n x n
+factorization.  With U the cutoff kernel (1+f)^{-1} and
+S^- = (1+pi)^{-1/2}, Woodbury gives
+
+    C_gamma = C0 + S^- U[:, gamma] ((1-eps)^{-1} - U[gamma, gamma])^{-1}
+                   U[gamma, :] S^-,
+
+and Sylvester's identity turns Z_gamma = det^{1/2}(C0^{-1} C_gamma) into
 det^{-1/2}(1 - (1-eps) U[gamma, gamma]), one determinant of the gamma
-block.  That is the primary route; the generalized eigenvalues of
-(C_gamma, C0) are the dual route, computed per component where the
-series route of C_gamma supplies the components.
+block.  These closed forms are primary.  The dual routes are the n x n
+Cholesky inverse of the floored form and the Neumann series in the
+gamma-restricted kernel chain for C_gamma, and the generalized
+eigenvalues of (C_gamma, C0) per component for Z_gamma; all are computed
+where build_Cgamma runs with routes="both".
 
 Grids: region bookkeeping lives on the inner lattice covering Lambda; the
 covariance kernels are assembled on a padded grid (pad extra unit squares
@@ -222,56 +229,75 @@ def _neumann_correction(asm, mask, eps):
     return corr, terms
 
 
-def build_Cgamma(params, geometry, cutoff, regions, pad=2, routes="both"):
-    """Assemble C_gamma on the padded grid by two routes.
+def _closed_form_correction(asm, gmask, eps):
+    """C_gamma - C0 = B K^{-1} B^T by Woodbury on the gamma block, with
+    B = S^- U[:, gamma] and K = (1-eps)^{-1} - U[gamma, gamma].
 
-    Direct: Cholesky inversion of (1-eps)-floored quadratic form.  Series:
-    C0 plus the per-component corrections C^{gamma_i} summed as truncated
-    Neumann chains.  The sup-entry disagreement of the two routes is
+    The Cholesky factor L of K is also the positivity check: the floored
+    form U^{-1} - (1-eps) P_gamma is positive definite exactly when K is.
+    The product is formed as H^T H with H = L^{-1} B^T, so it is exactly
+    symmetric."""
+    idx = np.flatnonzero(gmask)
+    k = np.eye(len(idx)) / (1.0 - eps) - asm.u_w[np.ix_(idx, idx)]
+    try:
+        chol = np.linalg.cholesky(k)
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError("floored quadratic form not PD") from exc
+    half = np.linalg.solve(chol, (asm.s_minus @ asm.u_w[:, idx]).T)
+    return half.T @ half
+
+
+def build_Cgamma(params, geometry, cutoff, regions, pad=2, routes="both"):
+    """Assemble C_gamma = C0 + B K^{-1} B^T on the padded grid.
+
+    The closed form (Woodbury on the gamma block, _closed_form_correction)
+    needs one |gamma| x |gamma| Cholesky and n x |gamma| products.
+    routes="both" also computes its two dual routes: the n x n Cholesky
+    inverse of the (1-eps)-floored quadratic form, and C0 plus the
+    per-component corrections C^{gamma_i} summed as truncated Neumann
+    chains.  The larger sup-entry gap of either to the closed form is
     recorded and must stay below ROUTE_AGREE_TOL = 1e-8; routes="direct"
-    skips the series (used on large grids where only the direct value is
-    needed)."""
+    computes the closed form alone."""
+    if routes not in ("both", "direct"):
+        raise ValueError("routes must be 'both' or 'direct'")
     asm = _assembly(params, geometry, cutoff, pad)
     eps = params.epsilon
     gmask = region_site_mask(asm.geo, regions.gamma)
-    x = asm.uinv_w - np.diag((1.0 - eps) * gmask)
-    try:
-        cf = scipy.linalg.cho_factor(x)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - eps > 0
-        raise ArithmeticError("floored quadratic form not PD") from exc
-    minv = scipy.linalg.cho_solve(cf, np.eye(asm.nsite))
-    cg_w = asm.s_minus @ (0.5 * (minv + minv.T)) @ asm.s_minus
+    corr = _closed_form_correction(asm, gmask, eps)
+    cg_w = asm.c0_w + corr
     cg_w = 0.5 * (cg_w + cg_w.T)
 
-    comp_ops, comp_masks = [], []
+    comp_masks = [region_site_mask(asm.geo, comp.gamma)
+                  for comp in regions.components]
+    comp_ops = []
     total_terms = 0
-    corr_sum = np.zeros_like(cg_w)
-    if routes not in ("both", "direct"):
-        raise ValueError("routes must be 'both' or 'direct'")
+    residual = float("nan")
     if routes == "both":
-        for comp in regions.components:
-            cmask = region_site_mask(asm.geo, comp.gamma)
-            corr, terms = _neumann_correction(asm, cmask, eps)
-            corr = 0.5 * (corr + corr.T)
+        x = asm.uinv_w - np.diag((1.0 - eps) * gmask)
+        try:
+            cf = scipy.linalg.cho_factor(x)
+        except np.linalg.LinAlgError as exc:
+            raise ArithmeticError("floored quadratic form not PD") from exc
+        minv = scipy.linalg.cho_solve(cf, np.eye(asm.nsite))
+        inv_w = asm.s_minus @ (0.5 * (minv + minv.T)) @ asm.s_minus
+        corr_sum = np.zeros_like(cg_w)
+        for cmask in comp_masks:
+            series, terms = _neumann_correction(asm, cmask, eps)
+            series = 0.5 * (series + series.T)
             total_terms = max(total_terms, terms)
-            corr_sum += corr
-            comp_ops.append(DiscretizedOperator(corr, asm.w,
+            corr_sum += series
+            comp_ops.append(DiscretizedOperator(series, asm.w,
                                                 hermitian_kernel=True))
-            comp_masks.append(cmask)
-        residual = float(np.abs(cg_w - asm.c0_w - corr_sum).max() / asm.w)
-        if residual > ROUTE_AGREE_TOL:
+        residual = float(max(np.abs(inv_w - cg_w).max(),
+                             np.abs(corr_sum - corr).max()) / asm.w)
+        if not residual <= ROUTE_AGREE_TOL:
             raise ArithmeticError(
                 f"covariance routes disagree: sup residual {residual:.3e}")
-    else:
-        corr_sum = cg_w - asm.c0_w
-        residual = float("nan")
-        for comp in regions.components:
-            comp_masks.append(region_site_mask(asm.geo, comp.gamma))
 
     return CovarianceSet(
         C0=DiscretizedOperator(asm.c0_w, asm.w, hermitian_kernel=True),
         Cgamma=DiscretizedOperator(cg_w, asm.w, hermitian_kernel=True),
-        Cgamma_correction=DiscretizedOperator(corr_sum, asm.w,
+        Cgamma_correction=DiscretizedOperator(corr, asm.w,
                                               hermitian_kernel=True),
         component_corrections=comp_ops,
         component_masks=comp_masks,

@@ -2,6 +2,8 @@
 corrections deltaC_1..4, Gaussian sampling, and the assembled integrand
 bound with its single-square normalization."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -122,12 +124,14 @@ class TestBuildC0:
         assert fitted[3] < 2.0
         assert 1 / 3 < fitted[4] / fitted[3] < 3
 
-    def test_too_coarse_grid_raises(self):
+    @pytest.mark.parametrize("routes", ["direct", "both"])
+    def test_too_coarse_grid_raises(self, routes):
         # at 2 sites per square the compact-support kernel's discrete
-        # spectrum pokes above the (1-eps)^{-1} floor at N = 10^6
+        # spectrum pokes above the (1-eps)^{-1} floor at N = 10^6; the
+        # gamma-block Cholesky catches it without the n x n inverse
         params, geo, fld, assign, regions = setup_single(sites=2)
-        with pytest.raises(ArithmeticError):
-            build_Cgamma(params, geo, CUT, regions, pad=2)
+        with pytest.raises(ArithmeticError, match="floored quadratic form"):
+            build_Cgamma(params, geo, CUT, regions, pad=2, routes=routes)
 
 
 class TestBuildCgamma:
@@ -146,6 +150,54 @@ class TestBuildCgamma:
         covset = build_Cgamma(params, geo, CUT, regions, pad=2)
         assert covset.route_residual < 1e-8
         assert covset.neumann_terms > 50
+
+    def test_closed_form_matches_the_inverse_of_the_form(self):
+        # routes="direct" against the n x n inverse of the defining form
+        # S (U^{-1} - (1-eps) P_gamma) S, computed here
+        params, geo, fld, assign, regions = setup_single()
+        covset = build_Cgamma(params, geo, CUT, regions, pad=2,
+                              routes="direct")
+        asm = covariance._assembly(params, geo, CUT, pad=2)
+        g = region_site_mask(asm.geo, regions.gamma)
+        assert 0 < g.sum() < asm.nsite
+        form = asm.s_plus @ (np.linalg.inv(asm.u_w)
+                             - np.diag((1.0 - params.epsilon) * g)) \
+            @ asm.s_plus
+        gap = np.abs(covset.Cgamma.weighted - np.linalg.inv(form)).max()
+        assert gap / asm.w <= covariance.ROUTE_AGREE_TOL
+        assert np.isnan(covset.route_residual)
+        assert covset.component_corrections == []
+
+    @pytest.mark.parametrize("fault", ["half-eps", "dropped-site"])
+    def test_broken_closed_form_fails_route_gate(self, monkeypatch, fault):
+        # negative control: the closed form alone built with eps/2, or
+        # with one gamma site missing from B and K; the n x n inverse and
+        # the series stay as they are
+        real = covariance._closed_form_correction
+
+        def broken(asm, gmask, eps):
+            if fault == "half-eps":
+                return real(asm, gmask, eps / 2)
+            out = gmask.copy()
+            out[np.flatnonzero(gmask)[0]] = False
+            return real(asm, out, eps)
+
+        monkeypatch.setattr(covariance, "_closed_form_correction", broken)
+        params, geo, fld, assign, regions = setup_single()
+        with pytest.raises(ArithmeticError, match="covariance routes disagree"):
+            build_Cgamma(params, geo, CUT, regions, pad=2)
+
+    def test_perturbed_inverse_fails_route_gate(self, monkeypatch):
+        # negative control for the other dual route: the n x n inverse of
+        # the form off by 1e-6 relative; the assembly is filled first, so
+        # its own cho_solve stays exact
+        params, geo, fld, assign, regions = setup_single()
+        covariance._assembly(params, geo, CUT, pad=2)
+        real = scipy.linalg.cho_solve
+        monkeypatch.setattr(scipy.linalg, "cho_solve",
+                            lambda cf, b: real(cf, b) * (1.0 + 1e-6))
+        with pytest.raises(ArithmeticError, match="covariance routes disagree"):
+            build_Cgamma(params, geo, CUT, regions, pad=2)
 
     def test_truncated_series_fails_route_gate(self, monkeypatch):
         # negative control: a Neumann series stopped at a 1e-3 tail
@@ -482,6 +534,31 @@ class TestDampingBound:
         for r in reports:
             assert r.log_value <= (-0.49 * r.mass_large
                                    + 3.0 * fit * scale * r.mass_small)
+
+    def test_pipeline_calls_no_scipy_linalg(self, monkeypatch):
+        # with the assembly cache warm, one configuration runs classify ->
+        # regions -> C_gamma -> deltaC -> Z_gamma -> damping_report on
+        # numpy's LAPACK alone (scipy.linalg's own BLAS pool would contend)
+        params, geo, ensemble = self._ensemble(1, seed=7)
+        fld, _ = ensemble[0]
+        covariance._assembly(params, geo, CUT, pad=2)
+
+        class Forbidden:
+            def __getattr__(self, name):
+                raise AssertionError(f"scipy.linalg.{name} called")
+
+        monkeypatch.setattr(covariance, "scipy",
+                            SimpleNamespace(linalg=Forbidden()))
+        assign = classify_squares(fld, params, geo)
+        regions = build_regions(assign, geo, corridorM=params.corridorM)
+        covset = build_Cgamma(params, geo, CUT, regions, pad=2,
+                              routes="direct")
+        dc = build_deltaC(params, geo, CUT, regions, pad=2)
+        assert compute_Zgamma(covset, regions) >= 1.0
+        rep = damping_report(fld, params, regions, covset, dc, assign)
+        assert np.isfinite(rep.required_const)
+        with pytest.raises(AssertionError, match="scipy.linalg.cho_factor"):
+            build_Cgamma(params, geo, CUT, regions, pad=2, routes="both")
 
     def test_pure_small_field_value(self):
         # no large squares: Z = 1, no Gaussian damping, log value stays
