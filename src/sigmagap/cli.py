@@ -56,19 +56,20 @@ class ConfigError(ValueError):
     pass
 
 
-# dotted config key -> (RunConfig field, parser)
+# dotted config key -> (command-line flag, RunConfig field, parser); the
+# config file, the flags and build_config all read this one table
 KNOWN_KEYS = {
-    "model.lambda": ("lam", float),
-    "model.K": ("bigK", float),
-    "model.N": ("bigN", int),
-    "model.regulator": ("regulator", str),
-    "model.corridor": ("corridor", float),
-    "geometry.n": ("n", int),
-    "geometry.sites_per_square": ("sites_per_square", int),
-    "cutoff.c": ("cutoff_c", float),
-    "sampler.seed": ("seed", int),
-    "sampler.samples": ("samples", int),
-    "output.dir": ("outdir", str),
+    "model.lambda": ("--lambda", "lam", float),
+    "model.K": ("--K", "bigK", float),
+    "model.N": ("--N", "bigN", int),
+    "model.regulator": ("--regulator", "regulator", str),
+    "model.corridor": ("--corridor", "corridor", float),
+    "geometry.n": ("--n", "n", int),
+    "geometry.sites_per_square": ("--sites", "sites_per_square", int),
+    "cutoff.c": ("--cutoff-c", "cutoff_c", float),
+    "sampler.seed": ("--seed", "seed", int),
+    "sampler.samples": ("--samples", "samples", int),
+    "output.dir": ("--out", "outdir", str),
 }
 
 
@@ -157,7 +158,7 @@ def parse_config_file(path):
         dotted = f"{section}.{key}" if section else key
         if dotted not in KNOWN_KEYS:
             raise ConfigError(f"{path}:{ln}: unknown config key {dotted!r}")
-        field, cast = KNOWN_KEYS[dotted]
+        _, field, cast = KNOWN_KEYS[dotted]
         try:
             values[field] = cast(val)
         except ValueError:
@@ -191,13 +192,8 @@ def build_config(args):
     values = {}
     if getattr(args, "config", None):
         values.update(parse_config_file(args.config))
-    flag_map = {"lam": "lam", "K": "bigK", "N": "bigN",
-                "regulator": "regulator", "corridor": "corridor",
-                "n": "n", "sites": "sites_per_square",
-                "cutoff_c": "cutoff_c", "seed": "seed",
-                "samples": "samples", "out": "outdir"}
-    for flag, field in flag_map.items():
-        val = getattr(args, flag, None)
+    for _, field, _ in KNOWN_KEYS.values():
+        val = getattr(args, field, None)
         if val is not None:
             values[field] = val
     for flag in ("max_size", "trials"):
@@ -871,17 +867,8 @@ def make_parser():
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config")
-        p.add_argument("--lambda", dest="lam", type=float)
-        p.add_argument("--K", type=float)
-        p.add_argument("--N", type=int)
-        p.add_argument("--regulator")
-        p.add_argument("--corridor", type=float)
-        p.add_argument("--n", type=int)
-        p.add_argument("--sites", type=int)
-        p.add_argument("--cutoff-c", dest="cutoff_c", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--samples", type=int)
-        p.add_argument("--out")
+        for flag, field, cast in KNOWN_KEYS.values():
+            p.add_argument(flag, dest=field, type=cast)
         if name == "forest-verify":
             p.add_argument("--max-size", dest="max_size", type=int)
             p.add_argument("--trials", type=int)

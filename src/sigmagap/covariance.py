@@ -184,7 +184,7 @@ def build_C0(params, geometry, cutoff):
     loses positivity under discretization and ValueError when the cutoff
     has c <= 0."""
     asm = _assembly(params, geometry, cutoff, pad=0)
-    return DiscretizedOperator(asm.c0_w, asm.w, hermitian_kernel=True)
+    return DiscretizedOperator(asm.c0_w, asm.w)
 
 
 @dataclasses.dataclass
@@ -286,8 +286,7 @@ def build_Cgamma(params, geometry, cutoff, regions, pad=2, routes="both"):
             series = 0.5 * (series + series.T)
             total_terms = max(total_terms, terms)
             corr_sum += series
-            comp_ops.append(DiscretizedOperator(series, asm.w,
-                                                hermitian_kernel=True))
+            comp_ops.append(DiscretizedOperator(series, asm.w))
         residual = float(max(np.abs(inv_w - cg_w).max(),
                              np.abs(corr_sum - corr).max()) / asm.w)
         if not residual <= ROUTE_AGREE_TOL:
@@ -295,10 +294,9 @@ def build_Cgamma(params, geometry, cutoff, regions, pad=2, routes="both"):
                 f"covariance routes disagree: sup residual {residual:.3e}")
 
     return CovarianceSet(
-        C0=DiscretizedOperator(asm.c0_w, asm.w, hermitian_kernel=True),
-        Cgamma=DiscretizedOperator(cg_w, asm.w, hermitian_kernel=True),
-        Cgamma_correction=DiscretizedOperator(corr, asm.w,
-                                              hermitian_kernel=True),
+        C0=DiscretizedOperator(asm.c0_w, asm.w),
+        Cgamma=DiscretizedOperator(cg_w, asm.w),
+        Cgamma_correction=DiscretizedOperator(corr, asm.w),
         component_corrections=comp_ops,
         component_masks=comp_masks,
         grid=asm.geo,
@@ -438,7 +436,7 @@ def build_deltaC(params, geometry, cutoff, regions, pad=2):
     if residual > SPLIT_IDENTITY_TOL:
         raise ArithmeticError(
             f"splitting identity violated: sup residual {residual:.3e}")
-    return DeltaC(*(DiscretizedOperator(m, asm.w, hermitian_kernel=True)
+    return DeltaC(*(DiscretizedOperator(m, asm.w)
                     for m in (d1_w, d2_w, d3_w, d4_w)),
                   identity_residual=residual)
 

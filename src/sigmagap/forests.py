@@ -21,7 +21,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-import sympy
 from scipy.optimize import brentq
 
 from .regions import _UnionFind
@@ -174,6 +173,8 @@ def verify_forest_formula(H, index_set, x):
     H is a sympy expression in the pair variables x[(i,j)]; the right side
     sums over all forests the integrated mixed derivative evaluated at the
     inf-rule point, and must reproduce H at all arguments equal to 1."""
+    import sympy  # imported here: it is slow to load and only this needs it
+
     labels = tuple(sorted(index_set))
     if len(labels) > 4:
         raise ValueError("identity check limited to 4 labels")
@@ -412,21 +413,16 @@ class ActivitySum:
     def total(self):
         return self.enumerated + self.tail
 
-    @property
-    def converges(self):
-        return self.total <= 0.5
 
-
-def polymer_activity_sum(rho, max_size=6, amplitude=None):
-    """Activity sum for the toy model |b(Y)| = rho^{|Y|} (or a supplied
-    amplitude(Y)), enumerated exhaustively up to max_size with the
-    polyomino growth-constant tail bound above it."""
+def polymer_activity_sum(rho, max_size=6):
+    """Activity sum for the toy model |b(Y)| = rho^{|Y|}, enumerated
+    exhaustively up to max_size with the polyomino growth-constant tail
+    bound above it."""
     if rho < 0:
         raise ValueError("rho must be nonnegative")
     by_size = anchored_polyominoes(max_size)
     counts = {n: len(polys) for n, polys in by_size.items()}
-    amp = amplitude or (lambda y: rho ** len(y))
-    enumerated = sum(abs(amp(y)) * math.exp(len(y))
+    enumerated = sum(rho ** len(y) * math.exp(len(y))
                      for polys in by_size.values() for y in polys)
     qq = POLYOMINO_GROWTH * rho * math.e
     if qq >= 1.0:

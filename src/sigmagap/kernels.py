@@ -30,14 +30,18 @@ by direct 2D quadrature (polarization_momentum, the defining formula) or
 by a Hankel transform of F^2 (the table route used for kernel
 construction).  The two routes are cross-checked in the tests and must
 not be merged.
+
+The tau-field cutoff 1/(1 + c p^4) has a closed-form radial kernel (a
+Kelvin function, cutoff_inverse_values) and a compactly supported,
+still positive-definite variant (cutoff_enforced_values); both are
+evaluated in closed form wherever they are used, with no table.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 from scipy.special import j0, k0, kei
 
@@ -47,7 +51,6 @@ R_POLE_SWITCH = 15.0   # beyond this the two-pole residue formula is exact
 Q_MAX = 6.5            # momentum cutoff of the direct route: g < e^{-42} past it
 FIT_FLOOR = 1e-300     # kernel values at or below this are left out of fits
 FIT_ITERS = 6          # fixed-point steps of the decay-rate fit window
-CUTOFF_HALF_EXTENT = 4.0   # half side of the tabulated cutoff kernels
 GAUSS_12 = np.polynomial.legendre.leggauss(12)   # nodes, weights on [-1, 1]
 
 
@@ -161,8 +164,8 @@ class SampledKernel:
     (one kernel evaluation per distinct distance).  delta_coeff carries
     an explicit delta contribution (coefficient of the identity operator)
     for kernels of the form c*delta + smooth part.  radial_r / radial_vals
-    hold a dense radial profile (typically out to ~8/rate) used for the
-    decay fits and by eval_at.
+    hold the dense radial profile (typically out to ~8/rate) that the
+    decay fit fitted_decay_rate / fit_residual was made on.
     """
 
     grid_step: float
@@ -170,23 +173,10 @@ class SampledKernel:
     values: np.ndarray
     radial_r: np.ndarray
     radial_vals: np.ndarray
-    fitted_decay_rate: float = np.nan
-    fit_residual: float = np.nan
-    sup_norm: float = np.nan
-    delta_coeff: float = 0.0
-
-    @cached_property
-    def _spline(self):
-        return CubicSpline(self.radial_r, self.radial_vals)
-
-    def eval_at(self, r):
-        """Kernel value (smooth part) at arbitrary radii via the radial spline,
-        fitted on the first call; clamps to 0 beyond the tabulated range."""
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r, dtype=float)
-        inside = r <= self.radial_r[-1]
-        out[inside] = self._spline(r[inside])
-        return out
+    fitted_decay_rate: float
+    fit_residual: float
+    sup_norm: float
+    delta_coeff: float
 
 
 def _radial_nodes(r_max):
@@ -426,46 +416,6 @@ def cutoff_enforced_values(c, r):
     Wendland function and renormalized to unit integral.  Vanishes for
     r >= 1; still positive definite (product of pd functions)."""
     return cutoff_inverse_values(c, r) * _wendland(r) / _enforced_norm(c)
-
-
-def cutoff_inverse_kernel(spec: CutoffSpec, grid_step=0.125):
-    """Position kernel of 1/(1+f) plus its compact-support enforced variant.
-
-    Returns (raw: SampledKernel, enforced: SampledKernel, diagnostics dict).
-    The raw kernel has exponential tails on the scale c^{1/4} (exact
-    compact support is impossible for a polynomial f); the fraction of
-    absolute mass outside |x| > 1 is reported in diagnostics['leaked'].
-    The enforced variant multiplies by a Wendland C^2 window supported in
-    |x| <= 1 and renormalizes the integral to 1: the pointwise product of
-    positive-definite functions is positive definite, so compact support
-    is gained without sacrificing positivity of the operator (a hard
-    truncation of the oscillatory tail would).
-    """
-    c = spec.c
-    half_extent = CUTOFF_HALF_EXTENT
-    rr = np.concatenate([[0.0], np.geomspace(1e-3, half_extent, 400)])
-
-    vals = cutoff_inverse_values(c, rr)
-    grid = _kernel_grid(lambda r: cutoff_inverse_values(c, r), grid_step,
-                        half_extent)
-    raw = _fitted_kernel(grid_step, half_extent, grid, rr, vals, 0.5,
-                         z_window=(2.0, 6.0))
-
-    # absolute-mass fractions in and out of the unit disk
-    mass_in, _ = quad(lambda r: 2 * np.pi * r * abs(cutoff_inverse_values(c, r)),
-                      0.0, 1.0, limit=200)
-    mass_out, _ = quad(lambda r: 2 * np.pi * r * abs(cutoff_inverse_values(c, r)),
-                       1.0, 60.0 * c ** 0.25 + 5.0, limit=400)
-    leaked = mass_out / (mass_in + mass_out)
-
-    wgrid = _kernel_grid(lambda r: cutoff_enforced_values(c, r), grid_step,
-                         half_extent)
-    enforced = SampledKernel(grid_step=grid_step, half_extent=half_extent,
-                             values=wgrid, radial_r=rr,
-                             radial_vals=cutoff_enforced_values(c, rr),
-                             sup_norm=float(np.abs(wgrid).max()))
-    return raw, enforced, {"leaked": float(leaked),
-                           "norm_factor": float(_enforced_norm(c))}
 
 
 def cutoff_momentum_integral(spec: CutoffSpec, r_power):

@@ -30,8 +30,7 @@ __all__ = [
     "DiscretizedOperator", "AOperator", "site_square_labels",
     "radial_site_matrix", "propagator_matrix", "propagator_factor",
     "build_A", "operator_norm", "log_det_n",
-    "det_split_identity", "D_decomposition", "trace_projection_inequality",
-    "link_block", "derived_link_norm",
+    "det_split_identity", "D_decomposition", "link_block",
 ]
 
 
@@ -44,7 +43,6 @@ class DiscretizedOperator:
 
     weighted: np.ndarray
     site_weight: float
-    hermitian_kernel: bool = False
 
     def __post_init__(self):
         nsite = self.weighted.shape[0]
@@ -57,18 +55,7 @@ class DiscretizedOperator:
     def matrix(self):
         return self.weighted / self.site_weight
 
-    def compose(self, other):
-        if self.weighted.shape != other.weighted.shape:
-            raise ValueError("dimension mismatch in composition")
-        return DiscretizedOperator(self.weighted @ other.weighted,
-                                   self.site_weight)
-
-    def trace(self):
-        return np.trace(self.weighted)
-
     def eigenvalues(self):
-        if self.hermitian_kernel:
-            return np.linalg.eigvalsh(self.weighted)
         return np.linalg.eigvals(self.weighted)
 
     def masked(self, left_mask=None, right_mask=None):
@@ -157,22 +144,8 @@ class AOperator:
     geometry: object
 
     @property
-    def large_sites(self):
-        return ~self.small_sites
-
-    @property
     def a_s(self):
         return self.op.masked(self.small_sites, self.small_sites)
-
-    @property
-    def a_l(self):
-        return self.op.masked(self.large_sites, self.large_sites)
-
-    @property
-    def a_prime(self):
-        mat = (self.op.masked(self.small_sites, self.large_sites).weighted
-               + self.op.masked(self.large_sites, self.small_sites).weighted)
-        return DiscretizedOperator(mat, self.op.site_weight)
 
     @property
     def a_doubleprime(self):
@@ -302,20 +275,6 @@ def D_decomposition(field, params, geometry=None):
     return d_plus, d_minus, tr_minus_sq
 
 
-def trace_projection_inequality(op, mask, r):
-    """(Tr (PAP)^r, Tr P A^r P) for Hermitian PSD A and diagonal projector
-    mask; the first never exceeds the second."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    a = op.weighted if isinstance(op, DiscretizedOperator) else np.asarray(op)
-    p = np.asarray(mask, dtype=bool)
-    pap = a * p[:, None] * p[None, :]
-    lhs = float(np.trace(np.linalg.matrix_power(pap, r)).real)
-    ar = np.linalg.matrix_power(a, r)
-    rhs = float(np.trace(ar[p][:, p]).real)
-    return lhs, rhs
-
-
 def link_block(aop, src_square, dst_square):
     """P_{dst} A P_{src}, the derivative of A with respect to the cluster
     interpolation parameter of the link (src -> dst)."""
@@ -323,13 +282,3 @@ def link_block(aop, src_square, dst_square):
     dst = site_square_mask(aop.geometry, dst_square)
     return aop.op.masked(dst, src)
 
-
-def derived_link_norm(field, params, geometry=None, square_pair=None):
-    """Operator norm of the single-link block P_{Delta'} A P_{Delta}."""
-    if square_pair is None:
-        raise ValueError("square_pair is required")
-    src, dst = square_pair
-    if src == dst:
-        raise ValueError("link squares must differ")
-    aop = build_A(field, params, geometry)
-    return operator_norm(link_block(aop, src, dst))

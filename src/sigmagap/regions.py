@@ -92,18 +92,6 @@ class LatticeGeometry:
         k = np.arange(self.sites_per_side)
         return -self.n + (k + 0.5) / s
 
-    def square_containing(self, x, y):
-        """Corner of the closed square containing (x, y); boundary ties
-        are broken toward the lower-left square."""
-
-        def axis(v):
-            i = math.floor(v)
-            if v == i and i > -self.n:
-                i -= 1
-            return i
-
-        return (axis(x), axis(y))
-
     @property
     def site_weight(self):
         """Quadrature weight of one site (midpoint rule)."""

@@ -449,7 +449,7 @@ class TestSampling:
         geo = LatticeGeometry(n=1, sites_per_square=3)
         nsite = geo.sites_per_side ** 2
         w = geo.site_weight
-        ident = DiscretizedOperator(np.eye(nsite), w, hermitian_kernel=True)
+        ident = DiscretizedOperator(np.eye(nsite), w)
         n = 20000
         draws = np.array(sample_gaussian(ident, seed=3, count=n))
         scaled = draws * np.sqrt(geo.site_weight)

@@ -13,7 +13,7 @@ from scipy.special import j0
 
 from sigmagap import kernels
 from sigmagap.model import ModelParams
-from sigmagap.kernels import (CutoffSpec, cutoff_inverse_kernel,
+from sigmagap.kernels import (CutoffSpec, cutoff_enforced_values,
                               cutoff_inverse_values, cutoff_momentum_integral,
                               fit_decay_rate, polarization_kernel,
                               polarization_momentum,
@@ -231,19 +231,25 @@ def test_cutoff_leakage_reported():
     # ~76% of the absolute mass outside |x| > 1 (frozen measurement).
     # No reasonable c makes this small -- the compactly supported variant
     # is what downstream support arguments must use.
-    raw, enf, diag = cutoff_inverse_kernel(CutoffSpec(c=1.0))
-    assert diag["leaked"] == pytest.approx(0.75923618, rel=1e-6)
+    c = 1.0
+
+    def abs_mass(lo, hi, limit):
+        return quad(lambda r: 2 * np.pi * r * abs(cutoff_inverse_values(c, r)),
+                    lo, hi, limit=limit)[0]
+
+    mass_in = abs_mass(0.0, 1.0, 200)
+    mass_out = abs_mass(1.0, 60.0 * c ** 0.25 + 5.0, 400)
+    leaked = mass_out / (mass_in + mass_out)
+    assert leaked == pytest.approx(0.75923618, rel=1e-6)
 
 
 def test_cutoff_enforced_variant():
-    raw, enf, diag = cutoff_inverse_kernel(CutoffSpec(c=1.0), grid_step=0.125)
-    n = enf.values.shape[0] // 2
-    idx = (np.arange(enf.values.shape[0]) - n) * enf.grid_step
+    idx = np.arange(-32, 33) * 0.125
     D = np.hypot(idx[:, None], idx[None, :])
     # support exactly |x| <= 1
-    assert np.all(enf.values[D > 1.0] == 0.0)
+    assert np.all(cutoff_enforced_values(1.0, D)[D > 1.0] == 0.0)
     # renormalized p=0 value: integral = 1
-    total = quad(lambda r: 2 * np.pi * r * enf.eval_at(np.array([r]))[0],
+    total = quad(lambda r: 2 * np.pi * r * cutoff_enforced_values(1.0, r),
                  0, 1.0, limit=400)[0]
     assert total == pytest.approx(1.0, rel=1e-6)
     # positive definiteness survives the taper (Wendland window is PD)
@@ -252,7 +258,7 @@ def test_cutoff_enforced_variant():
     pts = np.column_stack([X.ravel(), Y.ravel()])
     DD = np.hypot(pts[:, 0, None] - pts[None, :, 0],
                   pts[:, 1, None] - pts[None, :, 1])
-    M = np.where(DD < 1.0, enf.eval_at(DD), 0.0) * 0.0625
+    M = cutoff_enforced_values(1.0, DD) * 0.0625
     ev = np.linalg.eigvalsh(M)
     assert ev.min() > -1e-12
     assert ev.max() <= 1.0 + 1e-9

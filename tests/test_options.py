@@ -1,22 +1,54 @@
-"""Options audit: every parameter of a sigmagap function is read by its
-body, and every defaulted parameter is set by at least one call.
+"""Options and caller audits of the sigmagap source.
+
+Options: every parameter of a sigmagap function is read by its body, and
+every defaulted parameter is set by at least one call.  Callers: every
+public function, method and property is named somewhere in ``src`` or
+``perfbench`` outside its own body, so no src code is kept alive by its
+own test alone.
 
 The source of ``src/sigmagap`` is parsed with ``ast``; calls are collected
 from ``src``, ``tests`` and ``perfbench`` and matched to definitions by
 name.  A call sets a parameter when it passes it by keyword, by position,
 or as a key of a ``**`` dict literal (directly, or through a loop variable
 that runs over dict literals).
+
+Matching by name is approximate.  The caller audit counts any variable or
+attribute of the same name as a use, and a dotted string such as
+``"covariance.build_Cgamma"`` in ``perfbench`` (the names it traces) as a
+use of its last part.  So a method that shares its name with another
+object's, as a ``trace`` method would with ``np.trace``, passes unseen.
 """
 
 import ast
+import collections
 import pathlib
+import re
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "sigmagap"
 CALLER_DIRS = (SRC, ROOT / "tests", ROOT / "perfbench")
+USER_DIRS = (SRC, ROOT / "perfbench")
 
 # (module, function, parameter) -> why the audit lets it stand
 ALLOWED_UNREAD = {}
+
+# (module, qualname) -> why it stays with tests as its only callers
+ALLOWED_TEST_ONLY = {
+    ("twopoint", "resolvent_matrix"):
+        "dense-solve route the tests hold the sampler's resolvent to",
+    ("twopoint", "sample_weight"):
+        "eigenvalue route the tests hold the sampler's weight to",
+    ("regions", "large_field_suppression"):
+        "paper estimate whose test is its only gate",
+    ("kernels", "cutoff_momentum_integral"):
+        "paper estimate whose test is its only gate",
+    ("operators", "D_decomposition"):
+        "paper estimate whose test is its only gate",
+    ("operators", "link_block"):
+        "paper estimate whose test is its only gate",
+    ("regions", "LatticeGeometry.site_coordinates"):
+        "the tests' reference for site positions",
+}
 
 
 def _parse(path):
@@ -44,6 +76,46 @@ def _definitions():
 
     for path in sorted(SRC.glob("*.py")):
         visit(_parse(path), path.stem, "", False)
+    return out
+
+
+def _public_definitions():
+    """(module, qualname, FunctionDef) for every module function, method
+    and property of src/sigmagap whose name and class name are public."""
+    return [(module, qual, fn) for module, qual, fn, _ in _definitions()
+            if not any(part.startswith("_") for part in qual.split("."))]
+
+
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
+
+
+def _names(tree, strings=False):
+    """Variable and attribute names in tree; with strings, also the last
+    part of every dotted-name string constant."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str)
+              and DOTTED.fullmatch(node.value)):
+            yield node.value.rsplit(".", 1)[-1]
+
+
+def uncalled_definitions():
+    """[(module, qualname)] of the public definitions that nothing in src
+    or perfbench names outside their own body."""
+    named = collections.Counter()
+    for root in USER_DIRS:
+        for path in sorted(root.rglob("*.py")):
+            named.update(_names(_parse(path), strings=root != SRC))
+    out = []
+    for module, qual, fn in _public_definitions():
+        short = qual.rsplit(".", 1)[-1]
+        own = sum(name == short for name in _names(fn))
+        if named[short] <= own:
+            out.append((module, qual))
     return out
 
 
@@ -150,3 +222,15 @@ def test_every_default_is_set_by_a_caller():
 def test_allowlist_is_current():
     """An allowlist entry whose finding is gone must be dropped."""
     assert set(ALLOWED_UNREAD) <= set(unread_parameters())
+
+
+def test_every_definition_has_a_caller():
+    orphans = [d for d in uncalled_definitions()
+               if d not in ALLOWED_TEST_ONLY]
+    assert not orphans, f"src code only tests call: {orphans}"
+
+
+def test_test_only_allowlist_is_current():
+    """An allowlisted definition that gained a caller or is gone must be
+    dropped from ALLOWED_TEST_ONLY."""
+    assert set(ALLOWED_TEST_ONLY) <= set(uncalled_definitions())

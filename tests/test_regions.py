@@ -1,11 +1,13 @@
 """Tests for the small/large-field decomposition and corridor regions."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sigmagap import cli
 from sigmagap.model import ModelParams
 from sigmagap.regions import (
     FieldConfig,
@@ -75,15 +77,6 @@ class TestGeometry:
         assert len(x) == 16
         assert x[0] == pytest.approx(-2 + 0.125)
         np.testing.assert_allclose(x + x[::-1], 0.0, atol=1e-15)
-
-    def test_square_containing_tie_break(self):
-        geo = LatticeGeometry(n=2)
-        assert geo.square_containing(0.5, 0.5) == (0, 0)
-        # boundary point goes to the lower-left square
-        assert geo.square_containing(1.0, 0.5) == (0, 0)
-        assert geo.square_containing(0.5, 1.0) == (0, 0)
-        # except at the lower volume edge, where there is no square below
-        assert geo.square_containing(-2.0, 0.5) == (-2, 0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -324,6 +317,31 @@ class TestRegions:
             for a in reg.gamma:
                 for b in outside:
                     assert square_distance(a, b) >= M / 2 - math.sqrt(2) - 1e-12
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_swapped_label_fails_its_gate(self, monkeypatch, swap):
+        # negative control of criterion 09: one square moved from Lambda_l
+        # to Lambda_s must turn region-invariants red and only that row
+        real = cli.build_regions
+
+        def swapped(*args, **kwargs):
+            reg = real(*args, **kwargs)
+            if reg.lambda_l:
+                sq = min(reg.lambda_l)
+                reg = dataclasses.replace(reg, lambda_l=reg.lambda_l - {sq},
+                                          lambda_s=reg.lambda_s | {sq})
+            return reg
+
+        if swap:
+            monkeypatch.setattr(cli, "build_regions", swapped)
+        table = cli.ResultsTable("control")
+        size = dict(cli.PROFILES["quick"],
+                    partition=((3, 4096, 7, 4.0, 50, 20),))
+        cli.criterion_09_partition_and_regions(cli.RunConfig(), table, size)
+        passed = {r["check_id"]: r["passed"] for r in table.rows}
+        assert passed == {"partition-of-unity": True,
+                          "region-invariants": not swap,
+                          "corridor-distance": True, "component-cover": True}
 
 
 class TestSuppression:
