@@ -306,7 +306,7 @@ PROFILES = {
     "quick": dict(dict.fromkeys(_FULL, ()), gap_lams=None,
                   decay_masses=(BENCH_MASS,), bubble=None, max_size=6,
                   forest_formula=((3, 1),), trials=30,
-                  partition=((None, 10 ** 6, 6, 3.0, 200, 0),),
+                  partition=((None, 10 ** 6, 6, 3.0, 200, 20),),
                   mass_runs=((2, 120, None),)),
     "full": _FULL,
 }

@@ -22,9 +22,15 @@ and Sylvester's identity turns Z_gamma = det^{1/2}(C0^{-1} C_gamma) into
 det^{-1/2}(1 - (1-eps) U[gamma, gamma]), one determinant of the gamma
 block.  These closed forms are primary.  The dual routes are the n x n
 Cholesky inverse of the floored form and the Neumann series in the
-gamma-restricted kernel chain for C_gamma, and the generalized
-eigenvalues of (C_gamma, C0) per component for Z_gamma; all are computed
-where build_Cgamma runs with routes="both".
+gamma-restricted kernel chain (summed by doubling) for C_gamma, and the
+generalized eigenvalues of (C_gamma, C0) per component for Z_gamma; all
+are computed where build_Cgamma runs with routes="both".
+
+The rest of the per-configuration pipeline costs O(n^2 |gamma|) too:
+deltaC reads S P_gamma S as the rank-|gamma| product S[:, gamma]
+S[gamma, :] and checks its splitting identity against one cached
+configuration-independent term, and damping_report takes the real part
+of log det_2 from one determinant (slogdet) instead of the eigenvalues.
 
 Grids: region bookkeeping lives on the inner lattice covering Lambda; the
 covariance kernels are assembled on a padded grid (pad extra unit squares
@@ -161,14 +167,15 @@ def _assembly(params, geometry, cutoff, pad):
 
 
 @functools.lru_cache(maxsize=4)
-def _split_reference_cached(n, sites_per_square, m, lamK, c):
-    """S (U^{-1} - 1) S, the configuration-independent part of the
-    splitting identity's C_ls^{-1}; read-only.  Kept apart from
-    _assembly_cached so that callers of C0 alone never pay its two
-    products."""
+def _split_fixed_cached(n, sites_per_square, m, lamK, c):
+    """S U^{-1} S - 1 - S (U^{-1} - 1) S, the configuration-independent
+    part of the splitting identity's left side, from the U^{-1} products
+    (pi in exact arithmetic); read-only.  Kept apart from _assembly_cached
+    so that callers of C0 alone never pay its products."""
     asm = _assembly_cached(n, sites_per_square, m, lamK, c)
     sp = asm.s_plus
-    out = sp @ ((asm.uinv_w - np.eye(asm.nsite)) @ sp)
+    eye = np.eye(asm.nsite)
+    out = sp @ (asm.uinv_w @ sp) - eye - sp @ ((asm.uinv_w - eye) @ sp)
     out.flags.writeable = False
     return out
 
@@ -210,19 +217,29 @@ def _neumann_correction(asm, mask, eps):
 
     Every term of sum_r [U P (1-eps)]^r with r >= 1 enters and leaves
     through the columns of gamma_i, so the series is summed as a power
-    series of the (1-eps) U[gamma,gamma] block and widened back afterwards;
-    the truncation is at relative tail NEUMANN_TOL in Frobenius norm."""
+    series of the block Y = (1-eps) U[gamma,gamma] and widened back
+    afterwards.  It is summed by doubling,
+
+        sum_{j<2k} Y^j = sum_{j<k} Y^j + Y^k sum_{j<k} Y^j,  Y^{2k} = (Y^k)^2,
+
+    and stops before adding an increment whose Frobenius norm is at most
+    NEUMANN_TOL times the sum's, so NEUMANN_TOL bounds the relative tail
+    left out.  The number of terms summed is a power of two and at most
+    NEUMANN_MAX_TERMS (2048 for the cap of 4000)."""
     idx = np.flatnonzero(mask)
     y = (1.0 - eps) * asm.u_w[np.ix_(idx, idx)]
     acc = np.eye(len(idx))
-    term = np.eye(len(idx))
-    for terms in range(1, NEUMANN_MAX_TERMS + 1):
-        term = y @ term
-        acc += term
-        if np.linalg.norm(term) <= NEUMANN_TOL * np.linalg.norm(acc):
+    terms = 1
+    while True:
+        inc = y @ acc
+        if np.linalg.norm(inc) <= NEUMANN_TOL * np.linalg.norm(acc):
             break
-    else:
-        raise ArithmeticError("Neumann series did not reach the tail target")
+        if 2 * terms > NEUMANN_MAX_TERMS:
+            raise ArithmeticError(
+                "Neumann series did not reach the tail target")
+        acc += inc
+        terms *= 2
+        y = y @ y
     # C^{gamma_i} = S^- U[:,g] (1-eps) (sum_j Y^j) U[g,:] S^-
     corr = (asm.s_minus @ asm.u_w[:, idx]) @ ((1.0 - eps) * acc) \
         @ (asm.u_w[idx, :] @ asm.s_minus)
@@ -373,10 +390,6 @@ def component_log_z(covset, cmask):
 # ---------------------------------------------------------------------------
 # the small/large splitting corrections
 
-def _block(mat, left, right):
-    return mat * left[:, None] * right[None, :]
-
-
 @dataclasses.dataclass
 class DeltaC:
     """The four correction operators of the sharp splitting, with the
@@ -405,35 +418,49 @@ def build_deltaC(params, geometry, cutoff, regions, pad=2):
         deltaC_3 = all blocks of T touching the outside of Lambda
         deltaC_4 = eps S P_gamma S
 
-    and the assembly is verified against the independently computed
-    difference C_gamma^{-1} - C_ls^{-1} = deltaC - P_l - (1 - P_Lambda)
-    where C_ls^{-1} = P_s pi P_s + 1 + S f S.  S f S = S (U^{-1} - 1) S
-    does not depend on the configuration and is computed once per grid."""
+    S P_gamma S is the rank-|gamma| product S[:, gamma] S[gamma, :], and
+    T = 1 + pi - S P_gamma S, so no n x n product runs per configuration.
+    The assembly is verified, entry by entry, against the difference
+    C_gamma^{-1} - C_ls^{-1} = deltaC - P_l - (1 - P_Lambda) with
+    C_ls^{-1} = P_s pi P_s + 1 + S f S, whose U^{-1} route is
+
+        S (U^{-1} - (1-eps) P_gamma) S - P_s pi P_s - 1 - S (U^{-1} - 1) S
+            = F - (1-eps) S P_gamma S - P_s pi P_s,
+
+    where F = S U^{-1} S - 1 - S (U^{-1} - 1) S does not depend on the
+    configuration and is computed once per grid from the U^{-1} products
+    (_split_fixed_cached).  The U^{-1} terms of F cancel in exact
+    arithmetic, F = S^2 - 1 = pi, so the residual checks S^2 = 1 + pi on
+    the grid and the block bookkeeping (region masks that overlap or miss
+    sites), not U^{-1} itself."""
     key = _assembly_key(params, geometry, cutoff, pad)
     asm = _assembly_cached(*key)
-    eps = params.epsilon
-    gmask = region_site_mask(asm.geo, regions.gamma).astype(float)
+    eps, n = params.epsilon, asm.nsite
+    gamma = np.flatnonzero(region_site_mask(asm.geo, regions.gamma))
     s_mask = region_site_mask(asm.geo, regions.lambda_s).astype(float)
     l_mask = region_site_mask(asm.geo, regions.lambda_l).astype(float)
-    lam_mask = inner_site_mask(asm.geo, geometry).astype(float)
+    inner = inner_site_mask(asm.geo, geometry)
+    lam = np.flatnonzero(inner)
 
     sp = asm.s_plus
-    spgs = sp @ (gmask[:, None] * sp)
-    t = np.eye(asm.nsite) + asm.pi_w - spgs
-
-    d1_w = -_block(spgs, s_mask, s_mask)
-    d2_w = (_block(t, l_mask, s_mask) + _block(t, s_mask, l_mask)
-            + _block(t, l_mask, l_mask))
-    d3_w = t - _block(t, lam_mask, lam_mask)
+    spgs = sp[:, gamma] @ sp[gamma, :]
+    ss = np.outer(s_mask, s_mask)
+    d1_w = -(spgs * ss)
     d4_w = eps * spgs
+    t = asm.pi_w - spgs
+    t.flat[::n + 1] += 1.0  # T = 1 + pi - S P_gamma S
+    # mask of the (l,s), (l,l) and (s,l) blocks
+    d2_w = np.outer(l_mask, s_mask + l_mask)
+    d2_w += np.outer(s_mask, l_mask)
+    d2_w *= t
+    d3_w = t
+    d3_w[np.ix_(lam, lam)] = 0.0
 
-    lhs = sp @ ((asm.uinv_w - np.diag((1.0 - eps) * gmask)) @ sp) \
-        - (_block(asm.pi_w, s_mask, s_mask) + np.eye(asm.nsite)
-           + _split_reference_cached(*key))
-    rhs = (d1_w + d2_w + d3_w + d4_w - np.diag(l_mask)
-           - np.diag(1.0 - lam_mask))
+    lhs = _split_fixed_cached(*key) - (1.0 - eps) * spgs - asm.pi_w * ss
+    rhs = d1_w + d2_w + d3_w + d4_w
+    rhs.flat[::n + 1] -= l_mask + (1.0 - inner)
     residual = float(np.abs(lhs - rhs).max())
-    if residual > SPLIT_IDENTITY_TOL:
+    if not residual <= SPLIT_IDENTITY_TOL:
         raise ArithmeticError(
             f"splitting identity violated: sup residual {residual:.3e}")
     return DeltaC(*(DiscretizedOperator(m, asm.w)
@@ -502,12 +529,26 @@ class DampingReport:
     required_const: float
 
 
+def _log_det2_real(b):
+    """Re log det_2(1 + B) = log|det(1 + B)| - Re tr B, from numpy's
+    slogdet (one LU); the real part does not depend on the branch of the
+    logarithm, so no eigenvalues are needed."""
+    sign, logabs = np.linalg.slogdet(np.eye(len(b)) + b)
+    if sign == 0:
+        raise ArithmeticError("1 + B is singular")
+    return float(logabs) - float(np.trace(b).real)
+
+
 def damping_report(field, params, regions, covset, deltac, assignment=None):
     """Evaluate log(Z_gamma |G_gamma(tau)|) for one configuration.
 
     G_gamma is the product of the window weights, the explicit Gaussian
     damping on the large-field squares, the two regularized determinant
-    factors and the quadratic correction exp((tau, deltaC tau)/2).
+    factors and the quadratic correction exp((tau, deltaC tau)/2).  The
+    determinant factors enter through their real parts only: log det_3 of
+    1 + iA_s from the eigenvalues of the real symmetric A_s, and
+    Re log det_2(1 + B), B = (1 + iA_s)^{-1} iA'', as log|det(1 + B)| -
+    Re tr B from one slogdet (_log_det2_real), with no general eigensolve.
     required_const is the constant that would make the bound
 
         log value <= -0.49 * int_{large} tau^2
@@ -534,8 +575,8 @@ def damping_report(field, params, regions, covset, deltac, assignment=None):
     app_w = aop.a_doubleprime.weighted
     n = as_w.shape[0]
     log3 = log_det_n(1j * np.linalg.eigvalsh(as_w), 3)
-    log2 = log_det_n(np.linalg.eigvals(np.linalg.solve(
-        np.eye(n) + 1j * as_w, 1j * app_w)), 2)
+    log2_real = _log_det2_real(np.linalg.solve(np.eye(n) + 1j * as_w,
+                                               1j * app_w))
 
     tau_w = embed_tau(field, covset.grid) * np.sqrt(covset.grid.site_weight)
     quad = sum(float(tau_w @ op.weighted @ tau_w) for op in deltac)
@@ -544,7 +585,7 @@ def damping_report(field, params, regions, covset, deltac, assignment=None):
     if z is None:
         z = compute_Zgamma(covset, regions)
     log_value = (np.log(z) + log_theta - 0.5 * mass_l
-                 - 0.5 * params.bigN * (log3.real + log2.real) + 0.5 * quad)
+                 - 0.5 * params.bigN * (log3.real + log2_real) + 0.5 * quad)
     if mass_s > 0:
         required = ((log_value + 0.49 * mass_l)
                     / (params.bigN ** (-0.4) * mass_s))

@@ -364,6 +364,31 @@ class TestSubcommands:
         body = open(tmp_path / "results.csv").read().splitlines()
         assert positivity(body) == positivity(quick_battery[1])
 
+    def test_quick_profile_checks_region_invariants(self, quick_battery):
+        rows = {r[0]: r for r in csv.reader(quick_battery[1][1:])}
+        for check in ("region-invariants", "corridor-distance"):
+            assert rows[check][5] == "1"
+
+    def test_decompose_catches_swapped_label(self, tmp_path, monkeypatch):
+        # negative control at the quick profile: one square moved from
+        # Lambda_l to Lambda_s in every region configuration that has one
+        real = cli.build_regions
+
+        def swapped(*args, **kwargs):
+            reg = real(*args, **kwargs)
+            if reg.lambda_l:
+                sq = min(reg.lambda_l)
+                reg = dataclasses.replace(reg, lambda_l=reg.lambda_l - {sq},
+                                          lambda_s=reg.lambda_s | {sq})
+            return reg
+
+        monkeypatch.setattr(cli, "build_regions", swapped)
+        assert main(["decompose", "--out", str(tmp_path)]) == cli.EXIT_CHECK
+        rows = {r[0]: r for r in csv.reader(
+            open(tmp_path / "results.csv").readlines()[1:])}
+        assert rows["region-invariants"][5] == "0"
+        assert rows["corridor-distance"][5] == "1"
+
     def test_twopoint_csv_deterministic(self, tmp_path):
         argv = ["twopoint", "--N", "10000", "--sites", "2",
                 "--samples", "40", "--seed", "3",

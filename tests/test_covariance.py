@@ -2,6 +2,7 @@
 corrections deltaC_1..4, Gaussian sampling, and the assembled integrand
 bound with its single-square normalization."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,7 +25,8 @@ from sigmagap.covariance import (
 )
 from sigmagap.kernels import CutoffSpec
 from sigmagap.model import derive_params
-from sigmagap.operators import DiscretizedOperator, propagator_matrix
+from sigmagap.operators import (DiscretizedOperator, build_A, log_det_n,
+                                propagator_matrix)
 from sigmagap.regions import (
     FieldConfig,
     LatticeGeometry,
@@ -337,9 +339,10 @@ class TestDeltaC:
 
     def test_cached_term_keeps_the_bits(self):
         # d1..d4 and the residual against the splitting identity written
-        # out here with S (U^{-1} - 1) S recomputed, not read from cache
+        # out here with the fixed term F = S U^{-1} S - 1 - S (U^{-1} - 1) S
+        # recomputed, not read from cache
         params, geo, fld, assign, regions = setup_single()
-        cache = covariance._split_reference_cached
+        cache = covariance._split_fixed_cached
         cache.cache_clear()
         dc = build_deltaC(params, geo, CUT, regions, pad=2)
         assert cache.cache_info().misses == 1
@@ -352,21 +355,24 @@ class TestDeltaC:
         def mask(corners):
             return region_site_mask(asm.geo, corners).astype(float)
 
-        def block(mat, left, right):
-            return mat * left[:, None] * right[None, :]
-
         g, sm, lm = (mask(regions.gamma), mask(regions.lambda_s),
                      mask(regions.lambda_l))
-        lam = inner_site_mask(asm.geo, geo).astype(float)
-        spgs = sp @ (g[:, None] * sp)
-        t = np.eye(n) + asm.pi_w - spgs
-        d = [-block(spgs, sm, sm),
-             block(t, lm, sm) + block(t, sm, lm) + block(t, lm, lm),
-             t - block(t, lam, lam), eps * spgs]
-        fixed = sp @ ((asm.uinv_w - np.eye(n)) @ sp)
-        lhs = sp @ ((asm.uinv_w - np.diag((1.0 - eps) * g)) @ sp) \
-            - (block(asm.pi_w, sm, sm) + np.eye(n) + fixed)
-        rhs = d[0] + d[1] + d[2] + d[3] - np.diag(lm) - np.diag(1.0 - lam)
+        gi = np.flatnonzero(g)
+        inner = inner_site_mask(asm.geo, geo)
+        lam = np.flatnonzero(inner)
+        eye = np.eye(n)
+        spgs = sp[:, gi] @ sp[gi, :]
+        ss = np.outer(sm, sm)
+        t = asm.pi_w - spgs
+        t.flat[::n + 1] += 1.0
+        d3 = t.copy()
+        d3[np.ix_(lam, lam)] = 0.0
+        d = [-(spgs * ss), (np.outer(lm, sm + lm) + np.outer(sm, lm)) * t,
+             d3, eps * spgs]
+        fixed = sp @ (asm.uinv_w @ sp) - eye - sp @ ((asm.uinv_w - eye) @ sp)
+        lhs = fixed - (1.0 - eps) * spgs - asm.pi_w * ss
+        rhs = d[0] + d[1] + d[2] + d[3]
+        rhs.flat[::n + 1] -= lm + (1.0 - inner)
         for got in (dc, again):
             assert got.identity_residual == float(np.abs(lhs - rhs).max())
             for op, ref in zip(got, d):
@@ -376,6 +382,45 @@ class TestDeltaC:
         cached = cache(*key)
         assert np.array_equal(cached, fixed)
         assert not cached.flags.writeable
+
+        # the full-product form the rank-|gamma| one replaced: each entry
+        # of S P_gamma S is a sum of products S_ik S_kj, which either
+        # order rounds to within n eps (|S| |S|)_ij (the dot-product error
+        # bound), and 1 + pi - S P_gamma S adds one rounding of its O(1)
+        # entries; the identity's sides differ in how F is formed, so
+        # both residuals stay below the same bound
+        def block(mat, left, right):
+            return mat * left[:, None] * right[None, :]
+
+        tol = 2 * n * np.finfo(float).eps * ((np.abs(sp) @ np.abs(sp)).max()
+                                             + 1.0)
+        spgs_old = sp @ (g[:, None] * sp)
+        t_old = np.eye(n) + asm.pi_w - spgs_old
+        lam_f = inner.astype(float)
+        old = [-block(spgs_old, sm, sm),
+               block(t_old, lm, sm) + block(t_old, sm, lm)
+               + block(t_old, lm, lm),
+               t_old - block(t_old, lam_f, lam_f), eps * spgs_old]
+        for op, ref in zip(dc, old):
+            assert np.abs(op.weighted - ref).max() <= tol
+        lhs_old = sp @ ((asm.uinv_w - np.diag((1.0 - eps) * g)) @ sp) \
+            - (block(asm.pi_w, sm, sm) + eye
+               + sp @ ((asm.uinv_w - eye) @ sp))
+        rhs_old = (old[0] + old[1] + old[2] + old[3] - np.diag(lm)
+                   - np.diag(1.0 - lam_f))
+        assert np.abs(lhs_old - rhs_old).max() <= tol
+        assert dc.identity_residual <= tol
+
+    def test_overlapping_regions_violate_the_identity(self):
+        # negative control: a square both in Lambda_s and in Lambda_l
+        # enters the (s,s), (l,s), (s,l) and (l,l) blocks at once
+        params, geo, fld, assign, regions = setup_single()
+        sq = min(regions.lambda_l)
+        bad = dataclasses.replace(regions, lambda_s=regions.lambda_s | {sq})
+        build_deltaC(params, geo, CUT, regions, pad=2)
+        with pytest.raises(ArithmeticError,
+                           match="splitting identity violated"):
+            build_deltaC(params, geo, CUT, bad, pad=2)
 
     def test_d1_negative_semidefinite(self):
         params, geo, fld, assign, regions = setup_single()
@@ -535,10 +580,56 @@ class TestDampingBound:
             assert r.log_value <= (-0.49 * r.mass_large
                                    + 3.0 * fit * scale * r.mass_small)
 
+    @staticmethod
+    def _det2_inputs(params, geo, ensemble):
+        """B = (1 + iA_s)^{-1} iA'' of each configuration, as damping_report
+        forms it, and one generic complex B whose Re tr B is not 0 (on the
+        ensemble A'' vanishes on the (s,s) block, so Re tr B = 0 there)."""
+        out = []
+        for fld, assign in ensemble:
+            aop = build_A(fld, params, geo, assignment=assign,
+                          symmetrize=True)
+            as_w = aop.a_s.weighted
+            out.append(np.linalg.solve(np.eye(len(as_w)) + 1j * as_w,
+                                       1j * aop.a_doubleprime.weighted))
+        rng = np.random.default_rng(2)
+        n = len(out[0])
+        out.append(0.05 * (rng.normal(size=(n, n))
+                           + 1j * rng.normal(size=(n, n))) / np.sqrt(n))
+        return out
+
+    @staticmethod
+    def _det2_gap(b):
+        """|slogdet route - eigenvalue route| of Re log det_2(1 + B) over
+        its tolerance.  Each route rounds n factors near 1 (the pivots of
+        the LU of 1 + B, or the 1 + lambda_i) at relative eps, and a
+        relative perturbation of 1 + B moves log|det| by at most its size
+        times kappa(1 + B); so each route is within n eps kappa of the
+        exact value, and the two within 2 n eps kappa."""
+        n = len(b)
+        ref = log_det_n(np.linalg.eigvals(b), 2).real
+        tol = 2 * n * np.finfo(float).eps * np.linalg.cond(np.eye(n) + b)
+        return abs(covariance._log_det2_real(b) - ref) / tol
+
+    def test_det2_real_part_dual_route(self):
+        params, geo, ensemble = self._ensemble(20, seed=7)
+        gaps = [self._det2_gap(b)
+                for b in self._det2_inputs(params, geo, ensemble)]
+        assert max(gaps) <= 1.0
+
+    def test_det2_without_trace_term_fails_dual_route(self, monkeypatch):
+        # negative control: -Re tr B dropped from the slogdet route
+        params, geo, ensemble = self._ensemble(1, seed=7)
+        generic = self._det2_inputs(params, geo, ensemble)[-1]
+        assert abs(np.trace(generic).real) > 1e-6
+        monkeypatch.setattr(np, "trace", lambda a: 0.0)
+        assert self._det2_gap(generic) > 1.0
+
     def test_pipeline_calls_no_scipy_linalg(self, monkeypatch):
         # with the assembly cache warm, one configuration runs classify ->
         # regions -> C_gamma -> deltaC -> Z_gamma -> damping_report on
         # numpy's LAPACK alone (scipy.linalg's own BLAS pool would contend)
+        # and with no general eigensolve
         params, geo, ensemble = self._ensemble(1, seed=7)
         fld, _ = ensemble[0]
         covariance._assembly(params, geo, CUT, pad=2)
@@ -549,6 +640,11 @@ class TestDampingBound:
 
         monkeypatch.setattr(covariance, "scipy",
                             SimpleNamespace(linalg=Forbidden()))
+
+        def no_eigvals(*args, **kwargs):
+            raise AssertionError("np.linalg.eigvals called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
         assign = classify_squares(fld, params, geo)
         regions = build_regions(assign, geo, corridorM=params.corridorM)
         covset = build_Cgamma(params, geo, CUT, regions, pad=2,
