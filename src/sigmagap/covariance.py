@@ -29,8 +29,10 @@ are computed where build_Cgamma runs with routes="both".
 The rest of the per-configuration pipeline costs O(n^2 |gamma|) too:
 deltaC reads S P_gamma S as the rank-|gamma| product S[:, gamma]
 S[gamma, :] and checks its splitting identity against one cached
-configuration-independent term, and damping_report takes the real part
-of log det_2 from one determinant (slogdet) instead of the eigenvalues.
+configuration-independent term (with, once per grid, the residual of
+U^{-1} U = 1, which the identity cannot see), and damping_report takes
+the real part of log det_2 from one determinant (slogdet) instead of the
+eigenvalues.
 
 Grids: region bookkeeping lives on the inner lattice covering Lambda; the
 covariance kernels are assembled on a padded grid (pad extra unit squares
@@ -168,16 +170,18 @@ def _assembly(params, geometry, cutoff, pad):
 
 @functools.lru_cache(maxsize=4)
 def _split_fixed_cached(n, sites_per_square, m, lamK, c):
-    """S U^{-1} S - 1 - S (U^{-1} - 1) S, the configuration-independent
-    part of the splitting identity's left side, from the U^{-1} products
-    (pi in exact arithmetic); read-only.  Kept apart from _assembly_cached
-    so that callers of C0 alone never pay its products."""
+    """(F, |U^{-1} U - 1|_max).  F = S U^{-1} S - 1 - S (U^{-1} - 1) S is
+    the configuration-independent part of the splitting identity's left
+    side, from the U^{-1} products (pi in exact arithmetic), read-only;
+    its U^{-1} terms cancel, so U^{-1} gets its own sup residual.  Kept
+    apart from _assembly_cached so that callers of C0 alone never pay
+    these products."""
     asm = _assembly_cached(n, sites_per_square, m, lamK, c)
     sp = asm.s_plus
     eye = np.eye(asm.nsite)
     out = sp @ (asm.uinv_w @ sp) - eye - sp @ ((asm.uinv_w - eye) @ sp)
     out.flags.writeable = False
-    return out
+    return out, float(np.abs(asm.uinv_w @ asm.u_w - eye).max())
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +399,7 @@ class DeltaC:
     """The four correction operators of the sharp splitting, with the
     residual of the defining identity (checked on the padded grid,
     including the (1 - P_Lambda) term that the restriction to fields in
-    Lambda would hide)."""
+    Lambda would hide) or of U^{-1} U = 1, whichever is larger."""
 
     d1: DiscretizedOperator
     d2: DiscretizedOperator
@@ -430,9 +434,10 @@ def build_deltaC(params, geometry, cutoff, regions, pad=2):
     where F = S U^{-1} S - 1 - S (U^{-1} - 1) S does not depend on the
     configuration and is computed once per grid from the U^{-1} products
     (_split_fixed_cached).  The U^{-1} terms of F cancel in exact
-    arithmetic, F = S^2 - 1 = pi, so the residual checks S^2 = 1 + pi on
+    arithmetic, F = S^2 - 1 = pi, so this residual checks S^2 = 1 + pi on
     the grid and the block bookkeeping (region masks that overlap or miss
-    sites), not U^{-1} itself."""
+    sites), not U^{-1} itself; identity_residual is therefore the larger
+    of it and |U^{-1} U - 1|_max, taken once per grid beside F."""
     key = _assembly_key(params, geometry, cutoff, pad)
     asm = _assembly_cached(*key)
     eps, n = params.epsilon, asm.nsite
@@ -456,10 +461,11 @@ def build_deltaC(params, geometry, cutoff, regions, pad=2):
     d3_w = t
     d3_w[np.ix_(lam, lam)] = 0.0
 
-    lhs = _split_fixed_cached(*key) - (1.0 - eps) * spgs - asm.pi_w * ss
+    fixed, uinv_residual = _split_fixed_cached(*key)
+    lhs = fixed - (1.0 - eps) * spgs - asm.pi_w * ss
     rhs = d1_w + d2_w + d3_w + d4_w
     rhs.flat[::n + 1] -= l_mask + (1.0 - inner)
-    residual = float(np.abs(lhs - rhs).max())
+    residual = max(float(np.abs(lhs - rhs).max()), uinv_residual)
     if not residual <= SPLIT_IDENTITY_TOL:
         raise ArithmeticError(
             f"splitting identity violated: sup residual {residual:.3e}")

@@ -12,9 +12,13 @@ complex weight is handled by reweighting, and a phase diagnostic
 
 Each draw lives on the range of F = V V^T (rank r < n/2 under the cutoff):
 with S = V^T diag(w tau) V, det3(1 + igF diag(w tau)) = det3(1 + igS)
-(Sylvester) and R_tau = V (1 + igS)^{-1} V^T (push-through), an r x r
-solve that 1 + igS, with its spectrum on Re = 1, never makes singular;
-log det3 takes log det from an LU and its trace terms from S (no eigensolve).
+(Sylvester) and R_tau = V (1 + igS)^{-1} V^T (push-through).  One LU of
+the r x r 1 + igS, which its spectrum on Re = 1 never makes singular,
+serves both: log det from its diagonal and pivot parity, the resolvent
+row from one solve against it; the trace terms of det3 come from S (no
+eigensolve).  The per-sample loop (draw, S product, LU, solve) calls
+scipy's BLAS and LAPACK only, so the OpenBLAS pools that numpy and scipy
+each load never alternate inside it.
 
 Mass extraction: at desk couplings the box sits deep in the m*r << 1
 regime where the raw log-slope of the free kernel is dominated by its
@@ -29,6 +33,7 @@ import hashlib
 import itertools
 
 import numpy as np
+from scipy.linalg import blas, lapack
 from scipy.optimize import brentq
 
 from .covariance import c0_root
@@ -73,21 +78,32 @@ def sample_weight(field, params):
 
 
 def _sample_on_range(v, g, wtau, v_x, v_y):
-    """Resolvent row R_tau[x, ys] and log det3 of a draw via M = 1 + igS: row x
-    of M^-1 (complex symmetric) is a solve against V[x]; S real symmetric gives
-    log det3 M = log det M - ig tr S - (g^2/2)|S|_F^2, log det M from an LU on
-    any branch (see sample_weight).  The cancellation costs 2e-15 of log det3
-    (3e-7 at 576 sites; 7e-18 by eigvalsh), 1e-11 of log weight at N = 1e4."""
-    s_mat = v.T @ (wtau[:, None] * v)
+    """Resolvent row R_tau[x, ys] and log det3 of a draw via M = 1 + igS,
+    both from one LU of M (zgetrf): row x of M^-1 (complex symmetric) is
+    its solve against V[x] (zgetrs), and log det M = sum log u_ii
+    + i pi (pivot parity), on any branch (see sample_weight).  The parity
+    term matters: for N = 2 mod 4 a dropped -1 flips the weight's sign.
+    S real symmetric gives log det3 M = log det M - ig tr S
+    - (g^2/2)|S|_F^2.  The cancellation costs 2e-15 of log det3 (3e-7 at
+    576 sites; 7e-18 by eigvalsh), 1e-11 of log weight at N = 1e4.
+
+    Every BLAS and LAPACK call is scipy's, as is the draw in estimate_S2:
+    numpy and scipy each load their own OpenBLAS, and a loop that
+    alternates between the two pools makes their threads contend (a
+    scipy LU between numpy GEMMs ran the 576-site loop about 4x slower).  S
+    is one TN GEMM, copy-free for a Fortran-ordered V."""
+    s_mat = blas.dgemm(1.0, v, wtau[:, None] * v, trans_a=True)
     m_mat = 1j * g * s_mat
     m_mat.flat[::len(s_mat) + 1] += 1.0
-    # numpy's LAPACK only: scipy.linalg's own OpenBLAS pool would contend
-    sign, logabs = np.linalg.slogdet(m_mat)
-    if sign == 0:
+    lu, piv, info = lapack.zgetrf(m_mat, overwrite_a=True)
+    if info > 0:
         raise ArithmeticError("1 + igS is singular")
-    logdet3 = (logabs + np.log(sign) - 1j * g * np.trace(s_mat)
+    swaps = np.count_nonzero(piv != np.arange(len(piv)))
+    logdet3 = (np.sum(np.log(lu.diagonal())) + 1j * np.pi * (swaps % 2)
+               - 1j * g * np.trace(s_mat)
                - 0.5 * g * g * np.sum(s_mat * s_mat))
-    return np.linalg.solve(m_mat, v_x) @ v_y, complex(logdet3)
+    row, _ = lapack.zgetrs(lu, piv, v_x)
+    return blas.zgemv(1.0, v_y, row, trans=1), complex(logdet3)
 
 
 @dataclasses.dataclass
@@ -197,7 +213,7 @@ def estimate_S2(params, geometry=None, cutoff=None, seed=0,
     """Reweighted ratio estimator of S2 along a lattice axis.
 
     Draws are independent Gaussians with the free covariance; each costs
-    one r x r slogdet and one r x r solve on the range of F (see the
+    one r x r LU and one solve against it on the range of F (see the
     module docstring).  Standard errors come from >= 20 batch means of
     the ratio.  Raises SignProblemError when the phase average drops
     below phase_floor."""
@@ -218,7 +234,7 @@ def estimate_S2(params, geometry=None, cutoff=None, seed=0,
     s = geometry.sites_per_square
     w = geometry.site_weight
     f = propagator_matrix(geometry, params.m)
-    v = propagator_factor(geometry, params.m)
+    v = np.asfortranarray(propagator_factor(geometry, params.m))
 
     # source two units in from the left edge, on the middle row
     row0, col0 = side // 2, 2 * s
@@ -236,7 +252,8 @@ def estimate_S2(params, geometry=None, cutoff=None, seed=0,
     den = np.zeros(n_samples, dtype=complex)
     free = params.g == 0.0
     for k in range(n_samples):
-        tau = root @ rng.standard_normal(side * side)
+        tau = blas.dgemv(1.0, root.T, rng.standard_normal(side * side),
+                         trans=1)
         if free:
             num[k] = f[x_idx, y_idx]
             den[k] = 1.0

@@ -373,14 +373,17 @@ class TestDeltaC:
         lhs = fixed - (1.0 - eps) * spgs - asm.pi_w * ss
         rhs = d[0] + d[1] + d[2] + d[3]
         rhs.flat[::n + 1] -= lm + (1.0 - inner)
+        uinv_residual = float(np.abs(asm.uinv_w @ asm.u_w - eye).max())
         for got in (dc, again):
-            assert got.identity_residual == float(np.abs(lhs - rhs).max())
+            assert got.identity_residual == max(
+                float(np.abs(lhs - rhs).max()), uinv_residual)
             for op, ref in zip(got, d):
                 assert np.array_equal(op.weighted, ref)
 
         key = covariance._assembly_key(params, geo, CUT, pad=2)
-        cached = cache(*key)
+        cached, cached_residual = cache(*key)
         assert np.array_equal(cached, fixed)
+        assert cached_residual == uinv_residual
         assert not cached.flags.writeable
 
         # the full-product form the rank-|gamma| one replaced: each entry
@@ -421,6 +424,27 @@ class TestDeltaC:
         with pytest.raises(ArithmeticError,
                            match="splitting identity violated"):
             build_deltaC(params, geo, CUT, bad, pad=2)
+
+    def test_wrong_uinv_violates_the_identity(self, monkeypatch):
+        # negative control: the splitting identity's U^{-1} terms cancel,
+        # so 1.01 U^{-1} + 0.01 leaves its residual at rounding level; the
+        # |U^{-1} U - 1|_max term folded into identity_residual catches it
+        params, geo, fld, assign, regions = setup_single()
+        real = covariance._assembly_cached
+
+        def skewed(*key):
+            asm = real(*key)
+            return SimpleNamespace(**dict(vars(asm),
+                                          uinv_w=1.01 * asm.uinv_w + 0.01))
+
+        covariance._split_fixed_cached.cache_clear()
+        monkeypatch.setattr(covariance, "_assembly_cached", skewed)
+        try:
+            with pytest.raises(ArithmeticError,
+                               match="splitting identity violated"):
+                build_deltaC(params, geo, CUT, regions, pad=2)
+        finally:
+            covariance._split_fixed_cached.cache_clear()
 
     def test_d1_negative_semidefinite(self):
         params, geo, fld, assign, regions = setup_single()

@@ -5,6 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from sigmagap import twopoint
 from sigmagap.covariance import (_c0_root_cached, build_C0, c0_root,
@@ -121,8 +122,9 @@ class TestSampleWeight:
 
 
 class TestRangeWeight:
-    """The hot loop's weight: log det3(1 + igS) from numpy's LU of
-    1 + igS with the trace terms of det3 taken from S = V^T diag(w tau) V,
+    """The hot loop's weight: log det3(1 + igS) from one zgetrf of
+    1 + igS (the sum of the logs of its diagonal plus i pi times its pivot
+    parity), with the trace terms of det3 taken from S = V^T diag(w tau) V,
     against the eigenvalues of the full n x n K = igF diag(w tau), on
     144-site fields up to 300 times the drawn scale."""
 
@@ -166,12 +168,31 @@ class TestRangeWeight:
         assert self.gap(logdet2, want) > self.TOL
         assert self.gap(complex(logabs), want) > self.TOL
 
-    def test_singular_lu_raises(self, monkeypatch):
-        g, v, wtau, _ = self.draw(0, 1.0)
-        monkeypatch.setattr(np.linalg, "slogdet",
-                            lambda m: (np.complex128(0.0), -np.inf))
+    def test_pivot_parity_is_needed(self):
+        # negative control: this draw's LU swaps 3 rows, so log det M
+        # without the i pi parity term misses the bound, and the weight
+        # exp(-N/2 log det3) flips sign at N = 2 mod 4 (not at N = 0 mod 4)
+        g, v, wtau, want = self.draw(1, 300.0)
+        s_mat = v.T @ (wtau[:, None] * v)
+        _, piv, _ = lapack.zgetrf(np.eye(len(s_mat)) + 1j * g * s_mat)
+        assert np.count_nonzero(piv != np.arange(len(piv))) == 3
+        _, got = _sample_on_range(v, g, wtau, v[0], v[:2].T)
+        dropped = got - 1j * np.pi
+        assert self.gap(got, want) < self.TOL
+        assert self.gap(dropped, want) > self.TOL
+        for bigN, sign in ((10, -1.0), (12, 1.0)):
+            ref = np.exp(-0.5 * bigN * want)
+            assert abs(np.exp(-0.5 * bigN * got) - ref) < 1e-9 * abs(ref)
+            assert (abs(np.exp(-0.5 * bigN * dropped) - sign * ref)
+                    < 1e-9 * abs(ref))
+
+    def test_singular_lu_raises(self):
+        # an imaginary coupling g = i gives M = 1 - S, and S = diag(1, 0)
+        # leaves M an exact zero pivot, which zgetrf reports (info > 0)
+        v = np.eye(4)[:, :2]
+        wtau = np.array([1.0, 0.0, 0.0, 0.0])
         with pytest.raises(ArithmeticError, match="singular"):
-            _sample_on_range(v, g, wtau, v[0], v[:2].T)
+            _sample_on_range(v, 1j, wtau, v[0], v[:2].T)
 
 
 class TestMassMatching:
@@ -269,23 +290,27 @@ class TestEstimateS2:
     def test_no_eigen_solve_after_warm_up(self, monkeypatch):
         # the sampler's weight comes from an LU and the quadrature nodes
         # of the mass fit are computed once, so a warm call (caches of
-        # propagator_factor and c0_root filled) solves no eigenproblem
+        # propagator_factor and c0_root filled) solves no eigenproblem;
+        # each interacting sample takes its weight and its resolvent row
+        # from one zgetrf, and numpy factors nothing
         params = make_params()
         estimate_S2(params, geometry=GEO, n_samples=20, seed=1)
         calls = []
 
-        def counted(name):
-            real = getattr(np.linalg, name)
+        def counted(module, name):
+            real = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls.append(name)
                 return real(*args, **kwargs)
             return wrapper
 
-        for name in ("eigvalsh", "eigh"):
-            monkeypatch.setattr(np.linalg, name, counted(name))
+        for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"),
+                             (np.linalg, "slogdet"), (np.linalg, "solve"),
+                             (lapack, "zgetrf")):
+            monkeypatch.setattr(module, name, counted(module, name))
         estimate_S2(params, geometry=GEO, n_samples=20, seed=2)
-        assert calls == []
+        assert calls == ["zgetrf"] * 20
 
 
 class TestDualRoute:
