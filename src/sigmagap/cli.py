@@ -524,20 +524,15 @@ def criterion_06_covariance_structure(cfg, table, size):
 def criterion_07_forest_formula(cfg, table, size):
     """Forest counts, the interpolation and neighbour-link identities,
     positivity of interpolated kernels and of their level decomposition."""
-    import sympy
     ok = all(len(fo.enumerate_forests(range(nn))) == FOREST_COUNTS[nn - 1]
              for nn in range(1, size["max_size"] + 1))
     table.add("forest-counts", "forests", "forest-enumeration",
               size["max_size"], math.nan, ok)
-    resid = []
-    for n, count in size["forest_formula"]:
-        x = {p: sympy.Symbol(f"x{p[0]}{p[1]}")
-             for p in itertools.combinations(range(n), 2)}
-        syms = list(x.values())
-        functions = (sympy.prod([1 + s for s in syms]), sympy.exp(sum(syms)),
-                     (1 + sum(syms)) ** 2 + 3 * sympy.prod(syms))
-        resid += [fo.verify_forest_formula(h, range(n), x)
-                  for h in functions[:count]]
+    partials = (fo.product_partial, fo.exponential_partial,
+                fo.polynomial_partial)
+    resid = [fo.verify_forest_formula(partial, range(n))
+             for n, count in size["forest_formula"]
+             for partial in partials[:count]]
     _gate(table, "interpolation-identity", "forests", "forest-formula",
           resid, "<", 1e-8)
     _holds(table, "neighbor-link-identity", "forests", "first-forest-formula",
@@ -635,10 +630,11 @@ def criterion_09_partition_and_regions(cfg, table, size):
                 and union == reg.big_gamma
                 and sum(len(c.big_gamma) for c in comps) == len(union)
                 and len(reg.e_components) <= len(comps))
-            margin.append(min((square_distance(a, b) - corridor / 2
-                               + math.sqrt(2) for a in reg.gamma
-                               for b in geo.squares if b not in reg.big_gamma),
-                              default=math.inf))
+            outside = [b for b in geo.squares if b not in reg.big_gamma]
+            dist = square_distance(np.reshape(list(reg.gamma), (-1, 1, 2)),
+                                   np.reshape(outside, (1, -1, 2)))
+            margin.append(np.min(dist - corridor / 2 + math.sqrt(2),
+                                 initial=math.inf))
     _gate(table, "partition-of-unity", "regions", "window-partition", gaps,
           "<", 1e-12)
     _holds(table, "region-invariants", "regions", "large-field-components",

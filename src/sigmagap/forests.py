@@ -167,36 +167,55 @@ def _integrate_over_forest(edges, integrand, nodes=12):
     return total
 
 
-def verify_forest_formula(H, index_set, x):
-    """Residual of the forest interpolation identity for a symbolic H.
+def verify_forest_formula(partial, index_set):
+    """Residual of the forest interpolation identity for a test function H.
 
-    H is a sympy expression in the pair variables x[(i,j)]; the right side
-    sums over all forests the integrated mixed derivative evaluated at the
-    inf-rule point, and must reproduce H at all arguments equal to 1."""
-    import sympy  # imported here: it is slow to load and only this needs it
-
+    partial(edges) is the mixed partial of H over the distinct pairs in
+    edges, as a function of a dict pair -> argument (scalars or arrays);
+    partial(()) is H itself.  The right side sums over all forests the
+    integrated mixed partial evaluated at the inf-rule point, and must
+    reproduce H at all arguments equal to 1."""
     labels = tuple(sorted(index_set))
     if len(labels) > 4:
         raise ValueError("identity check limited to 4 labels")
     pairs = [_edge(a, b) for a, b in itertools.combinations(labels, 2)]
-    syms = [x[p] for p in pairs]
-    target = float(H.subs({s: 1 for s in syms}))
+    target = float(partial(())(dict.fromkeys(pairs, 1.0)))
     total = 0.0
     for edges in enumerate_forests(labels):
-        dH = H
-        for l in edges:
-            dH = sympy.diff(dH, x[l])
-        f = sympy.lambdify(syms, dH, "numpy")
+        f = partial(edges)
 
         def integrand(h, edges=edges, f=f):
-            args = [effective_parameter(edges, h, p) for p in pairs]
-            if h:
-                shape = np.broadcast_shapes(*(np.shape(a) for a in h.values()))
-                args = [np.broadcast_to(a, shape) for a in args]
-            return f(*args)
+            return f({p: effective_parameter(edges, h, p) for p in pairs})
 
         total += _integrate_over_forest(edges, integrand)
     return abs(total - target)
+
+
+# closed-form mixed partials of criterion 07's three test functions over a
+# set of distinct pairs, each a function of the dict pair -> argument
+
+def product_partial(edges):
+    """H = prod_p (1 + x_p): the partial over F is prod_{p not in F}
+    (1 + x_p)."""
+    return lambda x: math.prod((1.0 + v for p, v in x.items()
+                                if p not in edges), start=1.0)
+
+
+def exponential_partial(edges):
+    """H = exp(sum_p x_p) is its own partial over any F."""
+    return lambda x: np.exp(sum(x.values()))
+
+
+def polynomial_partial(edges):
+    """H = (1 + sum_p x_p)^2 + 3 prod_p x_p: the square's partial is
+    (1 + sum x)^2, 2(1 + sum x), 2, 0 for |F| = 0, 1, 2, >= 3, and the
+    product's is 3 prod_{p not in F} x_p."""
+    def f(x):
+        s = 1.0 + sum(x.values())
+        square = (s * s, 2.0 * s, 2.0, 0.0)[min(len(edges), 3)]
+        return square + 3.0 * math.prod(
+            (v for p, v in x.items() if p not in edges), start=1.0)
+    return f
 
 
 # ---------------------------------------------------------------------------

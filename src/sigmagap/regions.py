@@ -184,10 +184,15 @@ def classify_squares(field, params, geometry=None):
 
 def square_distance(a, b):
     """Euclidean distance between the closed unit squares with lower-left
-    corners a and b (0 when they touch or overlap)."""
-    dx = max(0.0, abs(a[0] - b[0]) - 1.0)
-    dy = max(0.0, abs(a[1] - b[1]) - 1.0)
-    return math.hypot(dx, dy)
+    corners a and b (0 when they touch or overlap).
+
+    a and b are corners or arrays of corners along their last axis, and
+    broadcast; for integer corners dx^2 + dy^2 is exact, so the square root
+    equals math.hypot(dx, dy) bit for bit."""
+    a, b = np.asarray(a), np.asarray(b)
+    dx = np.maximum(np.abs(a[..., 0] - b[..., 0]) - 1.0, 0.0)
+    dy = np.maximum(np.abs(a[..., 1] - b[..., 1]) - 1.0, 0.0)
+    return np.sqrt(dx * dx + dy * dy)
 
 
 class _UnionFind:
@@ -250,13 +255,9 @@ class RegionSet:
 def _belt(sources, candidates, width):
     """Squares among candidates within Euclidean set distance width of any
     source square."""
-    out = set()
-    for c in candidates:
-        for srcs in sources:
-            if square_distance(c, srcs) <= width:
-                out.add(c)
-                break
-    return frozenset(out)
+    near = square_distance(np.asarray(candidates)[:, None],
+                           np.asarray(sources)[None, :]) <= width
+    return frozenset(c for c, ok in zip(candidates, near.any(axis=1)) if ok)
 
 
 def _plane_candidates(sources, width):
@@ -309,9 +310,8 @@ def build_regions(assignment, geometry=None, corridorM=None):
     r = len(raw)
 
     # distance from every lattice square to every l-square, for witness search
-    dist = np.array(
-        [[square_distance(a, b) for b in lambda_l] for a in all_squares]
-    )
+    dist = square_distance(np.asarray(all_squares)[:, None],
+                           np.asarray(lambda_l)[None, :])
     l_index = {c: k for k, c in enumerate(lambda_l)}
     # min over witness squares Delta in Lambda of d(a, Delta) + d(b, Delta)
     witness_sum = np.min(dist[:, :, None] + dist[:, None, :], axis=0)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import sympy
 
-from sigmagap import forests
+from sigmagap import cli, forests
 from sigmagap.covariance import build_C0
 from sigmagap.forests import (
     Forest,
@@ -43,6 +43,26 @@ FOREST_COUNTS = [1, 2, 7, 38, 291, 2932, 36961, 561948]
 def pair_symbols(n):
     pairs = list(itertools.combinations(range(n), 2))
     return {p: sympy.Symbol(f"x_{p[0]}{p[1]}") for p in pairs}
+
+
+# each closed-form partial with its test function H as a sympy expression
+CLOSED_FORMS = [
+    (forests.product_partial,
+     lambda syms: math.prod((1 + s for s in syms), start=sympy.Integer(1))),
+    (forests.exponential_partial, lambda syms: sympy.exp(sum(syms))),
+    (forests.polynomial_partial,
+     lambda syms: (1 + sum(syms)) ** 2 + math.prod(syms,
+                                                   start=sympy.Integer(3))),
+]
+
+
+def dropped_two(edges):
+    """The polynomial's partial with the factor 2 of its |F| = 1 term
+    dropped: (1 + sum x) in place of 2(1 + sum x)."""
+    right = CLOSED_FORMS[2][0](edges)  # unpatched polynomial_partial
+    if len(edges) != 1:
+        return right
+    return lambda x: right(x) - (1.0 + sum(x.values()))
 
 
 class TestForestEnumeration:
@@ -99,36 +119,67 @@ class TestForestFormula:
     """The interpolation identity: H at all arguments 1 equals the sum
     over forests of integrated mixed derivatives at the inf-rule point."""
 
-    def _check(self, n, builder, tol=1e-8):
-        x = pair_symbols(n)
-        assert verify_forest_formula(builder(x), range(n), x) < tol
-
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_product_function(self, n):
-        self._check(n, lambda x: math.prod((1 + s for s in x.values()),
-                                           start=sympy.Integer(1)))
+        assert verify_forest_formula(forests.product_partial, range(n)) < 1e-8
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_exponential_function(self, n):
-        self._check(n, lambda x: sympy.exp(sum(x.values())))
+        assert verify_forest_formula(forests.exponential_partial,
+                                     range(n)) < 1e-8
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_polynomial_function(self, n):
-        def builder(x):
-            syms = list(x.values())
-            return (1 + sum(syms)) ** 2 + math.prod(syms,
-                                                    start=sympy.Integer(3))
-        self._check(n, builder)
+        assert verify_forest_formula(forests.polynomial_partial,
+                                     range(n)) < 1e-8
 
     def test_two_labels_by_hand(self):
         # H = x^2: full sum is H(0) + int_0^1 2h dh = 0 + 1 = H(1)
-        x = pair_symbols(2)
-        assert verify_forest_formula(x[(0, 1)] ** 2, range(2), x) < 1e-12
+        def partial(edges):
+            if edges:
+                return lambda x: 2.0 * x[(0, 1)]
+            return lambda x: x[(0, 1)] ** 2
+        assert verify_forest_formula(partial, range(2)) < 1e-12
 
     def test_label_guard(self):
-        x = pair_symbols(5)
         with pytest.raises(ValueError):
-            verify_forest_formula(sympy.Integer(1), range(5), x)
+            verify_forest_formula(lambda edges: lambda x: 1.0, range(5))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_closed_forms_match_sympy(self, n):
+        # dual route: every closed form against sympy's mixed partial of
+        # its H, over every forest, at seeded random points in [0, 1]
+        x = pair_symbols(n)
+        pairs, syms = list(x), list(x.values())
+        rng = np.random.default_rng(n)
+        points = [dict(zip(pairs, rng.random(len(pairs)))) for _ in range(4)]
+        for closed, builder in CLOSED_FORMS:
+            H = builder(syms)
+            for edges in enumerate_forests(range(n)):
+                # sympy.diff with no variable differentiates in the only one
+                dH = sympy.diff(H, *(x[e] for e in edges)) if edges else H
+                f = sympy.lambdify(syms, dH, "numpy")
+                for pt in points:
+                    assert closed(edges)(pt) == pytest.approx(
+                        f(*pt.values()), rel=1e-12, abs=1e-12), (closed, edges)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_dropped_factor_fails(self, n):
+        # negative control: one wrong factor in one closed form
+        assert verify_forest_formula(dropped_two, range(n)) > 1e-8
+
+    def test_dropped_factor_fails_the_criterion(self, monkeypatch):
+        size = dict(cli.PROFILES["quick"], forest_formula=((3, 3),))
+
+        def identity_row():
+            table = cli.ResultsTable("forests")
+            cli.criterion_07_forest_formula(cli.RunConfig(), table, size)
+            return next(r for r in table.rows
+                        if r["check_id"] == "interpolation-identity")
+
+        assert identity_row()["passed"]
+        monkeypatch.setattr(forests, "polynomial_partial", dropped_two)
+        assert not identity_row()["passed"]
 
 
 class TestFirstForestFormula:
@@ -348,15 +399,17 @@ class TestActivitySum:
             polymer_activity_sum(0.01, max_size=7)
 
 
-def test_cli_import_leaves_out_sympy_and_interpolate():
-    # sympy is imported inside the forest-formula checks, and no sigmagap
-    # module uses scipy.interpolate: a fresh `import sigmagap.cli`, which
-    # every command pays, loads neither
-    code = ("import sys, sigmagap.cli; print(sorted(m for m in "
+def test_cli_import_leaves_out_sympy_and_interpolate(tmp_path):
+    # no sigmagap module uses sympy or scipy.interpolate: a whole quick
+    # battery in a fresh process, import included, loads neither
+    code = ("import sys; from sigmagap.cli import main; "
+            "code = main(['accept-all', '--profile', 'quick', "
+            f"'--out', {str(tmp_path)!r}]); "
+            "print(code, sorted(m for m in "
             "('sympy', 'scipy.interpolate') if m in sys.modules))")
     src = str(pathlib.Path(forests.__file__).resolve().parents[1])
     path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines()[-1] == "0 []"

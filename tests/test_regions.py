@@ -194,6 +194,16 @@ class TestSquareDistance:
         assert square_distance((0, 0), (2, 2)) == pytest.approx(math.sqrt(2))
         assert square_distance((0, 0), (-3, 4)) == pytest.approx(math.hypot(2, 3))
 
+    def test_array_form_equals_hypot_bit_for_bit(self):
+        squares = LatticeGeometry(n=5).squares
+        corners = np.array(squares)
+        table = square_distance(corners[:, None], corners[None, :])
+        assert table.shape == (len(squares), len(squares))
+        scalar = [[math.hypot(max(0.0, abs(a[0] - b[0]) - 1.0),
+                              max(0.0, abs(a[1] - b[1]) - 1.0))
+                   for b in squares] for a in squares]
+        assert table.tolist() == scalar
+
 
 class TestRegions:
     def test_empty_large_field(self):
