@@ -442,30 +442,38 @@ def build_deltaC(params, geometry, cutoff, regions, pad=2):
     asm = _assembly_cached(*key)
     eps, n = params.epsilon, asm.nsite
     gamma = np.flatnonzero(region_site_mask(asm.geo, regions.gamma))
-    s_mask = region_site_mask(asm.geo, regions.lambda_s).astype(float)
-    l_mask = region_site_mask(asm.geo, regions.lambda_l).astype(float)
+    l_mask = region_site_mask(asm.geo, regions.lambda_l)
+    s_idx = np.flatnonzero(region_site_mask(asm.geo, regions.lambda_s))
+    l_idx = np.flatnonzero(l_mask)
     inner = inner_site_mask(asm.geo, geometry)
     lam = np.flatnonzero(inner)
+    ss = np.ix_(s_idx, s_idx)
 
     sp = asm.s_plus
     spgs = sp[:, gamma] @ sp[gamma, :]
-    ss = np.outer(s_mask, s_mask)
-    d1_w = -(spgs * ss)
     d4_w = eps * spgs
     t = asm.pi_w - spgs
     t.flat[::n + 1] += 1.0  # T = 1 + pi - S P_gamma S
-    # mask of the (l,s), (l,l) and (s,l) blocks
-    d2_w = np.outer(l_mask, s_mask + l_mask)
-    d2_w += np.outer(s_mask, l_mask)
-    d2_w *= t
+    # d1 and d2 vanish outside Lambda x Lambda: only their blocks are
+    # written; d2's blocks add up where regions overlap, as a mask sum would
+    d1_w = np.zeros((n, n))
+    d1_w[ss] = -spgs[ss]
+    d2_w = np.zeros((n, n))
+    for rows, cols in ((l_idx, s_idx), (l_idx, l_idx), (s_idx, l_idx)):
+        blk = np.ix_(rows, cols)
+        d2_w[blk] += t[blk]
     d3_w = t
     d3_w[np.ix_(lam, lam)] = 0.0
 
+    # lhs - rhs of the identity, in place; every entry of d1..d4 is read
     fixed, uinv_residual = _split_fixed_cached(*key)
-    lhs = fixed - (1.0 - eps) * spgs - asm.pi_w * ss
-    rhs = d1_w + d2_w + d3_w + d4_w
-    rhs.flat[::n + 1] -= l_mask + (1.0 - inner)
-    residual = max(float(np.abs(lhs - rhs).max()), uinv_residual)
+    res = np.multiply(spgs, eps - 1.0)
+    res += fixed
+    res[ss] -= asm.pi_w[ss]
+    for d_w in (d1_w, d2_w, d3_w, d4_w):
+        res -= d_w
+    res.flat[::n + 1] += l_mask + (1.0 - inner)
+    residual = max(float(np.abs(res, out=res).max()), uinv_residual)
     if not residual <= SPLIT_IDENTITY_TOL:
         raise ArithmeticError(
             f"splitting identity violated: sup residual {residual:.3e}")

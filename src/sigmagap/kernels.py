@@ -42,8 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.special import j0, k0, kei
+from scipy.special import j0, k0, kei, lambertw
 
 from .model import ModelParams
 
@@ -86,13 +85,13 @@ def _q_edges(m, q_max, r_max):
 def pole_params(m2):
     """Real poles of 1/(s e^s + m^2): list of (mu, c) with mu = sqrt(-s_k)
     and residue factor c = 1/(e^{s_k}(1+s_k)), for the two real roots of
-    s e^s = -m^2; None when m^2 >= 1/e (no real roots)."""
+    s e^s = -m^2; None when m^2 >= 1/e (no real roots).  The roots are the
+    Lambert W branches W_0(-m^2) in (-1, 0) and W_{-1}(-m^2) < -1."""
     if m2 >= np.exp(-1.0):
         return None
-    f = lambda s: s * np.exp(s) + m2
     out = []
-    for lo, hi in ((-1.0, -1e-30), (-200.0, -1.0)):
-        sk = brentq(f, lo, hi, rtol=8.9e-16, xtol=1e-25)
+    for branch in (0, -1):
+        sk = lambertw(-m2, branch).real
         out.append((np.sqrt(-sk), 1.0 / (np.exp(sk) * (1.0 + sk))))
     return out
 

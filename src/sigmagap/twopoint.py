@@ -20,6 +20,23 @@ eigensolve).  The per-sample loop (draw, S product, LU, solve) calls
 scipy's BLAS and LAPACK only, so the OpenBLAS pools that numpy and scipy
 each load never alternate inside it.
 
+Parallel sampling.  The draws are independent, so the interacting
+samples run on a persistent pool of len(os.sched_getaffinity(0)) worker
+processes, forked on the first interacting call.  Each worker pins every
+OpenBLAS loaded in it to one thread before its first BLAS call and
+reports the count, which the parent checks.  The parent draws z from
+default_rng(seed) in sample order, in contiguous chunks of at most
+_CHUNK samples, and sends each chunk to an idle worker; the worker
+returns tau = root z, the resolvent row and the weight of every sample
+(_sample_chunk), and the parent puts them back in sample order before
+the reductions.  V and the C0 root go to a worker once and again when
+the parent's arrays are other objects.  Every sample thus runs the same
+one-thread code whatever the worker count, so an estimate is
+bit-identical for every count.  Where the pin is impossible (no fork, no
+/proc/self/maps, scipy not on OpenBLAS, an OpenBLAS without its thread
+calls, or a worker that reports more than one thread), _sample_chunk
+runs in this process instead, with the process's own BLAS threads.
+
 Mass extraction: at desk couplings the box sits deep in the m*r << 1
 regime where the raw log-slope of the free kernel is dominated by its
 Bessel-type prefactor, not by the mass.  The fitted decay slope is
@@ -28,11 +45,20 @@ exact free kernel at trial mass over the same separations and weights;
 in the free case this returns the input mass to solver precision.
 """
 
+import atexit
+import ctypes
 import dataclasses
+import functools
 import hashlib
 import itertools
+import multiprocessing
+import multiprocessing.connection
+import os
+import signal
+import threading
 
 import numpy as np
+import scipy
 from scipy.linalg import blas, lapack
 from scipy.optimize import brentq
 
@@ -104,6 +130,226 @@ def _sample_on_range(v, g, wtau, v_x, v_y):
                - 0.5 * g * g * np.sum(s_mat * s_mat))
     row, _ = lapack.zgetrs(lu, piv, v_x)
     return blas.zgemv(1.0, v_y, row, trans=1), complex(logdet3)
+
+
+def _sample_chunk(root, v, g, w, bigN, x_idx, y_idx, z):
+    """Weighted resolvent rows R_tau[x, ys] w and weights w of the draws
+    tau = root z, one per row of z (one LU each, see _sample_on_range)."""
+    v_x, v_y = v[x_idx], v[y_idx].T
+    num = np.empty((len(z), len(y_idx)), dtype=complex)
+    den = np.empty(len(z), dtype=complex)
+    for k, zk in enumerate(z):
+        tau = blas.dgemv(1.0, root.T, zk, trans=1)
+        rrow, logdet3 = _sample_on_range(v, g, w * tau, v_x, v_y)
+        wt = np.exp(-0.5 * bigN * logdet3)
+        num[k] = rrow * wt
+        den[k] = wt
+    return num, den
+
+
+# ---------------------------------------------------------------------------
+# sampling workers (see the module docstring)
+
+_WORKERS = None   # worker count; None reads the CPU affinity
+_CHUNK = 32       # samples per message, which bounds the draws held at once
+_POOL = None
+_POOL_LOCK = threading.Lock()
+_PIN_FAILED = False
+
+
+@functools.cache
+def _blas_pins():
+    """(set, get) thread-count calls of every OpenBLAS loaded in this
+    process, scipy's among them; None where a forked worker cannot be
+    pinned to one BLAS thread."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    try:  # show_config's mode is scipy >= 1.11
+        deps = scipy.show_config(mode="dicts")["Build Dependencies"]
+        with open("/proc/self/maps") as maps:
+            paths = {f[-1] for f in map(str.split, maps)
+                     if len(f) == 6 and "openblas" in os.path.basename(f[-1])}
+    except (TypeError, KeyError, OSError):
+        return None
+    if "openblas" not in deps["blas"]["name"].lower():
+        return None
+    pins = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        calls = [(getattr(lib, f"{pre}openblas_set_num_threads{suf}", None),
+                  getattr(lib, f"{pre}openblas_get_num_threads{suf}", None))
+                 for pre in ("scipy_", "") for suf in ("", "64_")]
+        calls = [c for c in calls if None not in c]
+        if not calls:
+            return None
+        set_threads, get_threads = calls[0]
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        pins.append(calls[0])
+    return tuple(pins) or None
+
+
+def _worker(conn, inherited):
+    """Serve chunks on conn until the parent closes it.  Pins every
+    OpenBLAS to one thread and reports the counts; then answers each
+    (arrays, call, z) message with _sample_chunk's rows and weights, or
+    with the exception it raised.  arrays is (root, V) when the parent's
+    arrays changed since the last message, else None."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for other in inherited:
+        other.close()
+    for set_threads, _ in _blas_pins():
+        set_threads(1)
+    conn.send([get_threads() for _, get_threads in _blas_pins()])
+    while True:
+        try:
+            arrays, call, z = conn.recv()
+        except EOFError:
+            return
+        if arrays is not None:
+            root, v = arrays
+        try:
+            reply = ("ok", _sample_chunk(root, v, *call, z))
+        except Exception as exc:
+            reply = ("error", exc)
+        try:
+            conn.send(reply)
+        except OSError:  # the parent has closed the pipe
+            return
+
+
+class _Pool:
+    """size forked workers, one pipe each, with the BLAS thread counts
+    each reported and the (root, V) each was last sent."""
+
+    def __init__(self, size):
+        ctx = multiprocessing.get_context("fork")
+        self.owner = os.getpid()
+        self.conns, self.procs, self.sent = [], [], [None] * size
+        for _ in range(size):
+            conn, child = ctx.Pipe()
+            proc = ctx.Process(target=_worker, name="sigmagap-sampler",
+                               args=(child, self.conns + [conn]),
+                               daemon=True)
+            proc.start()
+            child.close()
+            self.conns.append(conn)
+            self.procs.append(proc)
+        if not all(conn.poll(60.0) for conn in self.conns):
+            self.close()
+            raise RuntimeError("a sampling worker did not start in 60 s")
+        self.threads = [conn.recv() for conn in self.conns]
+        self.pinned = all(n == 1 for counts in self.threads for n in counts)
+
+    def alive(self):
+        return (self.owner == os.getpid()
+                and all(proc.is_alive() for proc in self.procs))
+
+    def close(self):
+        """Close the pipes, so the workers exit, and reap them (killing
+        any that has not exited within 5 s); in a forked copy of the
+        owner only this copy's pipe ends are closed."""
+        for conn in self.conns:
+            conn.close()
+        if self.owner != os.getpid():
+            return
+        for proc in self.procs:
+            proc.join(timeout=5.0)
+            if proc.exitcode is None:
+                proc.kill()
+                proc.join()
+
+
+def _close_pool():
+    global _POOL
+    if _POOL is not None:
+        _POOL.close()
+        _POOL = None
+
+
+atexit.register(_close_pool)
+
+
+def _live_pool():
+    """The pool of pinned workers, forked on first use and again after a
+    worker died or the count changed; None where the workers cannot be
+    pinned, so the samples run in this process."""
+    global _POOL, _PIN_FAILED
+    if (_PIN_FAILED or _blas_pins() is None
+            or multiprocessing.current_process().daemon):
+        return None
+    size = _WORKERS or len(os.sched_getaffinity(0))
+    if _POOL is not None and (len(_POOL.procs) != size
+                              or not _POOL.alive()):
+        _close_pool()
+    if _POOL is None:
+        _POOL = _Pool(size)
+        if not _POOL.pinned:
+            _close_pool()
+            _PIN_FAILED = True
+    return _POOL
+
+
+def _sample_draws(rng, n_samples, root, v, call):
+    """(num, den) of n_samples draws z ~ rng in sample order, each row
+    from _sample_chunk(root, v, *call, z) on the pool or in process."""
+    with _POOL_LOCK:
+        pool = _live_pool()
+        workers = len(pool.procs) if pool else 1
+        size = min(_CHUNK, -(-n_samples // workers))
+        num = np.empty((n_samples, len(call[-1])), dtype=complex)
+        den = np.empty(n_samples, dtype=complex)
+        chunks = ((a, min(a + size, n_samples))
+                  for a in range(0, n_samples, size))
+        if pool is None:
+            for a, b in chunks:
+                z = rng.standard_normal((b - a, root.shape[1]))
+                num[a:b], den[a:b] = _sample_chunk(root, v, *call, z)
+            return num, den
+        try:
+            error = _run_on_pool(pool, chunks, rng, root, v, call, num, den)
+        except (EOFError, OSError) as exc:
+            _close_pool()
+            raise RuntimeError("a sampling worker exited mid-call") from exc
+        except BaseException:
+            _close_pool()
+            raise
+        if error is not None:
+            raise error
+        return num, den
+
+
+def _run_on_pool(pool, chunks, rng, root, v, call, num, den):
+    """Feed the chunks to idle workers in order, each with its draws, and
+    fill num and den from the replies.  Returns, once every worker is idle
+    again, the exception of the earliest chunk that raised, or None."""
+    busy, errors = {}, []
+
+    def feed(i):
+        chunk = next(chunks, None)
+        if chunk is None:
+            return
+        sent = pool.sent[i]
+        arrays = None
+        if sent is None or sent[0] is not root or sent[1] is not v:
+            arrays = pool.sent[i] = (root, v)
+        z = rng.standard_normal((chunk[1] - chunk[0], root.shape[1]))
+        pool.conns[i].send((arrays, call, z))
+        busy[pool.conns[i]] = (i, chunk)
+
+    for i in range(len(pool.conns)):
+        feed(i)
+    while busy:
+        for conn in multiprocessing.connection.wait(list(busy)):
+            i, (a, b) = busy.pop(conn)
+            status, out = conn.recv()
+            if status == "error":
+                errors.append((a, out))
+            else:
+                num[a:b], den[a:b] = out
+            if not errors:
+                feed(i)
+    return min(errors, key=lambda e: e[0])[1] if errors else None
 
 
 @dataclasses.dataclass
@@ -232,9 +478,6 @@ def estimate_S2(params, geometry=None, cutoff=None, seed=0,
 
     side = geometry.sites_per_side
     s = geometry.sites_per_square
-    w = geometry.site_weight
-    f = propagator_matrix(geometry, params.m)
-    v = np.asfortranarray(propagator_factor(geometry, params.m))
 
     # source two units in from the left edge, on the middle row
     row0, col0 = side // 2, 2 * s
@@ -243,25 +486,19 @@ def estimate_S2(params, geometry=None, cutoff=None, seed=0,
                       for r in separations])
     if y_idx.max() >= (row0 + 1) * side:
         raise ValueError("separations leave the grid")
-    v_x, v_y = v[x_idx], v[y_idx].T
 
-    root = c0_root(params, geometry, cutoff)
-    rng = np.random.default_rng(seed)
-
-    num = np.zeros((n_samples, len(separations)), dtype=complex)
-    den = np.zeros(n_samples, dtype=complex)
     free = params.g == 0.0
-    for k in range(n_samples):
-        tau = blas.dgemv(1.0, root.T, rng.standard_normal(side * side),
-                         trans=1)
-        if free:
-            num[k] = f[x_idx, y_idx]
-            den[k] = 1.0
-            continue
-        rrow, logdet3 = _sample_on_range(v, params.g, w * tau, v_x, v_y)
-        wt = np.exp(-0.5 * params.bigN * logdet3)
-        num[k] = rrow * wt
-        den[k] = wt
+    if free:
+        # R_tau = F and w = 1 for every draw
+        f_row = propagator_matrix(geometry, params.m)[x_idx, y_idx]
+        num = np.tile(f_row.astype(complex), (n_samples, 1))
+        den = np.ones(n_samples, dtype=complex)
+    else:
+        num, den = _sample_draws(
+            np.random.default_rng(seed), n_samples,
+            c0_root(params, geometry, cutoff),
+            np.asfortranarray(propagator_factor(geometry, params.m)),
+            (params.g, geometry.site_weight, params.bigN, x_idx, y_idx))
 
     mean_w = den.mean()
     diag = abs(mean_w) / np.mean(np.abs(den))

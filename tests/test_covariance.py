@@ -340,7 +340,8 @@ class TestDeltaC:
     def test_cached_term_keeps_the_bits(self):
         # d1..d4 and the residual against the splitting identity written
         # out here with the fixed term F = S U^{-1} S - 1 - S (U^{-1} - 1) S
-        # recomputed, not read from cache
+        # recomputed, not read from cache; the residual subtracts d1..d4
+        # from the left side one at a time, in build_deltaC's order
         params, geo, fld, assign, regions = setup_single()
         cache = covariance._split_fixed_cached
         cache.cache_clear()
@@ -371,12 +372,12 @@ class TestDeltaC:
              d3, eps * spgs]
         fixed = sp @ (asm.uinv_w @ sp) - eye - sp @ ((asm.uinv_w - eye) @ sp)
         lhs = fixed - (1.0 - eps) * spgs - asm.pi_w * ss
-        rhs = d[0] + d[1] + d[2] + d[3]
-        rhs.flat[::n + 1] -= lm + (1.0 - inner)
+        resid = lhs - d[0] - d[1] - d[2] - d[3]
+        resid.flat[::n + 1] += lm + (1.0 - inner)
         uinv_residual = float(np.abs(asm.uinv_w @ asm.u_w - eye).max())
         for got in (dc, again):
             assert got.identity_residual == max(
-                float(np.abs(lhs - rhs).max()), uinv_residual)
+                float(np.abs(resid).max()), uinv_residual)
             for op, ref in zip(got, d):
                 assert np.array_equal(op.weighted, ref)
 

@@ -68,6 +68,27 @@ def test_pole_params():
     assert pole_params(0.5) is None  # m^2 > 1/e
 
 
+@pytest.mark.parametrize("m2", [1e-12, 1e-8, 1e-4, 0.01, 0.1, 0.3, 0.36])
+def test_pole_roots_match_brentq(m2):
+    # dual route: the Lambert W roots against a bracketed solve of
+    # s e^s = -m^2 on (-1, 0) and (-200, -1); a root s rounded to a
+    # double leaves a residual of about eps |1 + s| m^2
+    from scipy.optimize import brentq
+
+    def f(s):
+        return s * np.exp(s) + m2
+
+    eps = np.finfo(float).eps
+    for (mu, ck), (lo, hi) in zip(pole_params(m2),
+                                  ((-1.0, -1e-30), (-200.0, -1.0))):
+        s = -mu * mu
+        ref = brentq(f, lo, hi, rtol=8.9e-16, xtol=1e-25)
+        assert abs(s - ref) <= 8 * eps * abs(ref)
+        assert abs(f(s)) <= 8 * eps * m2 * (1.0 + abs(1.0 + s))
+        assert ck == pytest.approx(1.0 / (np.exp(ref) * (1.0 + ref)),
+                                   rel=1e-13)
+
+
 def test_F0_matches_adaptive_radial_quadrature():
     for m in (0.1, 0.5):
         m2 = m * m

@@ -2,6 +2,10 @@
 reweighted ratio estimator, and the decay-mass extraction."""
 
 import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -290,11 +294,15 @@ class TestEstimateS2:
     def test_no_eigen_solve_after_warm_up(self, monkeypatch):
         # the sampler's weight comes from an LU and the quadrature nodes
         # of the mass fit are computed once, so a warm call (caches of
-        # propagator_factor and c0_root filled) solves no eigenproblem;
-        # each interacting sample takes its weight and its resolvent row
-        # from one zgetrf, and numpy factors nothing
+        # propagator_factor and c0_root filled) solves no eigenproblem in
+        # this process, and with the workers pinned it factors nothing
+        # here either.  Patches made after the fork never reach the
+        # workers, so the chunk function they run is counted in-process:
+        # each sample takes its weight and its resolvent row from one
+        # zgetrf, and numpy factors nothing
         params = make_params()
         estimate_S2(params, geometry=GEO, n_samples=20, seed=1)
+        pooled = twopoint._live_pool() is not None
         calls = []
 
         def counted(module, name):
@@ -310,7 +318,196 @@ class TestEstimateS2:
                              (lapack, "zgetrf")):
             monkeypatch.setattr(module, name, counted(module, name))
         estimate_S2(params, geometry=GEO, n_samples=20, seed=2)
+        assert calls == ([] if pooled else ["zgetrf"] * 20)
+
+        calls.clear()
+        side = GEO.sites_per_side
+        x = (side // 2) * side + 2 * GEO.sites_per_square
+        ys = x + np.rint(default_separations(GEO)
+                         * GEO.sites_per_square).astype(int)
+        z = np.random.default_rng(2).standard_normal((20, side * side))
+        num, den = twopoint._sample_chunk(
+            c0_root(params, GEO, CUT), propagator_factor(GEO, params.m),
+            params.g, GEO.site_weight, params.bigN, x, ys, z)
         assert calls == ["zgetrf"] * 20
+        assert num.shape == (20, len(ys)) and den.shape == (20,)
+
+
+@pytest.fixture
+def fresh_pool():
+    """No pool before the test, and none after it: a test that patches
+    the sampler before the fork must not leave patched workers behind."""
+    twopoint._close_pool()
+    yield
+    twopoint._close_pool()
+
+
+# the worker-process checks below run in a child interpreter, so a hang
+# is cut by the subprocess timeout instead of stalling the suite
+HYGIENE_SCRIPT = """
+import os, signal, threading, time
+import numpy as np
+from sigmagap import twopoint
+from sigmagap.model import derive_params
+from sigmagap.regions import LatticeGeometry
+twopoint._WORKERS = 2
+geo = LatticeGeometry(n=4, sites_per_square=2)
+p = derive_params(1.0, 1.0, 10 ** 4)
+ref = twopoint.estimate_S2(p, geometry=geo, n_samples=40, seed=3)
+first = [q.pid for q in twopoint._POOL.procs]
+os.kill(first[0], signal.SIGKILL)
+while twopoint._POOL.procs[0].is_alive():
+    time.sleep(0.01)  # once it is reaped the next call must see it
+again = twopoint.estimate_S2(p, geometry=geo, n_samples=40, seed=3)
+second = [q.pid for q in twopoint._POOL.procs]
+print("idle-kill", np.array_equal(ref.estimates, again.estimates),
+      not set(first) & set(second))
+threading.Timer(0.3, os.kill, (second[1], signal.SIGKILL)).start()
+try:
+    twopoint.estimate_S2(p, geometry=geo, n_samples=40000, seed=4)
+    print("mid-kill finished")
+except RuntimeError as exc:
+    print("mid-kill raised", twopoint._POOL is None)
+final = twopoint.estimate_S2(p, geometry=geo, n_samples=40, seed=3)
+print("after", np.array_equal(ref.estimates, final.estimates))
+"""
+
+
+def _pid_alive(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _child_env():
+    src = str(pathlib.Path(twopoint.__file__).resolve().parents[1])
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
+class TestSamplingPool:
+    """The interacting samples run on forked workers pinned to one BLAS
+    thread; estimates do not depend on the worker count."""
+
+    def test_bit_identical_for_every_worker_count(self, monkeypatch):
+        params = make_params()
+        results = []
+        for count in (1, 2, len(os.sched_getaffinity(0))):
+            monkeypatch.setattr(twopoint, "_WORKERS", count)
+            res = estimate_S2(params, geometry=GEO, n_samples=100, seed=6)
+            pool = twopoint._live_pool()
+            assert pool is None or len(pool.procs) == count
+            results.append(res)
+        for res in results[1:]:
+            for field in ("estimates", "stderr"):
+                assert np.array_equal(getattr(res, field),
+                                      getattr(results[0], field))
+            assert res.fitted_mprime == results[0].fitted_mprime
+            assert res.mean_weight == results[0].mean_weight
+            assert res.phase_diagnostic == results[0].phase_diagnostic
+
+    def test_workers_report_one_blas_thread(self):
+        if twopoint._blas_pins() is None:
+            pytest.skip("no OpenBLAS thread calls to pin here")
+        before = [get() for _, get in twopoint._blas_pins()]
+        estimate_S2(make_params(), geometry=GEO, n_samples=20, seed=1)
+        pool = twopoint._live_pool()
+        assert pool is not None and pool.pinned
+        assert all(counts == [1] * len(before) for counts in pool.threads)
+        # the pin is the workers' own: this process keeps its threads
+        assert [get() for _, get in twopoint._blas_pins()] == before
+
+    def test_unpinnable_runs_in_process(self, monkeypatch, fresh_pool):
+        params = make_params()
+        pooled = estimate_S2(params, geometry=GEO, n_samples=40, seed=9)
+        twopoint._close_pool()
+        monkeypatch.setattr(twopoint, "_blas_pins", lambda: None)
+        local = estimate_S2(params, geometry=GEO, n_samples=40, seed=9)
+        assert twopoint._POOL is None
+        # the same draws and code; only this process's BLAS threads differ
+        np.testing.assert_allclose(local.estimates, pooled.estimates,
+                                   rtol=1e-10, atol=0)
+
+    def test_batched_draws_are_the_sample_stream(self):
+        sites = GEO.sites_per_side ** 2
+        one_by_one = np.random.default_rng(11)
+        rows = [one_by_one.standard_normal(sites) for _ in range(7)]
+        chunked = np.random.default_rng(11)
+        blocks = [chunked.standard_normal((k, sites)) for k in (3, 1, 3)]
+        assert np.array_equal(np.vstack(blocks), np.array(rows))
+
+    def test_draws_held_in_bounded_chunks(self, monkeypatch):
+        # criterion 11's 10^4 samples never sit in one n_samples x sites
+        # array: the parent draws at most _CHUNK rows at a time
+        params = make_params()
+        ref = estimate_S2(params, geometry=GEO, n_samples=200, seed=12)
+        shapes = []
+        real = np.random.default_rng
+
+        class Recording:
+            def __init__(self, seed):
+                self.rng = real(seed)
+
+            def standard_normal(self, size):
+                shapes.append(size)
+                return self.rng.standard_normal(size)
+
+        monkeypatch.setattr(np.random, "default_rng", Recording)
+        res = estimate_S2(params, geometry=GEO, n_samples=200, seed=12)
+        assert np.array_equal(res.estimates, ref.estimates)
+        assert sum(rows for rows, _ in shapes) == 200
+        assert max(rows for rows, _ in shapes) <= twopoint._CHUNK
+        assert {sites for _, sites in shapes} == {GEO.sites_per_side ** 2}
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch, fresh_pool):
+        # patched before the pool is forked, so the workers inherit it
+        def singular(*args):
+            raise ArithmeticError("1 + igS is singular (injected)")
+
+        monkeypatch.setattr(twopoint, "_sample_on_range", singular)
+        monkeypatch.setattr(twopoint, "_WORKERS", 2)
+        with pytest.raises(ArithmeticError) as info:
+            estimate_S2(make_params(), geometry=GEO, n_samples=40, seed=1)
+        assert type(info.value) is ArithmeticError
+        assert str(info.value) == "1 + igS is singular (injected)"
+        # a failed chunk leaves the pool whole
+        assert twopoint._blas_pins() is None or twopoint._POOL.alive()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                        reason="reads worker states from /proc")
+    def test_no_worker_outlives_accept_all(self, tmp_path):
+        code = ("import sys\n"
+                "from sigmagap import cli, twopoint\n"
+                "rc = cli.main(['accept-all', '--profile', 'quick',"
+                " '--out', sys.argv[1]])\n"
+                "print('pids', *[q.pid for q in twopoint._POOL.procs]"
+                " if twopoint._POOL else [])\n"
+                "sys.exit(rc)\n")
+        run = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                             capture_output=True, text=True, timeout=600,
+                             env=_child_env())
+        assert run.returncode == 0, run.stderr
+        pids = [int(p) for p in run.stdout.splitlines()[-1].split()[1:]]
+        assert pids or twopoint._blas_pins() is None
+        assert not [pid for pid in pids if _pid_alive(pid)]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                        reason="reads worker states from /proc")
+    def test_killed_worker_never_hangs_the_caller(self):
+        if twopoint._blas_pins() is None:
+            pytest.skip("no worker processes without the BLAS pin")
+        run = subprocess.run([sys.executable, "-c", HYGIENE_SCRIPT],
+                             capture_output=True, text=True, timeout=300,
+                             env=_child_env())
+        assert run.returncode == 0, run.stderr
+        lines = run.stdout.splitlines()
+        # killed while idle: the next call forks a new pool, same bits
+        assert lines[0] == "idle-kill True True"
+        # killed mid-call: the call raises and drops the pool
+        assert lines[1] == "mid-kill raised True"
+        assert lines[2] == "after True"
 
 
 class TestDualRoute:
