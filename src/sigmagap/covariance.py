@@ -31,8 +31,8 @@ deltaC reads S P_gamma S as the rank-|gamma| product S[:, gamma]
 S[gamma, :] and checks its splitting identity against one cached
 configuration-independent term (with, once per grid, the residual of
 U^{-1} U = 1, which the identity cannot see), and damping_report takes
-the real part of log det_2 from one determinant (slogdet) instead of the
-eigenvalues.
+the real part of log det_2 from the matrix route of operators
+(log_det_n_matrix, one slogdet) instead of the eigenvalues.
 
 Grids: region bookkeeping lives on the inner lattice covering Lambda; the
 covariance kernels are assembled on a padded grid (pad extra unit squares
@@ -57,8 +57,8 @@ import scipy.linalg
 
 from .kernels import cutoff_enforced_values
 from .operators import (DiscretizedOperator, build_A, log_det_n,
-                        propagator_matrix, radial_site_matrix,
-                        site_square_mask)
+                        log_det_n_matrix, propagator_matrix,
+                        radial_site_matrix, site_square_mask)
 from .regions import (FieldConfig, LatticeGeometry, classify_squares,
                       smooth_step)
 
@@ -543,16 +543,6 @@ class DampingReport:
     required_const: float
 
 
-def _log_det2_real(b):
-    """Re log det_2(1 + B) = log|det(1 + B)| - Re tr B, from numpy's
-    slogdet (one LU); the real part does not depend on the branch of the
-    logarithm, so no eigenvalues are needed."""
-    sign, logabs = np.linalg.slogdet(np.eye(len(b)) + b)
-    if sign == 0:
-        raise ArithmeticError("1 + B is singular")
-    return float(logabs) - float(np.trace(b).real)
-
-
 def damping_report(field, params, regions, covset, deltac, assignment=None):
     """Evaluate log(Z_gamma |G_gamma(tau)|) for one configuration.
 
@@ -562,7 +552,8 @@ def damping_report(field, params, regions, covset, deltac, assignment=None):
     determinant factors enter through their real parts only: log det_3 of
     1 + iA_s from the eigenvalues of the real symmetric A_s, and
     Re log det_2(1 + B), B = (1 + iA_s)^{-1} iA'', as log|det(1 + B)| -
-    Re tr B from one slogdet (_log_det2_real), with no general eigensolve.
+    Re tr B from log_det_n_matrix (one slogdet), with no general
+    eigensolve.
     required_const is the constant that would make the bound
 
         log value <= -0.49 * int_{large} tau^2
@@ -585,12 +576,8 @@ def damping_report(field, params, regions, covset, deltac, assignment=None):
 
     aop = build_A(field, params, geometry, assignment=assignment,
                   symmetrize=True)
-    as_w = aop.a_s.weighted
-    app_w = aop.a_doubleprime.weighted
-    n = as_w.shape[0]
-    log3 = log_det_n(1j * np.linalg.eigvalsh(as_w), 3)
-    log2_real = _log_det2_real(np.linalg.solve(np.eye(n) + 1j * as_w,
-                                               1j * app_w))
+    log3 = log_det_n(1j * np.linalg.eigvalsh(aop.a_s.weighted), 3)
+    log2_real = log_det_n_matrix(aop.b, 2).real
 
     tau_w = embed_tau(field, covset.grid) * np.sqrt(covset.grid.site_weight)
     quad = sum(float(tau_w @ op.weighted @ tau_w) for op in deltac)

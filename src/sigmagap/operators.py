@@ -8,6 +8,11 @@ algebra (composition, traces, determinants, norms) is carried out on that
 matrix, which has the same spectrum as the operator acting on L^2 of the
 site measure.
 
+log det_n(1+K) = log det(1+K) + sum_{j<n} (-1)^j tr K^j / j has two
+routes: log_det_n from the eigenvalues of K (branch kept), and
+log_det_n_matrix from K itself (one LU plus trace terms, mod 2 pi i),
+which every matrix-side det_n outside the two-point sampler calls.
+
 The determinant identities tested here (factorization across the s/l block
 split, the single-determinant rewriting, and |det^{-1}(1+B)| =
 det^{-1/2}(1+B+B*+B*B)) are exact matrix algebra, so their residuals probe
@@ -29,7 +34,7 @@ NORM_TOL = 1e-10
 __all__ = [
     "DiscretizedOperator", "AOperator", "site_square_labels",
     "radial_site_matrix", "propagator_matrix", "propagator_factor",
-    "build_A", "operator_norm", "log_det_n",
+    "build_A", "operator_norm", "log_det_n", "log_det_n_matrix",
     "det_split_identity", "D_decomposition", "link_block",
 ]
 
@@ -54,9 +59,6 @@ class DiscretizedOperator:
     @property
     def matrix(self):
         return self.weighted / self.site_weight
-
-    def eigenvalues(self):
-        return np.linalg.eigvals(self.weighted)
 
     def masked(self, left_mask=None, right_mask=None):
         """P_left K P_right with diagonal projector masks (bool per site)."""
@@ -148,9 +150,11 @@ class AOperator:
         return self.op.masked(self.small_sites, self.small_sites)
 
     @property
-    def a_doubleprime(self):
-        mat = self.op.weighted - self.a_s.weighted
-        return DiscretizedOperator(mat, self.op.site_weight)
+    def b(self):
+        """B = (1 + iA_s)^{-1} iA'', A'' = A - A_s, as a weighted matrix."""
+        a_s = self.a_s.weighted
+        return np.linalg.solve(np.eye(len(a_s)) + 1j * a_s,
+                               1j * (self.op.weighted - a_s))
 
 
 def build_A(field, params, geometry=None, assignment=None, symmetrize=False):
@@ -219,6 +223,24 @@ def log_det_n(lam, order):
     return complex(np.sum(terms))
 
 
+def log_det_n_matrix(k, order):
+    """log det_n(1 + K) from the matrix K, n = 1, 2 or 3: one LU (numpy's
+    slogdet) gives log|det(1 + K)| + i arg det(1 + K), then -tr K (n >= 2)
+    and +(1/2) sum K o K^T = (1/2) tr K^2 (n = 3).  The imaginary part is
+    a principal argument: it agrees with log_det_n mod 2 pi i."""
+    if order not in (1, 2, 3):
+        raise ValueError("order must be 1, 2 or 3")
+    sign, logabs = np.linalg.slogdet(np.eye(len(k)) + k)
+    if sign == 0:
+        raise ArithmeticError("1 + K is singular")
+    out = complex(logabs, np.angle(sign))
+    if order >= 2:
+        out -= np.trace(k)
+    if order == 3:
+        out += 0.5 * np.sum(k * k.T)
+    return out
+
+
 def det_split_identity(field, params, geometry=None):
     """Residuals of the determinant factorization and its single-determinant
     rewriting, evaluated on log scale.
@@ -227,30 +249,23 @@ def det_split_identity(field, params, geometry=None):
                  B = (1+iA_s)^{-1} iA''
     identity 2:  det_3^{-1}(1+iA_s) det_2^{-1}(1+B)
                  = det_2^{-1}(1+iA) exp Tr{-(1/2)(iA_s)^2}
-    Returns the max relative residual of the two (both are exact matrix
-    algebra; the residual probes conditioning only).
+    Returns the max relative residual of the two mod 2 pi i (both exact
+    matrix algebra: it probes conditioning only).  Every log is
+    log_det_n_matrix's; as identity 2 minus identity 1 is then tr B =
+    tr iA'', criterion 05 checks that route against the eigenvalues.
     """
     aop = build_A(field, params, geometry)
-    A = aop.op.weighted
-    As = aop.a_s.weighted
-    App = aop.a_doubleprime.weighted
-    n = A.shape[0]
-    eye = np.eye(n)
-    B = np.linalg.solve(eye + 1j * As, 1j * App)
-
-    lam_a = np.linalg.eigvals(1j * A)
-    lam_s = np.linalg.eigvals(1j * As)
-    lam_b = np.linalg.eigvals(B)
-    log_a = log_det_n(lam_a, 1)
-    res1 = abs(log_a - log_det_n(lam_s, 1) - log_det_n(lam_b, 1))
-
-    # det_3^{-1}(1+iAs) det_2^{-1}(1+B) on log scale
-    tr_ias2 = np.trace((1j * As) @ (1j * As))
-    lhs = -log_det_n(lam_s, 3) - log_det_n(lam_b, 2)
-    rhs = -log_det_n(lam_a, 2) - 0.5 * tr_ias2
-    res2 = abs(lhs - rhs)
-    scale = max(1.0, abs(log_a))
-    return float(max(res1, res2) / scale)
+    ia = 1j * aop.op.weighted
+    ias = 1j * aop.a_s.weighted
+    b = aop.b
+    log_a = log_det_n_matrix(ia, 1)
+    res1 = log_a - log_det_n_matrix(ias, 1) - log_det_n_matrix(b, 1)
+    # det_3^{-1}(1+iAs) det_2^{-1}(1+B) on log scale, tr K^2 = sum K o K^T
+    res2 = (log_det_n_matrix(ia, 2) + 0.5 * np.sum(ias * ias.T)
+            - log_det_n_matrix(ias, 3) - log_det_n_matrix(b, 2))
+    res = max(abs(complex(r.real, math.remainder(r.imag, 2 * math.pi)))
+              for r in (res1, res2))
+    return float(res / max(1.0, abs(log_a)))
 
 
 def D_decomposition(field, params, geometry=None):
@@ -261,11 +276,7 @@ def D_decomposition(field, params, geometry=None):
     eta ~ 2||A_s||.  Uses the self-adjoint representation of A (see
     build_A), which the quadratic-form argument requires.
     """
-    aop = build_A(field, params, geometry, symmetrize=True)
-    As = aop.a_s.weighted
-    App = aop.a_doubleprime.weighted
-    n = As.shape[0]
-    B = np.linalg.solve(np.eye(n) + 1j * As, 1j * App)
+    B = build_A(field, params, geometry, symmetrize=True).b
     D = B + B.conj().T + B.conj().T @ B
     D = 0.5 * (D + D.conj().T)
     ev, _ = np.linalg.eigh(D)

@@ -109,9 +109,10 @@ def _sample_on_range(v, g, wtau, v_x, v_y):
     its solve against V[x] (zgetrs), and log det M = sum log u_ii
     + i pi (pivot parity), on any branch (see sample_weight).  The parity
     term matters: for N = 2 mod 4 a dropped -1 flips the weight's sign.
-    S real symmetric gives log det3 M = log det M - ig tr S
-    - (g^2/2)|S|_F^2.  The cancellation costs 2e-15 of log det3 (3e-7 at
-    576 sites; 7e-18 by eigvalsh), 1e-11 of log weight at N = 1e4.
+    S real symmetric gives log det3 M = log det M - ig tr S - (g^2/2)
+    |S|_F^2, operators.log_det_n_matrix's form kept inline to share the
+    LU.  The cancellation costs 2e-15 of log det3 (3e-7 at 576 sites;
+    7e-18 by eigvalsh), 1e-11 of log weight at N = 1e4.
 
     Every BLAS and LAPACK call is scipy's, as is the draw in estimate_S2:
     numpy and scipy each load their own OpenBLAS, and a loop that

@@ -416,21 +416,41 @@ class TestSubcommands:
         assert main(["gap-solve"]) == 0
         assert (tmp_path / "envout" / "results.csv").exists()
 
-    def test_opcheck_dual_route_catches_flipped_square_term(
-            self, tmp_path, monkeypatch):
-        # negative control: +lam^2/2 turned into -lam^2/2 in det_3
-        real = cli.log_det_n
+    @staticmethod
+    def _opcheck_with_flipped_square(tmp_path, monkeypatch, route, square):
+        """opcheck's rows with cli's route subtracting the square term of
+        det_3 instead of adding it; opcheck must exit EXIT_CHECK."""
+        real = getattr(cli, route)
 
-        def flipped(lam, order):
-            out = real(lam, order)
+        def flipped(arg, order):
+            out = real(arg, order)
             if order >= 3:
-                out -= np.sum(np.asarray(lam) ** 2)
+                out -= square(arg)
             return out
 
-        monkeypatch.setattr(cli, "log_det_n", flipped)
+        monkeypatch.setattr(cli, route, flipped)
         assert main(["opcheck", "--out", str(tmp_path)]) == cli.EXIT_CHECK
-        rows = {r[0]: r for r in csv.reader(open(tmp_path / "results.csv"))}
+        return {r[0]: r for r in csv.reader(open(tmp_path / "results.csv"))}
+
+    def test_opcheck_dual_route_catches_flipped_square_term(
+            self, tmp_path, monkeypatch):
+        # negative control: +lam^2/2 turned into -lam^2/2 in the eigenvalue
+        # route's det_3; both det_3 rows compare it with the matrix route
+        rows = self._opcheck_with_flipped_square(
+            tmp_path, monkeypatch, "log_det_n",
+            lambda lam: np.sum(np.asarray(lam) ** 2))
         assert rows["det3-dual-route"][5] == "0"
+        assert rows["det3-symmetrization"][5] == "0"
+
+    def test_opcheck_dual_route_catches_flipped_matrix_square_term(
+            self, tmp_path, monkeypatch):
+        # mirror control: +(1/2) sum K o K^T turned into its negative in
+        # the matrix route's det_3
+        rows = self._opcheck_with_flipped_square(
+            tmp_path, monkeypatch, "log_det_n_matrix",
+            lambda k: np.sum(k * k.T))
+        assert rows["det3-dual-route"][5] == "0"
+        assert rows["det3-symmetrization"][5] == "0"
 
     def test_covariance_catches_truncated_series(self, tmp_path,
                                                  monkeypatch):

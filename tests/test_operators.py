@@ -1,5 +1,6 @@
 """Tests for the discretized operator layer."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from sigmagap.operators import (
     det_split_identity,
     link_block,
     log_det_n,
+    log_det_n_matrix,
     operator_norm,
     propagator_factor,
     propagator_matrix,
@@ -141,7 +143,7 @@ class TestBuildA:
         rng = np.random.default_rng(6)
         for _ in range(3):
             cfg = mixed_field(GEO, rng)
-            ev = build_A(cfg, make_params(), GEO).op.eigenvalues()
+            ev = np.linalg.eigvals(build_A(cfg, make_params(), GEO).op.weighted)
             assert np.abs(ev.imag).max() < 1e-8
 
     def test_propagator_matrix_posdef_and_symmetric(self):
@@ -153,9 +155,9 @@ class TestBuildA:
         rng = np.random.default_rng(7)
         cfg = small_field(GEO, rng)
         params = make_params()
-        ev1 = np.sort(build_A(cfg, params, GEO).op.eigenvalues().real)
-        ev2 = np.sort(build_A(cfg, params, GEO, symmetrize=True)
-                      .op.eigenvalues().real)
+        ev1, ev2 = (np.sort(np.linalg.eigvals(
+            build_A(cfg, params, GEO, symmetrize=sym).op.weighted).real)
+            for sym in (False, True))
         np.testing.assert_allclose(ev1, ev2, atol=1e-10)
 
 
@@ -246,21 +248,27 @@ class TestOperatorNorm:
             assert operator_norm(aop.a_s) <= BIGN ** -0.4
 
 
-def det_n(op, order):
-    return np.exp(log_det_n(op.eigenvalues(), order))
+# log det_n(1 + K) of a matrix K by each route
+ROUTES = (lambda k, order: log_det_n(np.linalg.eigvals(k), order),
+          log_det_n_matrix)
 
 
 class TestDetReg:
+    # each test runs both routes, except test_branch_is_kept: only the
+    # eigenvalue route keeps the branch
+
     def test_zero_operator(self):
-        op = DiscretizedOperator(np.zeros((6, 6)), 1.0)
-        for order in (1, 2, 3):
-            assert det_n(op, order) == pytest.approx(1.0)
+        for route in ROUTES:
+            for order in (1, 2, 3):
+                assert np.exp(route(np.zeros((6, 6)), order)) \
+                    == pytest.approx(1.0)
 
     def test_rank_one(self):
         mat = np.zeros((5, 5))
         mat[0, 0] = 0.5
-        op = DiscretizedOperator(mat, 1.0)
-        assert det_n(op, 2) == pytest.approx(1.5 * math.exp(-0.5), rel=1e-12)
+        for route in ROUTES:
+            assert np.exp(route(mat, 2)) \
+                == pytest.approx(1.5 * math.exp(-0.5), rel=1e-12)
 
     def test_hermitian_eigen_oracle(self):
         rng = np.random.default_rng(12)
@@ -268,25 +276,48 @@ class TestDetReg:
         h = 0.1 * (h + h.conj().T)
         lam = np.linalg.eigvalsh(h)
         oracle = np.prod((1 + lam) * np.exp(-lam + lam ** 2 / 2))
-        op = DiscretizedOperator(h, 1.0)
-        assert det_n(op, 3) == pytest.approx(oracle, rel=1e-10)
+        for route in ROUTES:
+            assert np.exp(route(h, 3)) == pytest.approx(oracle, rel=1e-10)
 
     def test_singularity_error(self):
-        op = DiscretizedOperator(np.diag([-1.0, 0.2]), 1.0)
-        with pytest.raises(ArithmeticError):
-            det_n(op, 2)
+        for route in ROUTES:
+            with pytest.raises(ArithmeticError):
+                route(np.diag([-1.0, 0.2]), 2)
 
     def test_order_validation(self):
-        op = DiscretizedOperator(np.zeros((2, 2)), 1.0)
+        for route in ROUTES:
+            with pytest.raises(ValueError):
+                route(np.zeros((2, 2)), 0)
+
+    def test_matrix_route_takes_orders_one_to_three(self):
         with pytest.raises(ValueError):
-            det_n(op, 0)
+            log_det_n_matrix(np.zeros((2, 2)), 4)
 
     def test_large_determinant_stays_finite(self):
-        # det(1 + 1000 I_200) = 1001^200 overflows a float; its log does not
-        lam = np.linalg.eigvalsh(1000.0 * np.eye(200))
-        val = log_det_n(lam, 1)
-        assert val.imag == 0.0
-        assert val.real == pytest.approx(200 * math.log(1001.0), rel=1e-15)
+        # det(1 + 1000 I_200) = 1001^200 overflows a float; its log does
+        # not.  slogdet adds the 200 logs one at a time (within 200 eps)
+        for route, rel in zip(ROUTES, (1e-15, 200 * np.finfo(float).eps)):
+            val = route(1000.0 * np.eye(200), 1)
+            assert val.imag == 0.0
+            assert val.real == pytest.approx(200 * math.log(1001.0), rel=rel)
+
+    def test_routes_agree_mod_2pi_i(self):
+        # a non-Hermitian K whose eigenvalue logs wind once past the
+        # principal branch of the LU route
+        rng = np.random.default_rng(15)
+        k = 0.2 * (rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40)))
+        for order in (1, 2, 3):
+            gap = ROUTES[0](k, order) - log_det_n_matrix(k, order)
+            assert gap.real == pytest.approx(0.0, abs=1e-12)
+            assert gap.imag == pytest.approx(2 * math.pi, rel=1e-12)
+
+    def test_matrix_route_real_part_is_slogdet(self):
+        # damping_report reads the real part: log|det(1 + B)| - Re tr B,
+        # to the last bit
+        rng = np.random.default_rng(16)
+        b = 0.1 * (rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30)))
+        _, logabs = np.linalg.slogdet(np.eye(30) + b)
+        assert log_det_n_matrix(b, 2).real == logabs - np.trace(b).real
 
     def test_branch_is_kept(self):
         # sum of nine arguments atan(10) exceeds pi; the principal log of
@@ -316,18 +347,37 @@ class TestDetSplit:
             cfg = mixed_field(GEO, rng)
             assert det_split_identity(cfg, params, GEO) < 1e-8
             # Lemma 7 scale: |det_2^{-N/2}(1+B)| <= exp(O(1) N^{-4/5} int tau^2)
-            aop = build_A(cfg, params, GEO, symmetrize=True)
-            As = aop.a_s.weighted
-            App = aop.a_doubleprime.weighted
-            n = As.shape[0]
-            B = np.linalg.solve(np.eye(n) + 1j * As, 1j * App)
-            lam = np.linalg.eigvals(B)
+            lam = np.linalg.eigvals(build_A(cfg, params, GEO,
+                                            symmetrize=True).b)
             log_det2 = np.sum(np.log(1 + lam)) - np.sum(lam)
             log_abs = -(BIGN / 2) * log_det2.real
             bound_scale = BIGN ** -0.8 * float(cfg.square_masses.sum())
             ratios.append(log_abs / bound_scale)
         fitted = max(ratios)
         assert fitted < 100.0  # the O(1) constant is genuinely O(1)
+
+
+    def test_residual_is_taken_mod_2pi_i(self):
+        # at g = 10 on a positive field the principal arguments of
+        # det(1+iA_s) and det(1+B) add up past pi, so the principal logs
+        # of the two sides of identity 1 differ by 2 pi i
+        params = dataclasses.replace(make_params(), g=10.0)
+        tau = mixed_field(GEO, np.random.default_rng(14)).tau
+        cfg = FieldConfig.from_tau(GEO, np.abs(tau))
+        aop = build_A(cfg, params, GEO)
+        assert sum(log_det_n_matrix(k, 1).imag
+                   for k in (1j * aop.a_s.weighted, aop.b)) > math.pi
+        assert det_split_identity(cfg, params, GEO) < 1e-8
+
+    def test_calls_no_general_eigensolver(self, monkeypatch):
+        # every log is the matrix route's; criterion 05 runs the eigenvalue
+        # route against it on one field per seed
+        def no_eigvals(*args, **kwargs):
+            raise AssertionError("np.linalg.eigvals called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+        cfg = mixed_field(GEO, np.random.default_rng(14))
+        assert det_split_identity(cfg, make_params(), GEO) < 1e-8
 
 
 class TestDDecomposition:
@@ -359,11 +409,7 @@ class TestDDecomposition:
         rng = np.random.default_rng(17)
         cfg = mixed_field(GEO, rng)
         params = make_params()
-        aop = build_A(cfg, params, GEO, symmetrize=True)
-        As = aop.a_s.weighted
-        App = aop.a_doubleprime.weighted
-        n = As.shape[0]
-        B = np.linalg.solve(np.eye(n) + 1j * As, 1j * App)
+        B = build_A(cfg, params, GEO, symmetrize=True).b
         D = B + B.conj().T + B.conj().T @ B
         D = 0.5 * (D + D.conj().T)
         lhs = abs(np.exp(-np.sum(np.log(1 + np.linalg.eigvals(B)))))

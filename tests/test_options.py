@@ -12,6 +12,11 @@ name.  A call sets a parameter when it passes it by keyword, by position,
 or as a key of a ``**`` dict literal (directly, or through a loop variable
 that runs over dict literals).
 
+Determinants: ``slogdet`` is named in ``src/sigmagap`` only by
+``operators.log_det_n_matrix``, the one matrix route of log det_n, and by
+``covariance.component_log_z``, a positivity-checked log Z that is no
+det_n; so a hand-rolled slogdet-plus-traces copy cannot come back.
+
 Dependencies: every third-party package that ``src/sigmagap`` imports,
 at module level or inside a function, is declared in ``pyproject.toml``'s
 ``[project].dependencies``, and every declared package is imported.
@@ -245,6 +250,43 @@ def test_test_only_allowlist_is_current():
     """An allowlisted definition that gained a caller or is gone must be
     dropped from ALLOWED_TEST_ONLY."""
     assert set(ALLOWED_TEST_ONLY) <= set(uncalled_definitions())
+
+
+# (module, qualname) -> why it may call slogdet
+ALLOWED_SLOGDET = {
+    ("operators", "log_det_n_matrix"): "the matrix route of log det_n",
+    ("covariance", "component_log_z"):
+        "log Z from a determinant whose sign it checks; not a det_n",
+}
+
+
+def _mentions(tree, name):
+    """Names, attributes, imports and definitions in tree called name."""
+    return sum(name in (getattr(node, "id", None), getattr(node, "attr", None),
+                        getattr(node, "name", None),
+                        getattr(node, "asname", None))
+               for node in ast.walk(tree))
+
+
+def slogdet_users():
+    """(module, qualname) of every src/sigmagap function or method that
+    names slogdet, and (module, None) for a use outside all of them."""
+    out = set()
+    definitions = _definitions()
+    for path in sorted(SRC.glob("*.py")):
+        inside = 0
+        for module, qual, fn, _ in definitions:
+            count = _mentions(fn, "slogdet") if module == path.stem else 0
+            if count:
+                out.add((module, qual))
+                inside += count
+        if _mentions(_parse(path), "slogdet") > inside:
+            out.add((path.stem, None))
+    return out
+
+
+def test_slogdet_only_in_the_matrix_route():
+    assert slogdet_users() == set(ALLOWED_SLOGDET)
 
 
 def imported_packages():
