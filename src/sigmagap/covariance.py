@@ -26,6 +26,11 @@ gamma-restricted kernel chain (summed by doubling) for C_gamma, and the
 generalized eigenvalues of (C_gamma, C0) per component for Z_gamma; all
 are computed where build_Cgamma runs with routes="both".
 
+Only that dual-route gate reads C_gamma itself: Z_gamma and the damping
+bound need the gamma block alone.  So build_Cgamma takes the gamma-block
+Cholesky of (1-eps)^{-1} - U[gamma, gamma] eagerly, as the positivity
+check of the floored form, and the set forms C_gamma on first read.
+
 The rest of the per-configuration pipeline costs O(n^2 |gamma|) too:
 deltaC reads S P_gamma S as the rank-|gamma| product S[:, gamma]
 S[gamma, :] and checks its splitting identity against one cached
@@ -58,7 +63,7 @@ import scipy.linalg
 from .kernels import cutoff_enforced_values
 from .operators import (DiscretizedOperator, build_A, log_det_n,
                         log_det_n_matrix, propagator_matrix,
-                        radial_site_matrix, site_square_mask)
+                        radial_site_matrix)
 from .regions import (FieldConfig, LatticeGeometry, classify_squares,
                       smooth_step)
 
@@ -86,13 +91,15 @@ def padded_geometry(geometry, pad):
 
 def region_site_mask(geometry, corners):
     """Union of the site masks of the given unit squares, silently dropping
-    squares that fall outside the grid."""
-    nsite = geometry.sites_per_side ** 2
-    mask = np.zeros(nsite, dtype=bool)
+    squares that fall outside the grid: the squares are marked on the
+    2n x 2n grid of squares, which is then widened to sites."""
+    n, s = geometry.n, geometry.sites_per_square
+    squares = np.zeros((2 * n, 2 * n), dtype=bool)
     for c in corners:
-        if -geometry.n <= c[0] < geometry.n and -geometry.n <= c[1] < geometry.n:
-            mask |= site_square_mask(geometry, c)
-    return mask
+        if -n <= c[0] < n and -n <= c[1] < n:
+            squares[c[0] + n, c[1] + n] = True
+    return np.repeat(np.repeat(squares, s, axis=0), s,
+                     axis=1).reshape(geometry.sites_per_side ** 2)
 
 
 def inner_site_mask(grid, geometry):
@@ -201,11 +208,13 @@ def build_C0(params, geometry, cutoff):
 @dataclasses.dataclass
 class CovarianceSet:
     """C0, C_gamma, the total and per-component corrections, and the grid
-    bookkeeping needed by the normalization and splitting routines."""
+    bookkeeping needed by the normalization and splitting routines.
+
+    Cgamma_correction = C_gamma - C0 and Cgamma are formed on first read
+    by closed_form, _closed_form_correction's Woodbury product; the
+    normalization and the damping bound never read them."""
 
     C0: DiscretizedOperator
-    Cgamma: DiscretizedOperator
-    Cgamma_correction: DiscretizedOperator
     component_corrections: list
     component_masks: list
     grid: LatticeGeometry
@@ -213,7 +222,17 @@ class CovarianceSet:
     neumann_terms: int
     epsilon: float
     cutoff_weighted: np.ndarray
+    closed_form: object = dataclasses.field(repr=False)
     Zgamma: float = None
+
+    @functools.cached_property
+    def Cgamma_correction(self):
+        return DiscretizedOperator(self.closed_form(), self.C0.site_weight)
+
+    @functools.cached_property
+    def Cgamma(self):
+        cg_w = self.C0.weighted + self.Cgamma_correction.weighted
+        return DiscretizedOperator(0.5 * (cg_w + cg_w.T), self.C0.site_weight)
 
 
 def _neumann_correction(asm, mask, eps):
@@ -252,48 +271,61 @@ def _neumann_correction(asm, mask, eps):
 
 def _closed_form_correction(asm, gmask, eps):
     """C_gamma - C0 = B K^{-1} B^T by Woodbury on the gamma block, with
-    B = S^- U[:, gamma] and K = (1-eps)^{-1} - U[gamma, gamma].
+    B = S^- U[:, gamma] and K = (1-eps)^{-1} - U[gamma, gamma], as a
+    function of no arguments that forms it.
 
-    The Cholesky factor L of K is also the positivity check: the floored
-    form U^{-1} - (1-eps) P_gamma is positive definite exactly when K is.
-    The product is formed as H^T H with H = L^{-1} B^T, so it is exactly
-    symmetric."""
+    The Cholesky factor L of K is taken here, since it is also the
+    positivity check: the floored form U^{-1} - (1-eps) P_gamma is
+    positive definite exactly when K is.  The n x n product, formed as
+    H^T H with H = L^{-1} B^T so that it is exactly symmetric, runs only
+    when the returned function is called."""
     idx = np.flatnonzero(gmask)
     k = np.eye(len(idx)) / (1.0 - eps) - asm.u_w[np.ix_(idx, idx)]
     try:
         chol = np.linalg.cholesky(k)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError("floored quadratic form not PD") from exc
+    return functools.partial(_woodbury_product, asm, idx, chol)
+
+
+def _woodbury_product(asm, idx, chol):
     half = np.linalg.solve(chol, (asm.s_minus @ asm.u_w[:, idx]).T)
     return half.T @ half
 
 
 def build_Cgamma(params, geometry, cutoff, regions, pad=2, routes="both"):
-    """Assemble C_gamma = C0 + B K^{-1} B^T on the padded grid.
+    """The covariance set of C_gamma = C0 + B K^{-1} B^T on the padded grid.
 
     The closed form (Woodbury on the gamma block, _closed_form_correction)
-    needs one |gamma| x |gamma| Cholesky and n x |gamma| products.
-    routes="both" also computes its two dual routes: the n x n Cholesky
-    inverse of the (1-eps)-floored quadratic form, and C0 plus the
-    per-component corrections C^{gamma_i} summed as truncated Neumann
-    chains.  The larger sup-entry gap of either to the closed form is
-    recorded and must stay below ROUTE_AGREE_TOL = 1e-8; routes="direct"
-    computes the closed form alone."""
+    needs one |gamma| x |gamma| Cholesky and n x |gamma| products.  The
+    Cholesky is taken here and raises when the floored form is not
+    positive definite; C_gamma itself is formed on first read of
+    Cgamma or Cgamma_correction, so routes="direct" runs no n x n product.
+    routes="both" reads both at once and computes their two dual routes:
+    the n x n Cholesky inverse of the (1-eps)-floored quadratic form, and
+    C0 plus the per-component corrections C^{gamma_i} summed as truncated
+    Neumann chains.  The larger sup-entry gap of either to the closed form
+    is recorded and must stay below ROUTE_AGREE_TOL = 1e-8."""
     if routes not in ("both", "direct"):
         raise ValueError("routes must be 'both' or 'direct'")
     asm = _assembly(params, geometry, cutoff, pad)
     eps = params.epsilon
     gmask = region_site_mask(asm.geo, regions.gamma)
-    corr = _closed_form_correction(asm, gmask, eps)
-    cg_w = asm.c0_w + corr
-    cg_w = 0.5 * (cg_w + cg_w.T)
-
-    comp_masks = [region_site_mask(asm.geo, comp.gamma)
-                  for comp in regions.components]
-    comp_ops = []
-    total_terms = 0
-    residual = float("nan")
+    covset = CovarianceSet(
+        C0=DiscretizedOperator(asm.c0_w, asm.w),
+        component_corrections=[],
+        component_masks=[region_site_mask(asm.geo, comp.gamma)
+                         for comp in regions.components],
+        grid=asm.geo,
+        route_residual=float("nan"),
+        neumann_terms=0,
+        epsilon=eps,
+        cutoff_weighted=asm.u_w,
+        closed_form=_closed_form_correction(asm, gmask, eps),
+    )
     if routes == "both":
+        cg_w = covset.Cgamma.weighted
+        corr = covset.Cgamma_correction.weighted
         x = asm.uinv_w - np.diag((1.0 - eps) * gmask)
         try:
             cf = scipy.linalg.cho_factor(x)
@@ -302,30 +334,20 @@ def build_Cgamma(params, geometry, cutoff, regions, pad=2, routes="both"):
         minv = scipy.linalg.cho_solve(cf, np.eye(asm.nsite))
         inv_w = asm.s_minus @ (0.5 * (minv + minv.T)) @ asm.s_minus
         corr_sum = np.zeros_like(cg_w)
-        for cmask in comp_masks:
+        for cmask in covset.component_masks:
             series, terms = _neumann_correction(asm, cmask, eps)
             series = 0.5 * (series + series.T)
-            total_terms = max(total_terms, terms)
+            covset.neumann_terms = max(covset.neumann_terms, terms)
             corr_sum += series
-            comp_ops.append(DiscretizedOperator(series, asm.w))
-        residual = float(max(np.abs(inv_w - cg_w).max(),
-                             np.abs(corr_sum - corr).max()) / asm.w)
-        if not residual <= ROUTE_AGREE_TOL:
-            raise ArithmeticError(
-                f"covariance routes disagree: sup residual {residual:.3e}")
-
-    return CovarianceSet(
-        C0=DiscretizedOperator(asm.c0_w, asm.w),
-        Cgamma=DiscretizedOperator(cg_w, asm.w),
-        Cgamma_correction=DiscretizedOperator(corr, asm.w),
-        component_corrections=comp_ops,
-        component_masks=comp_masks,
-        grid=asm.geo,
-        route_residual=residual,
-        neumann_terms=total_terms,
-        epsilon=eps,
-        cutoff_weighted=asm.u_w,
-    )
+            covset.component_corrections.append(
+                DiscretizedOperator(series, asm.w))
+        covset.route_residual = float(max(np.abs(inv_w - cg_w).max(),
+                                          np.abs(corr_sum - corr).max())
+                                      / asm.w)
+        if not covset.route_residual <= ROUTE_AGREE_TOL:
+            raise ArithmeticError("covariance routes disagree: sup residual "
+                                  f"{covset.route_residual:.3e}")
+    return covset
 
 
 # ---------------------------------------------------------------------------

@@ -227,18 +227,22 @@ def log_det_n_matrix(k, order):
     """log det_n(1 + K) from the matrix K, n = 1, 2 or 3: one LU (numpy's
     slogdet) gives log|det(1 + K)| + i arg det(1 + K), then -tr K (n >= 2)
     and +(1/2) sum K o K^T = (1/2) tr K^2 (n = 3).  The imaginary part is
-    a principal argument: it agrees with log_det_n mod 2 pi i."""
-    if order not in (1, 2, 3):
+    a principal argument: it agrees with log_det_n mod 2 pi i.  For a
+    tuple of orders it returns the tuple of their values, from the same
+    LU."""
+    orders = order if isinstance(order, tuple) else (order,)
+    if not orders or not set(orders) <= {1, 2, 3}:
         raise ValueError("order must be 1, 2 or 3")
     sign, logabs = np.linalg.slogdet(np.eye(len(k)) + k)
     if sign == 0:
         raise ArithmeticError("1 + K is singular")
-    out = complex(logabs, np.angle(sign))
-    if order >= 2:
-        out -= np.trace(k)
-    if order == 3:
-        out += 0.5 * np.sum(k * k.T)
-    return out
+    out = [complex(logabs, np.angle(sign))]
+    if max(orders) >= 2:
+        out.append(out[0] - np.trace(k))
+    if max(orders) == 3:
+        out.append(out[1] + 0.5 * np.sum(k * k.T))
+    values = tuple(out[n - 1] for n in orders)
+    return values if isinstance(order, tuple) else values[0]
 
 
 def det_split_identity(field, params, geometry=None):
@@ -251,18 +255,20 @@ def det_split_identity(field, params, geometry=None):
                  = det_2^{-1}(1+iA) exp Tr{-(1/2)(iA_s)^2}
     Returns the max relative residual of the two mod 2 pi i (both exact
     matrix algebra: it probes conditioning only).  Every log is
-    log_det_n_matrix's; as identity 2 minus identity 1 is then tr B =
-    tr iA'', criterion 05 checks that route against the eigenvalues.
+    log_det_n_matrix's, both orders of a matrix from its one LU; as
+    identity 2 minus identity 1 is then tr B = tr iA'', criterion 05
+    checks that route against the eigenvalues.
     """
     aop = build_A(field, params, geometry)
     ia = 1j * aop.op.weighted
     ias = 1j * aop.a_s.weighted
     b = aop.b
-    log_a = log_det_n_matrix(ia, 1)
-    res1 = log_a - log_det_n_matrix(ias, 1) - log_det_n_matrix(b, 1)
+    log_a, log2_a = log_det_n_matrix(ia, (1, 2))
+    log_s, log3_s = log_det_n_matrix(ias, (1, 3))
+    log_b, log2_b = log_det_n_matrix(b, (1, 2))
+    res1 = log_a - log_s - log_b
     # det_3^{-1}(1+iAs) det_2^{-1}(1+B) on log scale, tr K^2 = sum K o K^T
-    res2 = (log_det_n_matrix(ia, 2) + 0.5 * np.sum(ias * ias.T)
-            - log_det_n_matrix(ias, 3) - log_det_n_matrix(b, 2))
+    res2 = log2_a + 0.5 * np.sum(ias * ias.T) - log3_s - log2_b
     res = max(abs(complex(r.real, math.remainder(r.imag, 2 * math.pi)))
               for r in (res1, res2))
     return float(res / max(1.0, abs(log_a)))

@@ -31,7 +31,6 @@ def _bump_total():
     return val
 
 
-@functools.lru_cache(maxsize=100000)
 def smooth_step(x):
     """C^inf monotone step: 0 for x <= -1/4, 1 for x >= 1/4.
 
@@ -42,6 +41,14 @@ def smooth_step(x):
         return 0.0
     if x >= _QUARTER:
         return 1.0
+    return _smooth_step_inside(x)
+
+
+@functools.lru_cache(maxsize=100000)
+def _smooth_step_inside(x):
+    """smooth_step on (-1/4, 1/4) by quadrature, cached: only these
+    arguments pay for a quad, and the constant arguments outside, most of
+    a random field's window weights, never fill the cache."""
     # integrate from the nearer endpoint for accuracy
     if x <= 0.0:
         val, _ = integrate.quad(_bump, -_QUARTER, x, epsabs=1e-16, epsrel=1e-14)

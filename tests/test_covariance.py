@@ -26,7 +26,8 @@ from sigmagap.covariance import (
 from sigmagap.kernels import CutoffSpec
 from sigmagap.model import derive_params
 from sigmagap.operators import (DiscretizedOperator, build_A, log_det_n,
-                                log_det_n_matrix, propagator_matrix)
+                                log_det_n_matrix, propagator_matrix,
+                                site_square_mask)
 from sigmagap.regions import (
     FieldConfig,
     LatticeGeometry,
@@ -136,6 +137,35 @@ class TestBuildC0:
             build_Cgamma(params, geo, CUT, regions, pad=2, routes=routes)
 
 
+class TestRegionSiteMask:
+    def test_matches_the_union_of_square_masks(self):
+        # random corner sets, some squares outside the 2n x 2n grid, which
+        # are dropped
+        geo = LatticeGeometry(n=3, sites_per_square=3)
+        rng = np.random.default_rng(21)
+        dropped = 0
+        for _ in range(20):
+            corners = {tuple(int(v) for v in c)
+                       for c in rng.integers(-5, 5, size=(rng.integers(0, 30),
+                                                          2))}
+            inside = [c for c in corners
+                      if -3 <= c[0] < 3 and -3 <= c[1] < 3]
+            dropped += len(corners) - len(inside)
+            union = np.zeros(geo.sites_per_side ** 2, dtype=bool)
+            for c in inside:
+                union |= site_square_mask(geo, c)
+            mask = region_site_mask(geo, corners)
+            assert mask.dtype == bool
+            assert np.array_equal(mask, union)
+        assert dropped > 0
+
+    def test_empty_and_all_outside(self):
+        geo = LatticeGeometry(n=2, sites_per_square=3)
+        assert not region_site_mask(geo, []).any()
+        assert not region_site_mask(geo, [(2, 0), (-3, 1), (0, 5)]).any()
+        assert region_site_mask(geo, []).shape == (geo.sites_per_side ** 2,)
+
+
 class TestBuildCgamma:
     def test_empty_gamma_reduces_to_C0(self):
         params = make_params()
@@ -207,6 +237,57 @@ class TestBuildCgamma:
         params, geo, fld, assign, regions = setup_single()
         with pytest.raises(ArithmeticError, match="covariance routes disagree"):
             build_Cgamma(params, geo, CUT, regions, pad=2)
+
+    @pytest.mark.parametrize("routes", ["direct", "both"])
+    def test_lazy_values_keep_the_eager_bits(self, routes):
+        # the closed form as it was formed before it moved into the set,
+        # written out here: K, its Cholesky, H = L^{-1} B^T, H^T H, then C0
+        # plus it, symmetrized
+        params, geo, fld, assign, regions = setup_single()
+        covset = build_Cgamma(params, geo, CUT, regions, pad=2, routes=routes)
+        asm = covariance._assembly(params, geo, CUT, pad=2)
+        idx = np.flatnonzero(region_site_mask(asm.geo, regions.gamma))
+        k = (np.eye(len(idx)) / (1.0 - params.epsilon)
+             - asm.u_w[np.ix_(idx, idx)])
+        half = np.linalg.solve(np.linalg.cholesky(k),
+                               (asm.s_minus @ asm.u_w[:, idx]).T)
+        corr = half.T @ half
+        cg_w = asm.c0_w + corr
+        cg_w = 0.5 * (cg_w + cg_w.T)
+        assert np.array_equal(covset.Cgamma_correction.weighted, corr)
+        assert np.array_equal(covset.Cgamma.weighted, cg_w)
+        assert covset.Cgamma.site_weight == asm.w
+
+    @pytest.fixture
+    def no_product(self, monkeypatch):
+        """The n x n closed-form product raises when it is formed."""
+        def raising(*args):
+            raise AssertionError("closed-form product formed")
+
+        monkeypatch.setattr(covariance, "_woodbury_product", raising)
+
+    def test_direct_route_forms_no_Cgamma(self, no_product):
+        # the set, Z_gamma and the damping report must not need the
+        # product, and the first read must form it
+        params, geo, fld, assign, regions = setup_single()
+        covset = build_Cgamma(params, geo, CUT, regions, pad=2,
+                              routes="direct")
+        dc = build_deltaC(params, geo, CUT, regions, pad=2)
+        assert compute_Zgamma(covset, regions) > 1.0
+        rep = damping_report(fld, params, regions, covset, dc, assign)
+        assert np.isfinite(rep.log_value)
+        with pytest.raises(AssertionError, match="product formed"):
+            covset.Cgamma
+        with pytest.raises(AssertionError, match="product formed"):
+            covset.Cgamma_correction
+
+    def test_positivity_check_stays_in_build(self, no_product):
+        # a floored form that is not PD raises the positivity error from
+        # build_Cgamma itself, not from the product at a first read
+        params, geo, fld, assign, regions = setup_single(sites=2)
+        with pytest.raises(ArithmeticError,
+                           match="floored quadratic form not PD"):
+            build_Cgamma(params, geo, CUT, regions, pad=2, routes="direct")
 
     def test_positive_definite_and_above_C0(self):
         # C_gamma^{-1} <= C0^{-1}, so C_gamma >= C0 > 0

@@ -293,6 +293,22 @@ class TestDetReg:
         with pytest.raises(ValueError):
             log_det_n_matrix(np.zeros((2, 2)), 4)
 
+    def test_several_orders_from_one_lu(self, monkeypatch):
+        # a tuple of orders gives each order's bits from one slogdet
+        rng = np.random.default_rng(17)
+        k = 0.1 * (rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30)))
+        singles = [log_det_n_matrix(k, n) for n in (1, 2, 3)]
+        real, calls = np.linalg.slogdet, []
+        monkeypatch.setattr(np.linalg, "slogdet",
+                            lambda a: calls.append(a) or real(a))
+        assert log_det_n_matrix(k, (3, 1, 2)) \
+            == (singles[2], singles[0], singles[1])
+        assert log_det_n_matrix(k, (2,)) == (singles[1],)
+        assert len(calls) == 2
+        for bad in ((), (1, 4)):
+            with pytest.raises(ValueError):
+                log_det_n_matrix(k, bad)
+
     def test_large_determinant_stays_finite(self):
         # det(1 + 1000 I_200) = 1001^200 overflows a float; its log does
         # not.  slogdet adds the 200 logs one at a time (within 200 eps)
@@ -368,6 +384,15 @@ class TestDetSplit:
         assert sum(log_det_n_matrix(k, 1).imag
                    for k in (1j * aop.a_s.weighted, aop.b)) > math.pi
         assert det_split_identity(cfg, params, GEO) < 1e-8
+
+    def test_one_lu_per_matrix(self, monkeypatch):
+        # 1+iA, 1+iA_s and 1+B are each factored once
+        real, calls = np.linalg.slogdet, []
+        monkeypatch.setattr(np.linalg, "slogdet",
+                            lambda a: calls.append(a) or real(a))
+        cfg = mixed_field(GEO, np.random.default_rng(14))
+        assert det_split_identity(cfg, make_params(), GEO) < 1e-8
+        assert len(calls) == 3
 
     def test_calls_no_general_eigensolver(self, monkeypatch):
         # every log is the matrix route's; criterion 05 runs the eigenvalue

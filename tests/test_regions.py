@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sigmagap import cli
+from sigmagap import cli, regions
 from sigmagap.model import ModelParams
 from sigmagap.regions import (
     FieldConfig,
@@ -61,6 +61,19 @@ class TestSmoothStep:
     def test_range(self):
         for x in np.linspace(-0.5, 0.5, 41):
             assert 0.0 <= smooth_step(x) <= 1.0
+
+    def test_only_the_quadrature_branch_is_cached(self):
+        # arguments outside (-1/4, 1/4) return their constant without
+        # entering the cache; inside, a repeated argument is a hit
+        cache = regions._smooth_step_inside
+        cache.cache_clear()
+        for x in np.linspace(-3.0, 3.0, 1001):
+            if abs(x) >= 0.25:
+                smooth_step(x)
+        assert cache.cache_info().currsize == 0
+        assert smooth_step(np.float64(0.1)) == smooth_step(0.1)
+        info = cache.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
 
 
 class TestGeometry:
