@@ -28,22 +28,28 @@ are computed where build_Cgamma runs with routes="both".
 
 Only that dual-route gate reads C_gamma itself: Z_gamma and the damping
 bound need the gamma block alone.  So build_Cgamma takes the gamma-block
-Cholesky of (1-eps)^{-1} - U[gamma, gamma] eagerly, as the positivity
-check of the floored form, and the set forms C_gamma on first read.
+Cholesky K = (1-eps)^{-1} - U[gamma, gamma] = L L^T eagerly, as the
+positivity check of the floored form, and the set forms C_gamma on first
+read.  Since 1 - (1-eps) U[gamma, gamma] = (1-eps) K, the same L gives
+log Z_gamma = -|gamma|/2 log(1-eps) - sum log L_ii.
 
 The rest of the per-configuration pipeline costs O(n^2 |gamma|) too:
 deltaC reads S P_gamma S as the rank-|gamma| product S[:, gamma]
-S[gamma, :] and checks its splitting identity against one cached
-configuration-independent term (with, once per grid, the residual of
-U^{-1} U = 1, which the identity cannot see), and damping_report takes
-the real part of log det_2 from the matrix route of operators
-(log_det_n_matrix, one slogdet) instead of the eigenvalues.
+S[gamma, :], keeps the two corrections that vanish outside Lambda x
+Lambda as their Lambda blocks, and checks its splitting identity against
+one cached configuration-independent term (with, once per grid, the
+residual of U^{-1} U = 1, which the identity cannot see).  damping_report
+reads (tau, deltaC tau) on Lambda alone and takes the real part of
+log det_2 from the |L| x |L| Schur complement on the large sites, through
+the matrix route of operators (log_det_n_matrix, one slogdet), instead of
+the eigenvalues or the n x n B.
 
 Grids: region bookkeeping lives on the inner lattice covering Lambda; the
 covariance kernels are assembled on a padded grid (pad extra unit squares
 per side) so that the belt around Lambda is actually represented.  All
-operators returned here live on the padded grid; ``embed_tau`` maps an
-inner-field configuration into it.
+operators returned here live on the padded grid, whose Lambda sites
+(inner_site_mask) hold an inner-field configuration in its own row-major
+order.
 
 A note on the sharp splitting identity: with P_s + P_l = P_Lambda the
 difference C_gamma^{-1} - C_ls^{-1} equals
@@ -111,13 +117,6 @@ def inner_site_mask(grid, geometry):
     mask = np.zeros((side, side), dtype=bool)
     mask[off:off + inner, off:off + inner] = True
     return mask.reshape(side * side)
-
-
-def embed_tau(field, grid):
-    """Zero-extend an inner-lattice field onto the padded grid (flat)."""
-    out = np.zeros(grid.sites_per_side ** 2)
-    out[inner_site_mask(grid, field.geometry)] = field.tau.reshape(-1)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +211,8 @@ class CovarianceSet:
 
     Cgamma_correction = C_gamma - C0 and Cgamma are formed on first read
     by closed_form, _closed_form_correction's Woodbury product; the
-    normalization and the damping bound never read them."""
+    normalization and the damping bound never read them.  gamma_cholesky
+    is the gamma index and the Cholesky factor the closed form holds."""
 
     C0: DiscretizedOperator
     component_corrections: list
@@ -233,6 +233,10 @@ class CovarianceSet:
     def Cgamma(self):
         cg_w = self.C0.weighted + self.Cgamma_correction.weighted
         return DiscretizedOperator(0.5 * (cg_w + cg_w.T), self.C0.site_weight)
+
+    @property
+    def gamma_cholesky(self):
+        return self.closed_form.args[1:]
 
 
 def _neumann_correction(asm, mask, eps):
@@ -354,23 +358,32 @@ def build_Cgamma(params, geometry, cutoff, regions, pad=2, routes="both"):
 # normalization
 
 def compute_Zgamma(covset, regions):
-    """Z_gamma = det^{1/2}(C0^{-1} C_gamma) from one |gamma| x |gamma| block.
+    """Z_gamma = det^{1/2}(C0^{-1} C_gamma) from the gamma-block Cholesky.
 
     C_gamma^{-1} = C0^{-1} - S (1-eps) P_gamma S with S = sqrt(1+pi), so
     det(C0^{-1} C_gamma) = det^{-1}(1 - (1-eps) U P_gamma), and Sylvester's
     identity det(1 - A B) = det(1 - B A) with P_gamma = E E^T reduces it
-    to the gamma block: log Z_gamma = component_log_z over the gamma mask.
-    This determinant route is primary; Z_gamma >= 1 is checked.
+    to the gamma block 1 - (1-eps) U[gamma, gamma] = (1-eps) K.  The set
+    holds K = L L^T from build_Cgamma's positivity check, so
+    log Z_gamma = -|gamma|/2 log(1-eps) - sum log L_ii, with no second
+    factorization.  regions.gamma must be the set's gamma (else
+    ArithmeticError); this route is primary and Z_gamma >= 1 is checked.
 
     When the set carries the per-component corrections (routes="both"),
     the generalized eigenvalues of (C0 + C^{gamma_i}, C0) give each
     log Z_{gamma_i} by the independent route.  Each must match its
-    component's determinant, and exp of their sum must match Z_gamma (the
-    product factorization, exact for the compact-support cutoff kernel
-    since distinct components lie further apart than its range), both at
-    FACTOR_TOL."""
-    z = float(np.exp(component_log_z(
-        covset, region_site_mask(covset.grid, regions.gamma))))
+    component's determinant (component_log_z), and exp of their sum must
+    match Z_gamma (the product factorization, exact for the
+    compact-support cutoff kernel since distinct components lie further
+    apart than its range), both at FACTOR_TOL."""
+    idx, chol = covset.gamma_cholesky
+    gamma = np.flatnonzero(region_site_mask(covset.grid, regions.gamma))
+    if not np.array_equal(gamma, idx):
+        raise ArithmeticError(
+            "regions.gamma and the covariance set's gamma disagree")
+    log_z = (-0.5 * len(idx) * np.log1p(-covset.epsilon)
+             - float(np.sum(np.log(np.diag(chol)))))
+    z = float(np.exp(log_z))
     if z < 1.0 - 1e-9:
         raise ArithmeticError(f"Z_gamma = {z} below 1")
 
@@ -404,7 +417,7 @@ def component_log_z(covset, cmask):
 
     By Sylvester's identity this equals -1/2 logdet(1 - (1-eps) U P) over
     the whole grid, so it is the determinant route for one component's
-    normalization and, on the gamma mask, for Z_gamma itself."""
+    normalization and, on the gamma mask, the LU route to Z_gamma."""
     idx = np.flatnonzero(cmask)
     block = (1.0 - covset.epsilon) * covset.cutoff_weighted[np.ix_(idx, idx)]
     sign, logdet = np.linalg.slogdet(np.eye(len(idx)) - block)
@@ -421,16 +434,43 @@ class DeltaC:
     """The four correction operators of the sharp splitting, with the
     residual of the defining identity (checked on the padded grid,
     including the (1 - P_Lambda) term that the restriction to fields in
-    Lambda would hide) or of U^{-1} U = 1, whichever is larger."""
+    Lambda would hide) or of U^{-1} U = 1, whichever is larger.
 
-    d1: DiscretizedOperator
-    d2: DiscretizedOperator
+    deltaC_1 and deltaC_2 vanish outside Lambda x Lambda, so the set holds
+    them as their Lambda blocks d1_lambda and d2_lambda (weighted, in the
+    order of the padded grid's Lambda sites lam); d1 and d2 on the padded
+    grid are formed on first read.  Iterating yields d1, d2, d3, d4."""
+
+    d1_lambda: np.ndarray
+    d2_lambda: np.ndarray
     d3: DiscretizedOperator
     d4: DiscretizedOperator
     identity_residual: float
+    lam: np.ndarray
+
+    def _padded(self, block):
+        n = self.d3.weighted.shape[0]
+        out = np.zeros((n, n))
+        out[np.ix_(self.lam, self.lam)] = block
+        return DiscretizedOperator(out, self.d3.site_weight)
+
+    @functools.cached_property
+    def d1(self):
+        return self._padded(self.d1_lambda)
+
+    @functools.cached_property
+    def d2(self):
+        return self._padded(self.d2_lambda)
 
     def __iter__(self):
         return iter((self.d1, self.d2, self.d3, self.d4))
+
+    def lambda_form(self, v):
+        """(v, deltaC v) for a weighted field supported in Lambda, given by
+        its values on lam: deltaC_3 vanishes on Lambda x Lambda."""
+        d4 = self.d4.weighted[np.ix_(self.lam, self.lam)]
+        return sum(float(v @ blk @ v)
+                   for blk in (self.d1_lambda, self.d2_lambda, d4))
 
 
 def build_deltaC(params, geometry, cutoff, regions, pad=2):
@@ -445,7 +485,8 @@ def build_deltaC(params, geometry, cutoff, regions, pad=2):
         deltaC_4 = eps S P_gamma S
 
     S P_gamma S is the rank-|gamma| product S[:, gamma] S[gamma, :], and
-    T = 1 + pi - S P_gamma S, so no n x n product runs per configuration.
+    T = 1 + pi - S P_gamma S, so no n x n product runs per configuration;
+    deltaC_1 and deltaC_2 are written on Lambda x Lambda only (DeltaC).
     The assembly is verified, entry by entry, against the difference
     C_gamma^{-1} - C_ls^{-1} = deltaC - P_l - (1 - P_Lambda) with
     C_ls^{-1} = P_s pi P_s + 1 + S f S, whose U^{-1} route is
@@ -457,51 +498,69 @@ def build_deltaC(params, geometry, cutoff, regions, pad=2):
     configuration and is computed once per grid from the U^{-1} products
     (_split_fixed_cached).  The U^{-1} terms of F cancel in exact
     arithmetic, F = S^2 - 1 = pi, so this residual checks S^2 = 1 + pi on
-    the grid and the block bookkeeping (region masks that overlap or miss
-    sites), not U^{-1} itself; identity_residual is therefore the larger
-    of it and |U^{-1} U - 1|_max, taken once per grid beside F."""
+    the grid and the block bookkeeping (region masks that overlap, miss
+    sites or leave Lambda), not U^{-1} itself; identity_residual is
+    therefore the larger of it and |U^{-1} U - 1|_max, taken once per grid
+    beside F.  P_s pi P_s and P_l are read on the whole padded grid, so an
+    s- or l-square outside Lambda leaves its blocks in the residual."""
     key = _assembly_key(params, geometry, cutoff, pad)
     asm = _assembly_cached(*key)
     eps, n = params.epsilon, asm.nsite
     gamma = np.flatnonzero(region_site_mask(asm.geo, regions.gamma))
     l_mask = region_site_mask(asm.geo, regions.lambda_l)
-    s_idx = np.flatnonzero(region_site_mask(asm.geo, regions.lambda_s))
-    l_idx = np.flatnonzero(l_mask)
+    s_mask = region_site_mask(asm.geo, regions.lambda_s)
+    s_idx = np.flatnonzero(s_mask)
     inner = inner_site_mask(asm.geo, geometry)
     lam = np.flatnonzero(inner)
-    ss = np.ix_(s_idx, s_idx)
+    # Lambda x Lambda of an n x n array as a view: Lambda is the square
+    # [off, off + k)^2 of the side x side site grid, in row-major order
+    side, k = asm.geo.sites_per_side, geometry.sites_per_side
+    off = (asm.geo.n - geometry.n) * asm.geo.sites_per_square
+    box = (slice(off, off + k),) * 4
+
+    def on_lambda(mat):
+        return mat.reshape(side, side, side, side)[box]
 
     sp = asm.s_plus
     spgs = sp[:, gamma] @ sp[gamma, :]
     d4_w = eps * spgs
     t = asm.pi_w - spgs
     t.flat[::n + 1] += 1.0  # T = 1 + pi - S P_gamma S
-    # d1 and d2 vanish outside Lambda x Lambda: only their blocks are
-    # written; d2's blocks add up where regions overlap, as a mask sum would
-    d1_w = np.zeros((n, n))
-    d1_w[ss] = -spgs[ss]
-    d2_w = np.zeros((n, n))
-    for rows, cols in ((l_idx, s_idx), (l_idx, l_idx), (s_idx, l_idx)):
+    # d1 and d2 on Lambda x Lambda; d2's blocks add up where regions
+    # overlap, as a mask sum would
+    s_loc = np.flatnonzero(s_mask[lam])
+    l_loc = np.flatnonzero(l_mask[lam])
+    ss_loc = np.ix_(s_loc, s_loc)
+    d1_l = np.zeros((k * k, k * k))
+    d1_l[ss_loc] = -on_lambda(spgs).reshape(k * k, k * k)[ss_loc]
+    t_l = on_lambda(t).reshape(k * k, k * k)
+    d2_l = np.zeros((k * k, k * k))
+    for rows, cols in ((l_loc, s_loc), (l_loc, l_loc), (s_loc, l_loc)):
         blk = np.ix_(rows, cols)
-        d2_w[blk] += t[blk]
+        d2_l[blk] += t_l[blk]
     d3_w = t
-    d3_w[np.ix_(lam, lam)] = 0.0
+    on_lambda(d3_w)[...] = 0.0
 
-    # lhs - rhs of the identity, in place; every entry of d1..d4 is read
+    # lhs - rhs of the identity, in place; every entry of d1..d4 is read,
+    # d1 and d2 on the Lambda block outside which they vanish
     fixed, uinv_residual = _split_fixed_cached(*key)
     res = np.multiply(spgs, eps - 1.0)
     res += fixed
+    ss = np.ix_(s_idx, s_idx)
     res[ss] -= asm.pi_w[ss]
-    for d_w in (d1_w, d2_w, d3_w, d4_w):
-        res -= d_w
+    res_l = on_lambda(res)
+    res_l -= d1_l.reshape(res_l.shape)
+    res_l -= d2_l.reshape(res_l.shape)
+    res -= d3_w
+    res -= d4_w
     res.flat[::n + 1] += l_mask + (1.0 - inner)
-    residual = max(float(np.abs(res, out=res).max()), uinv_residual)
+    residual = max(float(res.max()), float(-res.min()), uinv_residual)
     if not residual <= SPLIT_IDENTITY_TOL:
         raise ArithmeticError(
             f"splitting identity violated: sup residual {residual:.3e}")
-    return DeltaC(*(DiscretizedOperator(m, asm.w)
-                    for m in (d1_w, d2_w, d3_w, d4_w)),
-                  identity_residual=residual)
+    return DeltaC(d1_l, d2_l, DiscretizedOperator(d3_w, asm.w),
+                  DiscretizedOperator(d4_w, asm.w),
+                  identity_residual=residual, lam=lam)
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +624,25 @@ class DampingReport:
     required_const: float
 
 
+def _log_det2_real(aop):
+    """Re log det_2(1 + B), B = (1 + iA_s)^{-1} iA'', from the |L| x |L|
+    Schur complement on the large sites L.
+
+    A_s = P_s A P_s, so 1 + iA_s = blockdiag(X, 1) with X = 1 + iA_ss, and
+    A'' vanishes on (s, s): the rows of 1 + B are [1, X^{-1} iA_sL] on s
+    and [iA_Ls, 1 + iA_LL] on L.  The block determinant identity gives
+    det(1 + B) = det(1 + iA_LL + A_Ls X^{-1} A_sL), and Re tr B =
+    Re tr iA_LL = 0 for the real A.  One LU of X with |L| right-hand
+    sides and one log_det_n_matrix of the |L| x |L| block."""
+    a = aop.op.weighted
+    s = np.flatnonzero(aop.small_sites)
+    big = np.flatnonzero(~aop.small_sites)
+    x = np.eye(len(s)) + 1j * a[np.ix_(s, s)]
+    k = 1j * a[np.ix_(big, big)] + a[np.ix_(big, s)] @ np.linalg.solve(
+        x, a[np.ix_(s, big)])
+    return log_det_n_matrix(k, 1).real
+
+
 def damping_report(field, params, regions, covset, deltac, assignment=None):
     """Evaluate log(Z_gamma |G_gamma(tau)|) for one configuration.
 
@@ -573,9 +651,10 @@ def damping_report(field, params, regions, covset, deltac, assignment=None):
     factors and the quadratic correction exp((tau, deltaC tau)/2).  The
     determinant factors enter through their real parts only: log det_3 of
     1 + iA_s from the eigenvalues of the real symmetric A_s, and
-    Re log det_2(1 + B), B = (1 + iA_s)^{-1} iA'', as log|det(1 + B)| -
-    Re tr B from log_det_n_matrix (one slogdet), with no general
-    eigensolve.
+    Re log det_2(1 + B), B = (1 + iA_s)^{-1} iA'', from the Schur
+    complement of 1 + B on the large sites (_log_det2_real), with no
+    general eigensolve and no n x n B.  tau vanishes outside Lambda, so
+    (tau, deltaC tau) is read on Lambda x Lambda (DeltaC.lambda_form).
     required_const is the constant that would make the bound
 
         log value <= -0.49 * int_{large} tau^2
@@ -599,10 +678,10 @@ def damping_report(field, params, regions, covset, deltac, assignment=None):
     aop = build_A(field, params, geometry, assignment=assignment,
                   symmetrize=True)
     log3 = log_det_n(1j * np.linalg.eigvalsh(aop.a_s.weighted), 3)
-    log2_real = log_det_n_matrix(aop.b, 2).real
+    log2_real = _log_det2_real(aop)
 
-    tau_w = embed_tau(field, covset.grid) * np.sqrt(covset.grid.site_weight)
-    quad = sum(float(tau_w @ op.weighted @ tau_w) for op in deltac)
+    quad = deltac.lambda_form(field.tau.reshape(-1)
+                              * np.sqrt(covset.grid.site_weight))
 
     z = covset.Zgamma
     if z is None:

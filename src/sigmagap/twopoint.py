@@ -22,9 +22,10 @@ each load never alternate inside it.
 
 Parallel sampling.  The draws are independent, so the interacting
 samples run on a persistent pool of len(os.sched_getaffinity(0)) worker
-processes, forked on the first interacting call.  Each worker pins every
-OpenBLAS loaded in it to one thread before its first BLAS call and
-reports the count, which the parent checks.  The parent draws z from
+processes, forked on the first interacting call.  Every OpenBLAS loaded
+in the parent is set to one thread for the forks and restored after them,
+so each worker starts with one thread and no idle BLAS pool; the worker
+reports its counts, which the parent checks.  The parent draws z from
 default_rng(seed) in sample order, in contiguous chunks of at most
 _CHUNK samples, and sends each chunk to an idle worker; the worker
 returns tau = root z, the resolvent row and the weight of every sample
@@ -191,16 +192,15 @@ def _blas_pins():
 
 
 def _worker(conn, inherited):
-    """Serve chunks on conn until the parent closes it.  Pins every
-    OpenBLAS to one thread and reports the counts; then answers each
-    (arrays, call, z) message with _sample_chunk's rows and weights, or
-    with the exception it raised.  arrays is (root, V) when the parent's
-    arrays changed since the last message, else None."""
+    """Serve chunks on conn until the parent closes it.  Reports the
+    thread count of every OpenBLAS, which the parent pinned to one before
+    the fork; then answers each (arrays, call, z) message with
+    _sample_chunk's rows and weights, or with the exception it raised.
+    arrays is (root, V) when the parent's arrays changed since the last
+    message, else None."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     for other in inherited:
         other.close()
-    for set_threads, _ in _blas_pins():
-        set_threads(1)
     conn.send([get_threads() for _, get_threads in _blas_pins()])
     while True:
         try:
@@ -221,21 +221,33 @@ def _worker(conn, inherited):
 
 class _Pool:
     """size forked workers, one pipe each, with the BLAS thread counts
-    each reported and the (root, V) each was last sent."""
+    each reported and the (root, V) each was last sent.
+
+    Every OpenBLAS of this process is set to one thread for the forks and
+    restored after them: a forked OpenBLAS starts its pool at the count it
+    had at the fork, so a worker that set its own count after the fork
+    would still start the parent's idle threads."""
 
     def __init__(self, size):
         ctx = multiprocessing.get_context("fork")
         self.owner = os.getpid()
         self.conns, self.procs, self.sent = [], [], [None] * size
-        for _ in range(size):
-            conn, child = ctx.Pipe()
-            proc = ctx.Process(target=_worker, name="sigmagap-sampler",
-                               args=(child, self.conns + [conn]),
-                               daemon=True)
-            proc.start()
-            child.close()
-            self.conns.append(conn)
-            self.procs.append(proc)
+        counts = [get_threads() for _, get_threads in _blas_pins()]
+        for set_threads, _ in _blas_pins():
+            set_threads(1)
+        try:
+            for _ in range(size):
+                conn, child = ctx.Pipe()
+                proc = ctx.Process(target=_worker, name="sigmagap-sampler",
+                                   args=(child, self.conns + [conn]),
+                                   daemon=True)
+                proc.start()
+                child.close()
+                self.conns.append(conn)
+                self.procs.append(proc)
+        finally:
+            for (set_threads, _), count in zip(_blas_pins(), counts):
+                set_threads(count)
         if not all(conn.poll(60.0) for conn in self.conns):
             self.close()
             raise RuntimeError("a sampling worker did not start in 60 s")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sigmagap import covariance
+from sigmagap import covariance, operators
 from sigmagap.covariance import (
     build_C0,
     build_Cgamma,
@@ -387,6 +387,39 @@ class TestZgamma:
         log_eig = 0.5 * float(np.sum(np.log(mu)))
         assert abs(np.log(z) - log_eig) < 1e-8 * max(1.0, abs(log_eig))
 
+    @staticmethod
+    def _cholesky_gap(regions_and_sets):
+        """Largest relative gap of Z_gamma (from the gamma-block Cholesky)
+        to exp(component_log_z) on the gamma mask (one LU of the block)."""
+        gaps = []
+        for regions, covset in regions_and_sets:
+            z = compute_Zgamma(covset, regions)
+            lu = np.exp(component_log_z(
+                covset, region_site_mask(covset.grid, regions.gamma)))
+            gaps.append(abs(z - lu) / lu)
+        return max(gaps)
+
+    def _sets(self):
+        params, geo, ensemble = TestDampingBound._ensemble(6, seed=7)
+        out = []
+        for fld, assign in ensemble:
+            regions = build_regions(assign, geo, corridorM=params.corridorM)
+            out.append((regions, build_Cgamma(params, geo, CUT, regions,
+                                              pad=2, routes="direct")))
+        params, geo, fld, assign, regions = setup_single()
+        out.append((regions, build_Cgamma(params, geo, CUT, regions, pad=2,
+                                          routes="direct")))
+        return out
+
+    def test_cholesky_route_matches_the_block_determinant(self):
+        assert self._cholesky_gap(self._sets()) <= 1e-12
+
+    def test_dropped_eps_term_fails_the_cholesky_route(self, monkeypatch):
+        # negative control: -|gamma|/2 log(1-eps) left out of log Z_gamma
+        sets = self._sets()
+        monkeypatch.setattr(np, "log1p", lambda x: 0.0 * x)
+        assert self._cholesky_gap(sets) > 1e-12
+
     @pytest.mark.parametrize("which", ["gamma", "component"])
     def test_moved_site_fails_the_route_gate(self, monkeypatch, which):
         # one boundary site of the mask moved by one; translating the
@@ -506,6 +539,32 @@ class TestDeltaC:
         with pytest.raises(ArithmeticError,
                            match="splitting identity violated"):
             build_deltaC(params, geo, CUT, bad, pad=2)
+
+    @pytest.mark.parametrize("label", ["lambda_s", "lambda_l"])
+    @pytest.mark.parametrize("corner", [(2, 0), (-3, -3)])
+    def test_square_outside_lambda_violates_the_identity(self, label,
+                                                          corner):
+        # negative control: an s- or l-square on the padded belt, which
+        # the Lambda blocks of d1 and d2 cannot hold
+        params, geo, fld, assign, regions = setup_single()
+        bad = dataclasses.replace(
+            regions, **{label: getattr(regions, label) | {corner}})
+        with pytest.raises(ArithmeticError,
+                           match="splitting identity violated"):
+            build_deltaC(params, geo, CUT, bad, pad=2)
+
+    def test_lambda_form_is_the_padded_quadratic_form(self):
+        # damping_report's (tau, deltaC tau) on Lambda against the sum of
+        # the four padded-grid forms
+        params, geo, fld, assign, regions = setup_single()
+        dc = build_deltaC(params, geo, CUT, regions, pad=2)
+        grid = padded_geometry(geo, 2)
+        rng = np.random.default_rng(3)
+        v = rng.normal(size=geo.sites_per_side ** 2)
+        full = np.zeros(grid.sites_per_side ** 2)
+        full[inner_site_mask(grid, geo)] = v
+        ref = sum(float(full @ op.weighted @ full) for op in dc)
+        assert dc.lambda_form(v) == pytest.approx(ref, rel=1e-12, abs=1e-14)
 
     def test_wrong_uinv_violates_the_identity(self, monkeypatch):
         # negative control: the splitting identity's U^{-1} terms cancel,
@@ -642,7 +701,8 @@ class TestDampingBound:
     """Assembled integrand bound on an ensemble mixing small and first-
     level large squares at N = 10^6."""
 
-    def _ensemble(self, count, seed):
+    @staticmethod
+    def _ensemble(count, seed):
         params = make_params()
         geo = LatticeGeometry(n=2, sites_per_square=3)
         side = geo.sites_per_side
@@ -688,9 +748,10 @@ class TestDampingBound:
 
     @staticmethod
     def _det2_inputs(params, geo, ensemble):
-        """B = (1 + iA_s)^{-1} iA'' of each configuration, as damping_report
-        forms it, and one generic complex B whose Re tr B is not 0 (on the
-        ensemble A'' vanishes on the (s,s) block, so Re tr B = 0 there)."""
+        """B = (1 + iA_s)^{-1} iA'' of each configuration (AOperator.b of
+        damping_report's symmetrized A), and one generic complex B whose
+        Re tr B is not 0 (on the ensemble A'' vanishes on the (s,s) block,
+        so Re tr B = 0 there)."""
         out = [build_A(fld, params, geo, assignment=assign,
                        symmetrize=True).b for fld, assign in ensemble]
         rng = np.random.default_rng(2)
@@ -700,17 +761,23 @@ class TestDampingBound:
         return out
 
     @staticmethod
-    def _det2_gap(b):
-        """|matrix route - eigenvalue route| of Re log det_2(1 + B) over
-        its tolerance.  Each route rounds n factors near 1 (the pivots of
-        the LU of 1 + B, or the 1 + lambda_i) at relative eps, and a
+    def _det2_tol(b):
+        """Each route to Re log det_2(1 + B) rounds n factors near 1 (the
+        pivots of an LU, or the 1 + lambda_i) at relative eps, and a
         relative perturbation of 1 + B moves log|det| by at most its size
         times kappa(1 + B); so each route is within n eps kappa of the
-        exact value, and the two within 2 n eps kappa."""
+        exact value, and two routes within 2 n eps kappa."""
         n = len(b)
+        return 2 * n * np.finfo(float).eps * np.linalg.cond(np.eye(n) + b)
+
+    @classmethod
+    def _det2_gap(cls, b, value=None):
+        """|value - eigenvalue route| of Re log det_2(1 + B) over its
+        tolerance; value defaults to the matrix route on B."""
+        if value is None:
+            value = log_det_n_matrix(b, 2).real
         ref = log_det_n(np.linalg.eigvals(b), 2).real
-        tol = 2 * n * np.finfo(float).eps * np.linalg.cond(np.eye(n) + b)
-        return abs(log_det_n_matrix(b, 2).real - ref) / tol
+        return abs(value - ref) / cls._det2_tol(b)
 
     def test_det2_real_part_dual_route(self):
         params, geo, ensemble = self._ensemble(20, seed=7)
@@ -725,6 +792,81 @@ class TestDampingBound:
         assert abs(np.trace(generic).real) > 1e-6
         monkeypatch.setattr(np, "trace", lambda a: 0.0)
         assert self._det2_gap(generic) > 1.0
+
+    def _schur_cases(self):
+        """(A, its n x n B) for each configuration of the ensemble."""
+        params, geo, ensemble = self._ensemble(20, seed=7)
+        out = []
+        for fld, assign in ensemble:
+            aop = build_A(fld, params, geo, assignment=assign,
+                          symmetrize=True)
+            out.append((aop, aop.b))
+        return out
+
+    def test_schur_route_matches_both_routes(self):
+        # damping_report's |L| x |L| Schur complement against the matrix
+        # route on the n x n B and against its eigenvalues
+        for aop, b in self._schur_cases():
+            assert 0 < (~aop.small_sites).sum() < len(b)
+            schur = covariance._log_det2_real(aop)
+            assert self._det2_gap(b, schur) <= 1.0
+            assert (abs(schur - log_det_n_matrix(b, 2).real)
+                    <= self._det2_tol(b))
+
+    def test_schur_route_without_its_correction_fails(self, monkeypatch):
+        # negative control: A_Ls X^{-1} A_sL dropped from the Schur
+        # complement (the solve returns 0); B was formed before the patch
+        cases = self._schur_cases()
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: np.zeros_like(b, dtype=complex))
+        assert min(self._det2_gap(b, covariance._log_det2_real(aop))
+                   for aop, b in cases) > 1.0
+
+    def test_one_configuration_stays_on_small_blocks(self, monkeypatch):
+        # one warm criterion-10 configuration reads no AOperator.b, takes
+        # no LU of the gamma block and never forms the padded d1 or d2
+        params, geo, ensemble = self._ensemble(1, seed=7)
+        fld, assign = ensemble[0]
+        regions = build_regions(assign, geo, corridorM=params.corridorM)
+        build_deltaC(params, geo, CUT, regions, pad=2)  # warm the caches
+        nsite = padded_geometry(geo, 2).sites_per_side ** 2
+
+        def forbidden(self):
+            raise AssertionError("AOperator.b read")
+
+        monkeypatch.setattr(operators.AOperator, "b", property(forbidden))
+        lu_sizes, zeros = [], []
+        for name in ("slogdet", "solve", "det", "inv"):
+            real = getattr(np.linalg, name)
+
+            def spy(a, *args, real=real, **kwargs):
+                lu_sizes.append(len(a))
+                return real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        real_zeros = np.zeros
+
+        def zeros_spy(shape, *args, **kwargs):
+            zeros.append(shape)
+            return real_zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", zeros_spy)
+        covset = build_Cgamma(params, geo, CUT, regions, pad=2,
+                              routes="direct")
+        dc = build_deltaC(params, geo, CUT, regions, pad=2)
+        compute_Zgamma(covset, regions)
+        rep = damping_report(fld, params, regions, covset, dc, assign)
+        assert np.isfinite(rep.log_value)
+        gamma = len(covset.gamma_cholesky[0])
+        assert lu_sizes and gamma not in lu_sizes
+        assert max(lu_sizes) < geo.sites_per_side ** 2
+        assert (nsite, nsite) not in zeros
+        assert "d1" not in vars(dc) and "d2" not in vars(dc)
+        # the spies see the forms they guard against
+        dc.d1
+        assert (nsite, nsite) in zeros
+        with pytest.raises(AssertionError, match="AOperator.b read"):
+            build_A(fld, params, geo, assignment=assign).b
 
     def test_pipeline_calls_no_scipy_linalg(self, monkeypatch):
         # with the assembly cache warm, one configuration runs classify ->

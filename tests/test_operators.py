@@ -328,8 +328,8 @@ class TestDetReg:
             assert gap.imag == pytest.approx(2 * math.pi, rel=1e-12)
 
     def test_matrix_route_real_part_is_slogdet(self):
-        # damping_report reads the real part: log|det(1 + B)| - Re tr B,
-        # to the last bit
+        # the real part at order 2 is log|det(1 + B)| - Re tr B, to the
+        # last bit
         rng = np.random.default_rng(16)
         b = 0.1 * (rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30)))
         _, logabs = np.linalg.slogdet(np.eye(30) + b)

@@ -416,8 +416,21 @@ class TestSamplingPool:
         pool = twopoint._live_pool()
         assert pool is not None and pool.pinned
         assert all(counts == [1] * len(before) for counts in pool.threads)
-        # the pin is the workers' own: this process keeps its threads
+        # this process gets its own counts back after the forks
         assert [get() for _, get in twopoint._blas_pins()] == before
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts worker threads in /proc")
+    def test_workers_run_one_thread(self, fresh_pool):
+        # the pin is set in this process around the forks, so no worker
+        # starts an idle BLAS pool, even after running BLAS calls
+        if twopoint._blas_pins() is None:
+            pytest.skip("no OpenBLAS thread calls to pin here")
+        estimate_S2(make_params(), geometry=GEO, n_samples=40, seed=1)
+        pool = twopoint._live_pool()
+        assert pool is not None
+        assert [len(os.listdir(f"/proc/{proc.pid}/task"))
+                for proc in pool.procs] == [1] * len(pool.procs)
 
     def test_unpinnable_runs_in_process(self, monkeypatch, fresh_pool):
         params = make_params()
