@@ -356,13 +356,11 @@ def _small_setup(cfg, scale=1.0):
 
 def _rescaled_field(geometry, rng, u_targets):
     """Gaussian field rescaled per square so 32*mass hits u_targets."""
-    side, s = geometry.sites_per_side, geometry.sites_per_square
-    nb = 2 * geometry.n
+    side = geometry.sites_per_side
     tau = rng.normal(size=(side, side))
     u = 32.0 * FieldConfig.from_tau(geometry, tau).square_masses
-    scale = np.sqrt(np.asarray(u_targets) / u).reshape(nb, 1, nb, 1)
-    tau = (tau.reshape(nb, s, nb, s) * scale).reshape(side, side)
-    return FieldConfig.from_tau(geometry, tau)
+    scale = geometry.widen(np.sqrt(np.asarray(u_targets) / u))
+    return FieldConfig.from_tau(geometry, tau * scale.reshape(side, side))
 
 
 def criterion_01_gap_equation(cfg, table, size):
@@ -422,7 +420,7 @@ def criterion_04_small_field_operator_norm(cfg, table, size):
     bound = (params.g * np.abs(fld.tau).max()
              * operator_norm(propagator_matrix(geo, params.m)
                              * geo.site_weight))
-    norm = operator_norm(build_A(fld, params, geo).a_s)
+    norm = operator_norm(build_A(fld, params).a_s)
     _gate(table, "small-block-norm", "operators", "small-field-bound",
           [norm / bound if bound else 0.0], "<=", 1.0 + 1e-9)
     params, geo = _strong_params(3.0), LatticeGeometry(n=4, sites_per_square=2)
@@ -433,7 +431,7 @@ def criterion_04_small_field_operator_norm(cfg, table, size):
             fld = _rescaled_field(geo, rng, rng.uniform(0.5, 7.4,
                                                         geo.num_squares))
             small.append(classify_squares(fld, params, geo).labels.max() == 0)
-            norms.append(operator_norm(build_A(fld, params, geo).a_s))
+            norms.append(operator_norm(build_A(fld, params).a_s))
     _holds(table, "small-field-labels", "regions", "small-field-bound", small)
     _gate(table, "small-field-norm", "operators", "small-field-bound", norms,
           "<=", params.bigN ** -0.4)
@@ -444,13 +442,13 @@ def criterion_05_determinant_identities(cfg, table, size):
     on the self-adjoint A; the determinant split; det_n by both routes
     on small operators and on one 256-site 1+iA per seed."""
     params, geo, fld = _small_setup(cfg, scale=0.4)
-    k = 1j * build_A(fld, params, geo, symmetrize=False).op.weighted
+    k = 1j * build_A(fld, params, symmetrize=False).op.weighted
     direct = log_det_n_matrix(k, 3)
     eig = log_det_n(np.linalg.eigvals(k), 3)
     _gate(table, "det3-dual-route", "operators", "regularized-determinant",
           [abs(np.exp(direct) - np.exp(eig))], "<", 1e-8)
     sym = log_det_n_matrix(
-        1j * build_A(fld, params, geo, symmetrize=True).op.weighted, 3)
+        1j * build_A(fld, params, symmetrize=True).op.weighted, 3)
     _gate(table, "det3-symmetrization", "operators", "self-adjoint-form",
           [abs(np.exp(sym) - np.exp(eig))], "<", 1e-8)
     params, geo = _strong_params(3.0), LatticeGeometry(n=2, sites_per_square=4)
@@ -462,9 +460,9 @@ def criterion_05_determinant_identities(cfg, table, size):
             idx = rng.choice(geo.num_squares, size=2, replace=False)
             targets[idx] = rng.uniform(40.0, 80.0, size=2)
             fld = _rescaled_field(geo, rng, targets)
-            split.append(det_split_identity(fld, params, geo))
+            split.append(det_split_identity(fld, params))
             if i == 0:
-                oracle.append((1j * build_A(fld, params, geo).op.weighted, 1))
+                oracle.append((1j * build_A(fld, params).op.weighted, 1))
         for order in orders:
             mat = rng.normal(size=(40, 40))
             oracle.append((0.035 * (mat + mat.T), order))
@@ -483,7 +481,7 @@ def criterion_06_covariance_structure(cfg, table, size):
     params = derive_params(32.0, 1.0, 10 ** 6, corridor_override=2.0)
     geo = LatticeGeometry(n=2, sites_per_square=3)
     tau = np.zeros((geo.sites_per_side,) * 2)
-    tau[6:9, 6:9] = np.sqrt(50.0 / 32.0)
+    geo.blocks(tau)[2, :, 2] = np.sqrt(50.0 / 32.0)
     fld = FieldConfig.from_tau(geo, tau)
     regions = build_regions(classify_squares(fld, params, geo), geo,
                             corridorM=params.corridorM)
@@ -503,8 +501,8 @@ def criterion_06_covariance_structure(cfg, table, size):
     two, factor_gap = [], []
     for u1, u2 in size["two_components"]:
         tau = np.zeros((geo.sites_per_side,) * 2)
-        tau[0:2, 0:2] = np.sqrt(u1 / 32.0)
-        tau[14:16, 14:16] = np.sqrt(u2 / 32.0)
+        geo.blocks(tau)[0, :, 0] = np.sqrt(u1 / 32.0)
+        geo.blocks(tau)[7, :, 7] = np.sqrt(u2 / 32.0)
         fld = FieldConfig.from_tau(geo, tau)
         regions = build_regions(classify_squares(fld, params, geo), geo,
                                 corridorM=2.0)
@@ -607,13 +605,11 @@ def criterion_09_partition_and_regions(cfg, table, size):
             gaps.append(abs(theta_s + np.sum(theta_n) - 1.0))
         geo = LatticeGeometry(n=5)
         params = _bench_params(0.3, 1.0, 1.0, bigN, 3.0)
-        s = geo.sites_per_square
         for _ in range(configs):
             tau = np.zeros((geo.sites_per_side,) * 2)
             for c in geo.squares:
                 if rng.random() < 0.1:
-                    i, j = c[0] + geo.n, c[1] + geo.n
-                    tau[i * s:(i + 1) * s, j * s:(j + 1) * s] = \
+                    geo.blocks(tau)[c[0] + geo.n, :, c[1] + geo.n] = \
                         math.sqrt(10.0 ** rng.uniform(0.5, 2.5))
             asg = classify_squares(FieldConfig.from_tau(geo, tau), params,
                                    geo)
@@ -667,7 +663,7 @@ def criterion_10_integrand_bound_and_normalization(cfg, table, size):
                 blk = rng.normal(size=(3, 3))
                 blk *= np.sqrt(u / 32.0 / (np.sum(blk ** 2)
                                            * geo.site_weight))
-                tau[i * 3:(i + 1) * 3, j * 3:(j + 1) * 3] = blk
+                geo.blocks(tau)[i, :, j] = blk
             fld = FieldConfig.from_tau(geo, tau)
             asg = classify_squares(fld, params, geo)
             if asg.labels.max() != 1 or (asg.labels > 0).sum() != nl:

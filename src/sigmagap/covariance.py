@@ -48,8 +48,8 @@ Grids: region bookkeeping lives on the inner lattice covering Lambda; the
 covariance kernels are assembled on a padded grid (pad extra unit squares
 per side) so that the belt around Lambda is actually represented.  All
 operators returned here live on the padded grid, whose Lambda sites
-(inner_site_mask) hold an inner-field configuration in its own row-major
-order.
+(grid.site_mask(geometry.squares), LatticeGeometry's square -> site map)
+hold an inner-field configuration in its own row-major order.
 
 A note on the sharp splitting identity: with P_s + P_l = P_Lambda the
 difference C_gamma^{-1} - C_ls^{-1} equals
@@ -61,14 +61,13 @@ the identity in that form to machine precision.
 
 import dataclasses
 import functools
-from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
 
 from .kernels import cutoff_enforced_values
-from .operators import (DiscretizedOperator, build_A, log_det_n,
-                        log_det_n_matrix, propagator_matrix,
+from .operators import (DiscretizedOperator, build_A, gaussian_root,
+                        log_det_n, log_det_n_matrix, propagator_matrix,
                         radial_site_matrix)
 from .regions import (FieldConfig, LatticeGeometry, classify_squares,
                       smooth_step)
@@ -95,30 +94,6 @@ def padded_geometry(geometry, pad):
                            sites_per_square=geometry.sites_per_square)
 
 
-def region_site_mask(geometry, corners):
-    """Union of the site masks of the given unit squares, silently dropping
-    squares that fall outside the grid: the squares are marked on the
-    2n x 2n grid of squares, which is then widened to sites."""
-    n, s = geometry.n, geometry.sites_per_square
-    squares = np.zeros((2 * n, 2 * n), dtype=bool)
-    for c in corners:
-        if -n <= c[0] < n and -n <= c[1] < n:
-            squares[c[0] + n, c[1] + n] = True
-    return np.repeat(np.repeat(squares, s, axis=0), s,
-                     axis=1).reshape(geometry.sites_per_side ** 2)
-
-
-def inner_site_mask(grid, geometry):
-    """Sites of the padded grid that belong to the inner lattice (Lambda)."""
-    s = grid.sites_per_square
-    off = (grid.n - geometry.n) * s
-    side = grid.sites_per_side
-    inner = geometry.sites_per_side
-    mask = np.zeros((side, side), dtype=bool)
-    mask[off:off + inner, off:off + inner] = True
-    return mask.reshape(side * side)
-
-
 # ---------------------------------------------------------------------------
 # cached kernel assembly
 
@@ -129,6 +104,56 @@ def _cutoff_matrix_cached(n, sites_per_square, c):
     geo = LatticeGeometry(n=n, sites_per_square=sites_per_square)
     return (radial_site_matrix(geo, lambda r: cutoff_enforced_values(c, r))
             * geo.site_weight)
+
+
+def _cutoff_cholesky(u_w):
+    try:
+        return scipy.linalg.cho_factor(u_w)
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError(
+            "cutoff kernel not positive definite: grid too coarse") from exc
+
+
+@dataclasses.dataclass
+class _Assembly:
+    """One grid's weighted kernels: pi, S = sqrt(1+pi), S^-, the cutoff
+    kernel U and C0.  U^{-1}, the splitting identity's fixed term and the
+    C0 root are formed on first read, so callers of C0 alone never pay
+    them; U^{-1} factors U again rather than keep a factor in the cache."""
+
+    geo: LatticeGeometry
+    nsite: int
+    w: float
+    pi_w: np.ndarray
+    s_plus: np.ndarray
+    s_minus: np.ndarray
+    u_w: np.ndarray
+    c0_w: np.ndarray
+
+    @functools.cached_property
+    def uinv_w(self):
+        uinv_w = scipy.linalg.cho_solve(_cutoff_cholesky(self.u_w),
+                                        np.eye(self.nsite))
+        return 0.5 * (uinv_w + uinv_w.T)
+
+    @functools.cached_property
+    def split_fixed(self):
+        """(F, |U^{-1} U - 1|_max).  F = S U^{-1} S - 1 - S (U^{-1} - 1) S
+        is the configuration-independent part of the splitting identity's
+        left side, from the U^{-1} products (pi in exact arithmetic),
+        read-only; its U^{-1} terms cancel, so U^{-1} gets its own sup
+        residual."""
+        sp, uinv_w = self.s_plus, self.uinv_w
+        eye = np.eye(self.nsite)
+        out = sp @ (uinv_w @ sp) - eye - sp @ ((uinv_w - eye) @ sp)
+        out.flags.writeable = False
+        return out, float(np.abs(uinv_w @ self.u_w - eye).max())
+
+    @functools.cached_property
+    def c0_root(self):
+        root = gaussian_root(self.c0_w / self.w)
+        root.flags.writeable = False
+        return root
 
 
 @functools.lru_cache(maxsize=4)
@@ -145,18 +170,10 @@ def _assembly_cached(n, sites_per_square, m, lamK, c):
     s_plus = (vec * np.sqrt(ev)) @ vec.T
     s_minus = (vec / np.sqrt(ev)) @ vec.T
     u_w = _cutoff_matrix_cached(n, sites_per_square, c)
-    try:
-        cf = scipy.linalg.cho_factor(u_w)
-    except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(
-            "cutoff kernel not positive definite: grid too coarse") from exc
-    uinv_w = scipy.linalg.cho_solve(cf, np.eye(nsite))
-    uinv_w = 0.5 * (uinv_w + uinv_w.T)
+    _cutoff_cholesky(u_w)  # the positivity check, taken eagerly
     c0_w = s_minus @ u_w @ s_minus
     c0_w.flags.writeable = False  # build_C0 hands it out uncopied
-    return SimpleNamespace(geo=geo, nsite=nsite, w=w, pi_w=pi_w,
-                           s_plus=s_plus, s_minus=s_minus,
-                           u_w=u_w, uinv_w=uinv_w, c0_w=c0_w)
+    return _Assembly(geo, nsite, w, pi_w, s_plus, s_minus, u_w, c0_w)
 
 
 def _assembly_key(params, geometry, cutoff, pad):
@@ -172,22 +189,6 @@ def _assembly_key(params, geometry, cutoff, pad):
 
 def _assembly(params, geometry, cutoff, pad):
     return _assembly_cached(*_assembly_key(params, geometry, cutoff, pad))
-
-
-@functools.lru_cache(maxsize=4)
-def _split_fixed_cached(n, sites_per_square, m, lamK, c):
-    """(F, |U^{-1} U - 1|_max).  F = S U^{-1} S - 1 - S (U^{-1} - 1) S is
-    the configuration-independent part of the splitting identity's left
-    side, from the U^{-1} products (pi in exact arithmetic), read-only;
-    its U^{-1} terms cancel, so U^{-1} gets its own sup residual.  Kept
-    apart from _assembly_cached so that callers of C0 alone never pay
-    these products."""
-    asm = _assembly_cached(n, sites_per_square, m, lamK, c)
-    sp = asm.s_plus
-    eye = np.eye(asm.nsite)
-    out = sp @ (asm.uinv_w @ sp) - eye - sp @ ((asm.uinv_w - eye) @ sp)
-    out.flags.writeable = False
-    return out, float(np.abs(asm.uinv_w @ asm.u_w - eye).max())
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +315,11 @@ def build_Cgamma(params, geometry, cutoff, regions, pad=2, routes="both"):
         raise ValueError("routes must be 'both' or 'direct'")
     asm = _assembly(params, geometry, cutoff, pad)
     eps = params.epsilon
-    gmask = region_site_mask(asm.geo, regions.gamma)
+    gmask = asm.geo.site_mask(regions.gamma)
     covset = CovarianceSet(
         C0=DiscretizedOperator(asm.c0_w, asm.w),
         component_corrections=[],
-        component_masks=[region_site_mask(asm.geo, comp.gamma)
+        component_masks=[asm.geo.site_mask(comp.gamma)
                          for comp in regions.components],
         grid=asm.geo,
         route_residual=float("nan"),
@@ -377,7 +378,7 @@ def compute_Zgamma(covset, regions):
     compact-support cutoff kernel since distinct components lie further
     apart than its range), both at FACTOR_TOL."""
     idx, chol = covset.gamma_cholesky
-    gamma = np.flatnonzero(region_site_mask(covset.grid, regions.gamma))
+    gamma = np.flatnonzero(covset.grid.site_mask(regions.gamma))
     if not np.array_equal(gamma, idx):
         raise ArithmeticError(
             "regions.gamma and the covariance set's gamma disagree")
@@ -473,6 +474,16 @@ class DeltaC:
                    for blk in (self.d1_lambda, self.d2_lambda, d4))
 
 
+def _lambda_view(grid, geometry, mat):
+    """Lambda x Lambda of an n x n array on grid as a (k, k, k, k) view:
+    Lambda's sites, grid.site_mask(geometry.squares), are the square
+    [off, off + k)^2 of the side x side site grid, in row-major order."""
+    side = grid.sites_per_side
+    off = (grid.n - geometry.n) * grid.sites_per_square
+    box = (slice(off, off + geometry.sites_per_side),) * 4
+    return mat.reshape(side, side, side, side)[box]
+
+
 def build_deltaC(params, geometry, cutoff, regions, pad=2):
     """deltaC_1..deltaC_4 from the block decomposition of S(1-P_gamma)S.
 
@@ -496,30 +507,23 @@ def build_deltaC(params, geometry, cutoff, regions, pad=2):
 
     where F = S U^{-1} S - 1 - S (U^{-1} - 1) S does not depend on the
     configuration and is computed once per grid from the U^{-1} products
-    (_split_fixed_cached).  The U^{-1} terms of F cancel in exact
-    arithmetic, F = S^2 - 1 = pi, so this residual checks S^2 = 1 + pi on
-    the grid and the block bookkeeping (region masks that overlap, miss
+    (the cached assembly's split_fixed).  The U^{-1} terms of F cancel in
+    exact arithmetic, F = S^2 - 1 = pi, so this residual checks S^2 = 1 + pi
+    on the grid and the block bookkeeping (region masks that overlap, miss
     sites or leave Lambda), not U^{-1} itself; identity_residual is
     therefore the larger of it and |U^{-1} U - 1|_max, taken once per grid
     beside F.  P_s pi P_s and P_l are read on the whole padded grid, so an
     s- or l-square outside Lambda leaves its blocks in the residual."""
-    key = _assembly_key(params, geometry, cutoff, pad)
-    asm = _assembly_cached(*key)
+    asm = _assembly(params, geometry, cutoff, pad)
     eps, n = params.epsilon, asm.nsite
-    gamma = np.flatnonzero(region_site_mask(asm.geo, regions.gamma))
-    l_mask = region_site_mask(asm.geo, regions.lambda_l)
-    s_mask = region_site_mask(asm.geo, regions.lambda_s)
+    gamma = np.flatnonzero(asm.geo.site_mask(regions.gamma))
+    l_mask = asm.geo.site_mask(regions.lambda_l)
+    s_mask = asm.geo.site_mask(regions.lambda_s)
     s_idx = np.flatnonzero(s_mask)
-    inner = inner_site_mask(asm.geo, geometry)
+    inner = asm.geo.site_mask(geometry.squares)
     lam = np.flatnonzero(inner)
-    # Lambda x Lambda of an n x n array as a view: Lambda is the square
-    # [off, off + k)^2 of the side x side site grid, in row-major order
-    side, k = asm.geo.sites_per_side, geometry.sites_per_side
-    off = (asm.geo.n - geometry.n) * asm.geo.sites_per_square
-    box = (slice(off, off + k),) * 4
-
-    def on_lambda(mat):
-        return mat.reshape(side, side, side, side)[box]
+    k = geometry.sites_per_side
+    on_lambda = functools.partial(_lambda_view, asm.geo, geometry)
 
     sp = asm.s_plus
     spgs = sp[:, gamma] @ sp[gamma, :]
@@ -543,7 +547,7 @@ def build_deltaC(params, geometry, cutoff, regions, pad=2):
 
     # lhs - rhs of the identity, in place; every entry of d1..d4 is read,
     # d1 and d2 on the Lambda block outside which they vanish
-    fixed, uinv_residual = _split_fixed_cached(*key)
+    fixed, uinv_residual = asm.split_fixed
     res = np.multiply(spgs, eps - 1.0)
     res += fixed
     ss = np.ix_(s_idx, s_idx)
@@ -566,28 +570,12 @@ def build_deltaC(params, geometry, cutoff, regions, pad=2):
 # ---------------------------------------------------------------------------
 # sampling
 
-def gaussian_root(mat):
-    """R with R R^T = mat from one eigh of the symmetrized matrix:
-    R = vec sqrt(ev), rounding-level negative eigenvalues clipped to 0."""
-    ev, vec = np.linalg.eigh(0.5 * (mat + mat.T))
-    if ev.min() < -1e-10 * max(float(ev.max()), 1.0):
-        raise ArithmeticError("covariance is not positive semidefinite")
-    return vec * np.sqrt(np.clip(ev, 0.0, None))
-
-
-@functools.lru_cache(maxsize=4)
-def _c0_root_cached(n, sites_per_square, m, lamK, c):
-    asm = _assembly_cached(n, sites_per_square, m, lamK, c)
-    root = gaussian_root(asm.c0_w / asm.w)
-    root.flags.writeable = False
-    return root
-
-
 def c0_root(params, geometry, cutoff):
-    """gaussian_root of build_C0(params, geometry, cutoff).matrix, computed
-    once per (grid, m, lambda K, c) and read-only; the cache fills on first
-    use, so callers that never sample never pay the eigh."""
-    return _c0_root_cached(*_assembly_key(params, geometry, cutoff, pad=0))
+    """operators.gaussian_root of build_C0(params, geometry, cutoff).matrix,
+    computed once per (grid, m, lambda K, c) and read-only; the cached
+    assembly forms it on first read, so callers that never sample never
+    pay the eigh."""
+    return _assembly(params, geometry, cutoff, pad=0).c0_root
 
 
 def sample_gaussian(covariance, seed=0, count=1, geometry=None):
@@ -661,9 +649,8 @@ def damping_report(field, params, regions, covset, deltac, assignment=None):
                      + const * N^{-2/5} * int_{small} tau^2
 
     hold with equality; the fitted constant of the ensemble is its max."""
-    geometry = field.geometry
     if assignment is None:
-        assignment = classify_squares(field, params, geometry)
+        assignment = classify_squares(field, params)
     log_theta = 0.0
     for k, lab in enumerate(assignment.labels):
         wgt = (assignment.theta_s[k] if lab == 0
@@ -675,8 +662,7 @@ def damping_report(field, params, regions, covset, deltac, assignment=None):
     mass_l = float(sum(field.mass_of(c) for c in regions.lambda_l))
     mass_s = float(sum(field.mass_of(c) for c in regions.lambda_s))
 
-    aop = build_A(field, params, geometry, assignment=assignment,
-                  symmetrize=True)
+    aop = build_A(field, params, assignment=assignment, symmetrize=True)
     log3 = log_det_n(1j * np.linalg.eigvalsh(aop.a_s.weighted), 3)
     log2_real = _log_det2_real(aop)
 
@@ -711,7 +697,7 @@ def single_square_normalization(params, cutoff, sites_per_square=4,
     the square.  Tends to 1 faster than N^{-1/5} as N grows."""
     geo = LatticeGeometry(n=1, sites_per_square=sites_per_square)
     asm = _assembly(params, geo, cutoff, pad=2)
-    idx = np.flatnonzero(region_site_mask(asm.geo, [(0, 0)]))
+    idx = np.flatnonzero(asm.geo.site_mask([(0, 0)]))
     root = gaussian_root((asm.c0_w / asm.w)[np.ix_(idx, idx)])
     f_block = propagator_matrix(asm.geo, params.m)[np.ix_(idx, idx)]
 

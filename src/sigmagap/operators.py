@@ -30,9 +30,12 @@ from .regions import LatticeGeometry, classify_squares
 
 # relative change of sigma^2 at which the power iteration stops
 NORM_TOL = 1e-10
+# smallest scale of det_split_identity's relative residuals: an LU's
+# rounding of log det, 1e-14 at most at 256 sites, stays below 1e-8 of it
+SPLIT_LOG_FLOOR = 1e-6
 
 __all__ = [
-    "DiscretizedOperator", "AOperator", "site_square_labels",
+    "DiscretizedOperator", "AOperator", "gaussian_root",
     "radial_site_matrix", "propagator_matrix", "propagator_factor",
     "build_A", "operator_norm", "log_det_n", "log_det_n_matrix",
     "det_split_identity", "D_decomposition", "link_block",
@@ -68,24 +71,6 @@ class DiscretizedOperator:
         if right_mask is not None:
             mat = mat * right_mask[None, :]
         return DiscretizedOperator(mat, self.site_weight)
-
-
-def site_square_labels(geometry, assignment):
-    """Per-site copy of the per-square s/l labels (0 = s, n >= 1 = l^n)."""
-    s = geometry.sites_per_square
-    side = geometry.sites_per_side
-    labels = np.asarray(assignment.labels).reshape(2 * geometry.n, 2 * geometry.n)
-    return np.repeat(np.repeat(labels, s, axis=0), s, axis=1).reshape(side * side)
-
-
-def site_square_mask(geometry, corner):
-    """Boolean site mask of one unit square given its lower-left corner."""
-    s = geometry.sites_per_square
-    side = geometry.sites_per_side
-    bi, bj = corner[0] + geometry.n, corner[1] + geometry.n
-    mask = np.zeros((side, side), dtype=bool)
-    mask[bi * s:(bi + 1) * s, bj * s:(bj + 1) * s] = True
-    return mask.reshape(side * side)
 
 
 def radial_site_matrix(geometry, radial):
@@ -129,12 +114,21 @@ def propagator_factor(geometry, m):
     return factor
 
 
+def gaussian_root(mat):
+    """R = vec sqrt(ev) vec^T with R R^T = mat from one eigh of the
+    symmetrized matrix, rounding-level negative eigenvalues clipped to 0.
+    This PSD root is unique: unlike vec sqrt(ev) it cannot turn inside a
+    degenerate eigenspace when mat moves at rounding level."""
+    ev, vec = np.linalg.eigh(0.5 * (mat + mat.T))
+    if ev.min() < -1e-10 * max(float(ev.max()), 1.0):
+        raise ArithmeticError("covariance is not positive semidefinite")
+    return (vec * np.sqrt(np.clip(ev, 0.0, None))) @ vec.T
+
+
 @functools.lru_cache(maxsize=8)
 def propagator_sqrt(geometry, m):
     """F^{1/2} in the weighted representation (W^{1/2} F W^{1/2})^{1/2}."""
-    sf = propagator_matrix(geometry, m) * geometry.site_weight
-    ev, vec = np.linalg.eigh(sf)
-    return (vec * np.sqrt(np.clip(ev, 0.0, None))) @ vec.T
+    return gaussian_root(propagator_matrix(geometry, m) * geometry.site_weight)
 
 
 @dataclasses.dataclass
@@ -157,8 +151,8 @@ class AOperator:
                                1j * (self.op.weighted - a_s))
 
 
-def build_A(field, params, geometry=None, assignment=None, symmetrize=False):
-    """Assemble A(x,y) = F(x-y) g tau(y) on the site grid.
+def build_A(field, params, assignment=None, symmetrize=False):
+    """Assemble A(x,y) = F(x-y) g tau(y) on the field's site grid.
 
     The propagator is evaluated exactly at every site separation (cached
     per geometry and mass).  With symmetrize=True the self-adjoint form
@@ -166,11 +160,8 @@ def build_A(field, params, geometry=None, assignment=None, symmetrize=False):
     determinants, and is the representation in which the quadratic-form
     bounds on D = B + B* + B*B hold (they need A'' = A''*).
     """
-    geometry = geometry or field.geometry
-    side = geometry.sites_per_side
-    if field.tau.shape != (side, side):
-        raise ValueError("field grid does not match geometry")
-    tau = field.tau.reshape(side * side)
+    geometry = field.geometry
+    tau = field.tau.reshape(-1)
     w = geometry.site_weight
     if symmetrize:
         sq = propagator_sqrt(geometry, params.m)
@@ -181,7 +172,7 @@ def build_A(field, params, geometry=None, assignment=None, symmetrize=False):
                          * (params.g * tau)[None, :]) * sw
     if assignment is None:
         assignment = classify_squares(field, params, geometry)
-    small = site_square_labels(geometry, assignment) == 0
+    small = geometry.widen(assignment.labels == 0)
     return AOperator(DiscretizedOperator(weighted, w), small, geometry)
 
 
@@ -245,7 +236,7 @@ def log_det_n_matrix(k, order):
     return values if isinstance(order, tuple) else values[0]
 
 
-def det_split_identity(field, params, geometry=None):
+def det_split_identity(field, params):
     """Residuals of the determinant factorization and its single-determinant
     rewriting, evaluated on log scale.
 
@@ -253,13 +244,16 @@ def det_split_identity(field, params, geometry=None):
                  B = (1+iA_s)^{-1} iA''
     identity 2:  det_3^{-1}(1+iA_s) det_2^{-1}(1+B)
                  = det_2^{-1}(1+iA) exp Tr{-(1/2)(iA_s)^2}
-    Returns the max relative residual of the two mod 2 pi i (both exact
-    matrix algebra: it probes conditioning only).  Every log is
-    log_det_n_matrix's, both orders of a matrix from its one LU; as
-    identity 2 minus identity 1 is then tr B = tr iA'', criterion 05
-    checks that route against the eigenvalues.
+    Returns the larger residual of the two mod 2 pi i (both exact matrix
+    algebra: it probes conditioning only) over the largest |log det(1+K)|
+    of the three matrices, at least SPLIT_LOG_FLOOR.  Identity 2's det_n
+    logs are those logs minus traces, so they carry the same rounding and
+    take the same scale (on criterion 05's fields they are 1e-7 and below).
+    Every log is log_det_n_matrix's, both orders of a matrix from its one
+    LU; as identity 2 minus identity 1 is then tr B = tr iA'', criterion
+    05 checks that route against the eigenvalues.
     """
-    aop = build_A(field, params, geometry)
+    aop = build_A(field, params)
     ia = 1j * aop.op.weighted
     ias = 1j * aop.a_s.weighted
     b = aop.b
@@ -271,10 +265,11 @@ def det_split_identity(field, params, geometry=None):
     res2 = log2_a + 0.5 * np.sum(ias * ias.T) - log3_s - log2_b
     res = max(abs(complex(r.real, math.remainder(r.imag, 2 * math.pi)))
               for r in (res1, res2))
-    return float(res / max(1.0, abs(log_a)))
+    return float(res / max(abs(log_a), abs(log_s), abs(log_b),
+                           SPLIT_LOG_FLOOR))
 
 
-def D_decomposition(field, params, geometry=None):
+def D_decomposition(field, params):
     """Spectral split of D = B + B* + B*B into D_+ - D_-.
 
     Returns (||D_+||, ||D_-||, Tr D_-^2).  When the small-field norm bound
@@ -282,7 +277,7 @@ def D_decomposition(field, params, geometry=None):
     eta ~ 2||A_s||.  Uses the self-adjoint representation of A (see
     build_A), which the quadratic-form argument requires.
     """
-    B = build_A(field, params, geometry, symmetrize=True).b
+    B = build_A(field, params, symmetrize=True).b
     D = B + B.conj().T + B.conj().T @ B
     D = 0.5 * (D + D.conj().T)
     ev, _ = np.linalg.eigh(D)
@@ -295,7 +290,7 @@ def D_decomposition(field, params, geometry=None):
 def link_block(aop, src_square, dst_square):
     """P_{dst} A P_{src}, the derivative of A with respect to the cluster
     interpolation parameter of the link (src -> dst)."""
-    src = site_square_mask(aop.geometry, src_square)
-    dst = site_square_mask(aop.geometry, dst_square)
+    src = aop.geometry.site_mask([src_square])
+    dst = aop.geometry.site_mask([dst_square])
     return aop.op.masked(dst, src)
 

@@ -63,7 +63,8 @@ class LatticeGeometry:
 
     Unit squares are indexed by their integer lower-left corner coordinates
     (i, j) with i, j in [-n, n-1].  Each square carries sites_per_square^2
-    discretization sites at the midpoints of a uniform subgrid.
+    discretization sites at the midpoints of a uniform subgrid.  The
+    square -> site map is written here alone (blocks, widen, site_mask).
     """
 
     n: int
@@ -104,6 +105,27 @@ class LatticeGeometry:
         """Quadrature weight of one site (midpoint rule)."""
         return 1.0 / self.sites_per_square**2
 
+    def blocks(self, sites):
+        """(2n, s, 2n, s) view of a side x side site array: [i, a, j, b] is
+        site (a, b) of square (i - n, j - n)."""
+        nb, s = 2 * self.n, self.sites_per_square
+        return sites.reshape(nb, s, nb, s)
+
+    def widen(self, per_square):
+        """Per-site copy, in row-major site order, of an array with one
+        entry per square in the order of squares."""
+        s = self.sites_per_square
+        grid = np.asarray(per_square).reshape(2 * self.n, 2 * self.n)
+        return np.repeat(np.repeat(grid, s, axis=0), s, axis=1).reshape(-1)
+
+    def site_mask(self, corners):
+        """Boolean site mask of the union of the given squares, silently
+        dropping squares that fall outside the grid."""
+        keys = [self.square_index.get(tuple(c)) for c in corners]
+        marked = np.zeros(self.num_squares, dtype=bool)
+        marked[[k for k in keys if k is not None]] = True
+        return self.widen(marked)
+
 
 @dataclasses.dataclass
 class FieldConfig:
@@ -120,8 +142,7 @@ class FieldConfig:
         side = geometry.sites_per_side
         if tau.shape != (side, side):
             raise ValueError(f"tau must have shape {(side, side)}, got {tau.shape}")
-        s = geometry.sites_per_square
-        blocks = tau.reshape(2 * geometry.n, s, 2 * geometry.n, s)
+        blocks = geometry.blocks(tau)
         masses = np.einsum("isjt,isjt->ij", blocks, blocks) * geometry.site_weight
         # geometry.squares is row-major in (i, j); masses[i_block, j_block]
         return cls(geometry, tau, masses.reshape(-1))
@@ -284,8 +305,9 @@ def _plane_candidates(sources, width):
     ]
 
 
-def build_regions(assignment, geometry=None, corridorM=None):
-    """Construct gamma, Gamma, Gamma^e and their components.
+def build_regions(assignment, geometry=None, *, corridorM):
+    """Construct gamma, Gamma, Gamma^e and their components at corridor
+    width M = corridorM.
 
     Raw components of Lambda_l (edge/corner adjacency) are merged by
     connectivity links (a witness square Delta in Lambda with
@@ -294,8 +316,6 @@ def build_regions(assignment, geometry=None, corridorM=None):
     indices of the linked squares) into the coarser l^e_i.
     """
     geometry = geometry or assignment.geometry
-    if corridorM is None:
-        raise ValueError("corridorM is required")
     M = float(corridorM)
     all_squares = geometry.squares
     labels = {c: lab for c, lab in zip(all_squares, assignment.labels)}
@@ -393,7 +413,8 @@ def large_field_suppression(assignment, field, params):
     The inequality only holds for N large relative to the corridor area;
     at accessible N the direction can flip, which is reported (not raised).
     """
-    regions = build_regions(assignment, field.geometry, params.corridorM)
+    regions = build_regions(assignment, field.geometry,
+                            corridorM=params.corridorM)
     labels = assignment.labels
     large = labels >= 1
     total_mass = float(field.square_masses[large].sum())

@@ -9,7 +9,7 @@ import types
 import numpy as np
 import pytest
 
-from sigmagap import cli, model
+from sigmagap import cli, model, operators
 from sigmagap.cli import (
     ConfigError,
     ResultsTable,
@@ -451,6 +451,28 @@ class TestSubcommands:
             lambda k: np.sum(k * k.T))
         assert rows["det3-dual-route"][5] == "0"
         assert rows["det3-symmetrization"][5] == "0"
+
+    def test_det_split_catches_a_relative_fault_in_log_det_b(self,
+                                                             monkeypatch):
+        # negative control: log det(1 + B), det_split_identity's third LU,
+        # scaled by 1 + 1e-6 (det_2 shifted with it) over criterion 05's
+        # full fields; |log det(1 + B)| is at most 5.5e-4 there
+        real, calls = operators.log_det_n_matrix, []
+
+        def scaled(k, order):
+            out = real(k, order)
+            calls.append(k)
+            if len(calls) % 3 == 0:  # after 1 + iA and 1 + iA_s
+                out = tuple(v + 1e-6 * out[0] for v in out)
+            return out
+
+        monkeypatch.setattr(operators, "log_det_n_matrix", scaled)
+        table = ResultsTable("control")
+        cli.criterion_05_determinant_identities(RunConfig(), table,
+                                                cli.PROFILES["full"])
+        assert len(calls) == 150
+        assert [r["check_id"] for r in table.rows if not r["passed"]] \
+            == ["det-split-identity"]
 
     def test_covariance_catches_truncated_series(self, tmp_path,
                                                  monkeypatch):

@@ -17,17 +17,14 @@ from sigmagap.covariance import (
     component_log_z,
     compute_Zgamma,
     damping_report,
-    inner_site_mask,
     padded_geometry,
-    region_site_mask,
     sample_gaussian,
     single_square_normalization,
 )
 from sigmagap.kernels import CutoffSpec
 from sigmagap.model import derive_params
 from sigmagap.operators import (DiscretizedOperator, build_A, log_det_n,
-                                log_det_n_matrix, propagator_matrix,
-                                site_square_mask)
+                                log_det_n_matrix, propagator_matrix)
 from sigmagap.regions import (
     FieldConfig,
     LatticeGeometry,
@@ -110,6 +107,20 @@ class TestBuildC0:
         assert c0.weighted is asm.c0_w
         np.testing.assert_array_equal(c0.matrix, asm.c0_w / asm.w)
 
+    def test_c0_alone_forms_no_inverse(self):
+        # U^{-1}, the splitting identity's fixed term and the C0 root are
+        # formed on first read of the cached assembly
+        params = make_params()
+        geo = LatticeGeometry(n=1, sites_per_square=3)
+        covariance._assembly_cached.cache_clear()
+        c0 = build_C0(params, geo, CUT)
+        asm = covariance._assembly(params, geo, CUT, pad=0)
+        lazy = {"uinv_w", "split_fixed", "c0_root"}
+        assert not lazy & set(vars(asm))
+        root = covariance.c0_root(params, geo, CUT)
+        assert lazy & set(vars(asm)) == {"c0_root"}
+        assert np.array_equal(root, covariance.gaussian_root(c0.matrix))
+
     def test_exponential_decay_fitted(self):
         # |C0(x,y)| <= O(1) e^{-2m|x-y|}; the fitted constant must be
         # modest and stable under grid refinement
@@ -137,10 +148,19 @@ class TestBuildC0:
             build_Cgamma(params, geo, CUT, regions, pad=2, routes=routes)
 
 
+def square_site_mask(geometry, corner):
+    """Sites of one square, sliced by hand out of the side x side grid."""
+    s = geometry.sites_per_square
+    bi, bj = corner[0] + geometry.n, corner[1] + geometry.n
+    mask = np.zeros((geometry.sites_per_side,) * 2, dtype=bool)
+    mask[bi * s:(bi + 1) * s, bj * s:(bj + 1) * s] = True
+    return mask.reshape(-1)
+
+
 class TestRegionSiteMask:
     def test_matches_the_union_of_square_masks(self):
-        # random corner sets, some squares outside the 2n x 2n grid, which
-        # are dropped
+        # LatticeGeometry.site_mask on random corner sets, some squares
+        # outside the 2n x 2n grid, which are dropped
         geo = LatticeGeometry(n=3, sites_per_square=3)
         rng = np.random.default_rng(21)
         dropped = 0
@@ -153,17 +173,17 @@ class TestRegionSiteMask:
             dropped += len(corners) - len(inside)
             union = np.zeros(geo.sites_per_side ** 2, dtype=bool)
             for c in inside:
-                union |= site_square_mask(geo, c)
-            mask = region_site_mask(geo, corners)
+                union |= square_site_mask(geo, c)
+            mask = geo.site_mask(corners)
             assert mask.dtype == bool
             assert np.array_equal(mask, union)
         assert dropped > 0
 
     def test_empty_and_all_outside(self):
         geo = LatticeGeometry(n=2, sites_per_square=3)
-        assert not region_site_mask(geo, []).any()
-        assert not region_site_mask(geo, [(2, 0), (-3, 1), (0, 5)]).any()
-        assert region_site_mask(geo, []).shape == (geo.sites_per_side ** 2,)
+        assert not geo.site_mask([]).any()
+        assert not geo.site_mask([(2, 0), (-3, 1), (0, 5)]).any()
+        assert geo.site_mask([]).shape == (geo.sites_per_side ** 2,)
 
 
 class TestBuildCgamma:
@@ -190,7 +210,7 @@ class TestBuildCgamma:
         covset = build_Cgamma(params, geo, CUT, regions, pad=2,
                               routes="direct")
         asm = covariance._assembly(params, geo, CUT, pad=2)
-        g = region_site_mask(asm.geo, regions.gamma)
+        g = asm.geo.site_mask(regions.gamma)
         assert 0 < g.sum() < asm.nsite
         form = asm.s_plus @ (np.linalg.inv(asm.u_w)
                              - np.diag((1.0 - params.epsilon) * g)) \
@@ -221,10 +241,10 @@ class TestBuildCgamma:
 
     def test_perturbed_inverse_fails_route_gate(self, monkeypatch):
         # negative control for the other dual route: the n x n inverse of
-        # the form off by 1e-6 relative; the assembly is filled first, so
-        # its own cho_solve stays exact
+        # the form off by 1e-6 relative; the assembly's U^{-1} is formed
+        # first, so its own cho_solve stays exact
         params, geo, fld, assign, regions = setup_single()
-        covariance._assembly(params, geo, CUT, pad=2)
+        covariance._assembly(params, geo, CUT, pad=2).uinv_w
         real = scipy.linalg.cho_solve
         monkeypatch.setattr(scipy.linalg, "cho_solve",
                             lambda cf, b: real(cf, b) * (1.0 + 1e-6))
@@ -246,7 +266,7 @@ class TestBuildCgamma:
         params, geo, fld, assign, regions = setup_single()
         covset = build_Cgamma(params, geo, CUT, regions, pad=2, routes=routes)
         asm = covariance._assembly(params, geo, CUT, pad=2)
-        idx = np.flatnonzero(region_site_mask(asm.geo, regions.gamma))
+        idx = np.flatnonzero(asm.geo.site_mask(regions.gamma))
         k = (np.eye(len(idx)) / (1.0 - params.epsilon)
              - asm.u_w[np.ix_(idx, idx)])
         half = np.linalg.solve(np.linalg.cholesky(k),
@@ -328,8 +348,8 @@ class TestBuildCgamma:
             covset = build_Cgamma(params, geo, CUT, regions, pad=2,
                                   routes="both" if bigN == 4 else "direct")
             grid = covset.grid
-            outside = (inner_site_mask(grid, geo)
-                       & ~region_site_mask(grid, regions.big_gamma))
+            outside = (grid.site_mask(geo.squares)
+                       & ~grid.site_mask(regions.big_gamma))
             assert outside.sum() > 0
             sup = np.abs(covset.Cgamma_correction.matrix[
                 np.ix_(outside, outside)]).max()
@@ -395,7 +415,7 @@ class TestZgamma:
         for regions, covset in regions_and_sets:
             z = compute_Zgamma(covset, regions)
             lu = np.exp(component_log_z(
-                covset, region_site_mask(covset.grid, regions.gamma)))
+                covset, covset.grid.site_mask(regions.gamma)))
             gaps.append(abs(z - lu) / lu)
         return max(gaps)
 
@@ -435,8 +455,8 @@ class TestZgamma:
             return out
 
         if which == "gamma":
-            real = covariance.region_site_mask
-            monkeypatch.setattr(covariance, "region_site_mask",
+            real = LatticeGeometry.site_mask
+            monkeypatch.setattr(LatticeGeometry, "site_mask",
                                 lambda grid, corners: moved(real(grid,
                                                                  corners)))
         else:
@@ -457,23 +477,22 @@ class TestDeltaC:
         # recomputed, not read from cache; the residual subtracts d1..d4
         # from the left side one at a time, in build_deltaC's order
         params, geo, fld, assign, regions = setup_single()
-        cache = covariance._split_fixed_cached
-        cache.cache_clear()
-        dc = build_deltaC(params, geo, CUT, regions, pad=2)
-        assert cache.cache_info().misses == 1
-        again = build_deltaC(params, geo, CUT, regions, pad=2)
-        assert cache.cache_info().hits == 1
-
+        covariance._assembly_cached.cache_clear()
         asm = covariance._assembly(params, geo, CUT, pad=2)
+        assert "split_fixed" not in vars(asm)
+        dc = build_deltaC(params, geo, CUT, regions, pad=2)
+        split_fixed = asm.split_fixed
+        again = build_deltaC(params, geo, CUT, regions, pad=2)
+        assert asm.split_fixed is split_fixed
         eps, n, sp = params.epsilon, asm.nsite, asm.s_plus
 
         def mask(corners):
-            return region_site_mask(asm.geo, corners).astype(float)
+            return asm.geo.site_mask(corners).astype(float)
 
         g, sm, lm = (mask(regions.gamma), mask(regions.lambda_s),
                      mask(regions.lambda_l))
         gi = np.flatnonzero(g)
-        inner = inner_site_mask(asm.geo, geo)
+        inner = asm.geo.site_mask(geo.squares)
         lam = np.flatnonzero(inner)
         eye = np.eye(n)
         spgs = sp[:, gi] @ sp[gi, :]
@@ -495,8 +514,7 @@ class TestDeltaC:
             for op, ref in zip(got, d):
                 assert np.array_equal(op.weighted, ref)
 
-        key = covariance._assembly_key(params, geo, CUT, pad=2)
-        cached, cached_residual = cache(*key)
+        cached, cached_residual = split_fixed
         assert np.array_equal(cached, fixed)
         assert cached_residual == uinv_residual
         assert not cached.flags.writeable
@@ -553,6 +571,21 @@ class TestDeltaC:
                            match="splitting identity violated"):
             build_deltaC(params, geo, CUT, bad, pad=2)
 
+    @pytest.mark.parametrize("n, sites, pad",
+                             [(2, 3, 2), (1, 4, 2), (4, 2, 0), (3, 3, 1)])
+    def test_lambda_view_picks_the_lambda_sites(self, n, sites, pad):
+        # build_deltaC reads Lambda x Lambda through a box view of the
+        # padded grid, kept for speed; its entries must be those of
+        # grid.site_mask(geo.squares), in the same order
+        geo = LatticeGeometry(n=n, sites_per_square=sites)
+        grid = padded_geometry(geo, pad)
+        nsite, k2 = grid.sites_per_side ** 2, geo.sites_per_side ** 2
+        mat = np.arange(float(nsite * nsite)).reshape(nsite, nsite)
+        view = covariance._lambda_view(grid, geo, mat)
+        assert np.shares_memory(view, mat)
+        lam = np.flatnonzero(grid.site_mask(geo.squares))
+        assert np.array_equal(view.reshape(k2, k2), mat[np.ix_(lam, lam)])
+
     def test_lambda_form_is_the_padded_quadratic_form(self):
         # damping_report's (tau, deltaC tau) on Lambda against the sum of
         # the four padded-grid forms
@@ -562,7 +595,7 @@ class TestDeltaC:
         rng = np.random.default_rng(3)
         v = rng.normal(size=geo.sites_per_side ** 2)
         full = np.zeros(grid.sites_per_side ** 2)
-        full[inner_site_mask(grid, geo)] = v
+        full[grid.site_mask(geo.squares)] = v
         ref = sum(float(full @ op.weighted @ full) for op in dc)
         assert dc.lambda_form(v) == pytest.approx(ref, rel=1e-12, abs=1e-14)
 
@@ -574,18 +607,15 @@ class TestDeltaC:
         real = covariance._assembly_cached
 
         def skewed(*key):
-            asm = real(*key)
-            return SimpleNamespace(**dict(vars(asm),
-                                          uinv_w=1.01 * asm.uinv_w + 0.01))
+            # a copy with nothing cached: its split_fixed reads the skew
+            asm = dataclasses.replace(real(*key))
+            asm.uinv_w = 1.01 * real(*key).uinv_w + 0.01
+            return asm
 
-        covariance._split_fixed_cached.cache_clear()
         monkeypatch.setattr(covariance, "_assembly_cached", skewed)
-        try:
-            with pytest.raises(ArithmeticError,
-                               match="splitting identity violated"):
-                build_deltaC(params, geo, CUT, regions, pad=2)
-        finally:
-            covariance._split_fixed_cached.cache_clear()
+        with pytest.raises(ArithmeticError,
+                           match="splitting identity violated"):
+            build_deltaC(params, geo, CUT, regions, pad=2)
 
     def test_d1_negative_semidefinite(self):
         params, geo, fld, assign, regions = setup_single()
@@ -688,6 +718,21 @@ class TestSampling:
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
+    def test_draws_keep_their_values_under_rounding_of_the_covariance(self):
+        # C0's lattice symmetries make its spectrum degenerate: a root
+        # vec sqrt(ev) turns by O(1) inside an eigenspace when C0 moves at
+        # rounding level (0.99 relative here), the symmetric root does not
+        params = make_params()
+        geo = LatticeGeometry(n=1, sites_per_square=3)
+        c0 = build_C0(params, geo, CUT)
+        noise = np.random.default_rng(8).normal(size=c0.weighted.shape)
+        bumped = DiscretizedOperator(
+            c0.weighted * (1.0 + 1e-15 * (noise + noise.T)), c0.site_weight)
+        assert 0 < np.abs(bumped.weighted - c0.weighted).max() <= 1e-14
+        a = np.array(sample_gaussian(c0, seed=7, count=4))
+        b = np.array(sample_gaussian(bumped, seed=7, count=4))
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
+
     def test_field_config_wrapping(self):
         params = make_params()
         geo = LatticeGeometry(n=1, sites_per_square=3)
@@ -752,7 +797,7 @@ class TestDampingBound:
         damping_report's symmetrized A), and one generic complex B whose
         Re tr B is not 0 (on the ensemble A'' vanishes on the (s,s) block,
         so Re tr B = 0 there)."""
-        out = [build_A(fld, params, geo, assignment=assign,
+        out = [build_A(fld, params, assignment=assign,
                        symmetrize=True).b for fld, assign in ensemble]
         rng = np.random.default_rng(2)
         n = len(out[0])
@@ -798,7 +843,7 @@ class TestDampingBound:
         params, geo, ensemble = self._ensemble(20, seed=7)
         out = []
         for fld, assign in ensemble:
-            aop = build_A(fld, params, geo, assignment=assign,
+            aop = build_A(fld, params, assignment=assign,
                           symmetrize=True)
             out.append((aop, aop.b))
         return out
@@ -866,7 +911,7 @@ class TestDampingBound:
         dc.d1
         assert (nsite, nsite) in zeros
         with pytest.raises(AssertionError, match="AOperator.b read"):
-            build_A(fld, params, geo, assignment=assign).b
+            build_A(fld, params, assignment=assign).b
 
     def test_pipeline_calls_no_scipy_linalg(self, monkeypatch):
         # with the assembly cache warm, one configuration runs classify ->

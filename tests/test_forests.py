@@ -32,7 +32,6 @@ from sigmagap.forests import (
 )
 from sigmagap.kernels import CutoffSpec
 from sigmagap.model import derive_params
-from sigmagap.operators import site_square_mask
 from sigmagap.regions import LatticeGeometry
 
 # number of forests on n labeled vertices, n = 1..8 (independently
@@ -298,9 +297,7 @@ class TestPositivityDecomposition:
         geo = LatticeGeometry(n=2, sites_per_square=2)
         op = build_C0(params, geo, CutoffSpec(c=1.0))
         k = op.weighted
-        labels = np.empty(k.shape[0], dtype=int)
-        for idx, corner in enumerate(geo.squares):
-            labels[site_square_mask(geo, tuple(corner))] = idx
+        labels = geo.widen(np.arange(geo.num_squares))
         rng = np.random.default_rng(11)
         for _ in range(20):
             edges = random_forest(rng, range(geo.num_squares))

@@ -104,14 +104,14 @@ class TestDiscretizedOperator:
 class TestBuildA:
     def test_zero_field(self):
         cfg = FieldConfig.from_tau(GEO, np.zeros((GEO.sites_per_side,) * 2))
-        aop = build_A(cfg, make_params(), GEO)
+        aop = build_A(cfg, make_params())
         assert np.all(aop.op.matrix == 0.0)
         assert np.all(aop.a_s.matrix == 0.0)
 
     def test_block_sum_exact(self):
         rng = np.random.default_rng(3)
         cfg = mixed_field(GEO, rng)
-        aop = build_A(cfg, make_params(), GEO)
+        aop = build_A(cfg, make_params())
         s, l = aop.small_sites, ~aop.small_sites
         total = (aop.a_s.matrix + aop.op.masked(l, l).matrix
                  + aop.op.masked(s, l).matrix + aop.op.masked(l, s).matrix)
@@ -120,7 +120,7 @@ class TestBuildA:
     def test_As_Al_orthogonal(self):
         rng = np.random.default_rng(4)
         cfg = mixed_field(GEO, rng)
-        aop = build_A(cfg, make_params(), GEO)
+        aop = build_A(cfg, make_params())
         l = ~aop.small_sites
         prod = aop.a_s.weighted @ aop.op.masked(l, l).weighted
         assert np.all(prod == 0.0)
@@ -128,22 +128,16 @@ class TestBuildA:
     def test_trace_Aprime_zero(self):
         rng = np.random.default_rng(5)
         cfg = mixed_field(GEO, rng)
-        aop = build_A(cfg, make_params(), GEO)
+        aop = build_A(cfg, make_params())
         s, l = aop.small_sites, ~aop.small_sites
         a_prime = aop.op.masked(s, l).weighted + aop.op.masked(l, s).weighted
         assert abs(np.trace(a_prime)) < 1e-12
-
-    def test_dimension_mismatch(self):
-        cfg = FieldConfig.from_tau(GEO, np.zeros((GEO.sites_per_side,) * 2))
-        other = LatticeGeometry(n=3, sites_per_square=4)
-        with pytest.raises(ValueError):
-            build_A(cfg, make_params(), other)
 
     def test_real_spectrum(self):
         rng = np.random.default_rng(6)
         for _ in range(3):
             cfg = mixed_field(GEO, rng)
-            ev = np.linalg.eigvals(build_A(cfg, make_params(), GEO).op.weighted)
+            ev = np.linalg.eigvals(build_A(cfg, make_params()).op.weighted)
             assert np.abs(ev.imag).max() < 1e-8
 
     def test_propagator_matrix_posdef_and_symmetric(self):
@@ -156,7 +150,7 @@ class TestBuildA:
         cfg = small_field(GEO, rng)
         params = make_params()
         ev1, ev2 = (np.sort(np.linalg.eigvals(
-            build_A(cfg, params, GEO, symmetrize=sym).op.weighted).real)
+            build_A(cfg, params, symmetrize=sym).op.weighted).real)
             for sym in (False, True))
         np.testing.assert_allclose(ev1, ev2, atol=1e-10)
 
@@ -244,7 +238,7 @@ class TestOperatorNorm:
         params = make_params()
         for _ in range(5):
             cfg = small_field(GEO, rng)
-            aop = build_A(cfg, params, GEO)
+            aop = build_A(cfg, params)
             assert operator_norm(aop.a_s) <= BIGN ** -0.4
 
 
@@ -347,13 +341,13 @@ class TestDetReg:
 class TestDetSplit:
     def test_zero_field(self):
         cfg = FieldConfig.from_tau(GEO, np.zeros((GEO.sites_per_side,) * 2))
-        assert det_split_identity(cfg, make_params(), GEO) == pytest.approx(0.0, abs=1e-14)
+        assert det_split_identity(cfg, make_params()) == pytest.approx(0.0, abs=1e-14)
 
     def test_small_field_residual(self):
         rng = np.random.default_rng(13)
         for _ in range(3):
             cfg = small_field(GEO, rng)
-            assert det_split_identity(cfg, make_params(), GEO) < 1e-8
+            assert det_split_identity(cfg, make_params()) < 1e-8
 
     def test_mixed_field_residual_and_lemma7(self):
         rng = np.random.default_rng(14)
@@ -361,10 +355,9 @@ class TestDetSplit:
         ratios = []
         for _ in range(5):
             cfg = mixed_field(GEO, rng)
-            assert det_split_identity(cfg, params, GEO) < 1e-8
+            assert det_split_identity(cfg, params) < 1e-8
             # Lemma 7 scale: |det_2^{-N/2}(1+B)| <= exp(O(1) N^{-4/5} int tau^2)
-            lam = np.linalg.eigvals(build_A(cfg, params, GEO,
-                                            symmetrize=True).b)
+            lam = np.linalg.eigvals(build_A(cfg, params, symmetrize=True).b)
             log_det2 = np.sum(np.log(1 + lam)) - np.sum(lam)
             log_abs = -(BIGN / 2) * log_det2.real
             bound_scale = BIGN ** -0.8 * float(cfg.square_masses.sum())
@@ -380,10 +373,10 @@ class TestDetSplit:
         params = dataclasses.replace(make_params(), g=10.0)
         tau = mixed_field(GEO, np.random.default_rng(14)).tau
         cfg = FieldConfig.from_tau(GEO, np.abs(tau))
-        aop = build_A(cfg, params, GEO)
+        aop = build_A(cfg, params)
         assert sum(log_det_n_matrix(k, 1).imag
                    for k in (1j * aop.a_s.weighted, aop.b)) > math.pi
-        assert det_split_identity(cfg, params, GEO) < 1e-8
+        assert det_split_identity(cfg, params) < 1e-8
 
     def test_one_lu_per_matrix(self, monkeypatch):
         # 1+iA, 1+iA_s and 1+B are each factored once
@@ -391,7 +384,7 @@ class TestDetSplit:
         monkeypatch.setattr(np.linalg, "slogdet",
                             lambda a: calls.append(a) or real(a))
         cfg = mixed_field(GEO, np.random.default_rng(14))
-        assert det_split_identity(cfg, make_params(), GEO) < 1e-8
+        assert det_split_identity(cfg, make_params()) < 1e-8
         assert len(calls) == 3
 
     def test_calls_no_general_eigensolver(self, monkeypatch):
@@ -402,20 +395,20 @@ class TestDetSplit:
 
         monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
         cfg = mixed_field(GEO, np.random.default_rng(14))
-        assert det_split_identity(cfg, make_params(), GEO) < 1e-8
+        assert det_split_identity(cfg, make_params()) < 1e-8
 
 
 class TestDDecomposition:
     def test_zero_field(self):
         cfg = FieldConfig.from_tau(GEO, np.zeros((GEO.sites_per_side,) * 2))
-        dp, dm, tq = D_decomposition(cfg, make_params(), GEO)
+        dp, dm, tq = D_decomposition(cfg, make_params())
         assert dp == pytest.approx(0.0, abs=1e-14)
         assert dm == pytest.approx(0.0, abs=1e-14)
 
     def test_pure_small_field_D_vanishes(self):
         rng = np.random.default_rng(15)
         cfg = small_field(GEO, rng, u_hi=9.0)  # strictly below N^{1/6}
-        dp, dm, _ = D_decomposition(cfg, make_params(), GEO)
+        dp, dm, _ = D_decomposition(cfg, make_params())
         assert dp < 1e-12 and dm < 1e-12  # A'' = 0 when Lambda_l is empty
 
     def test_Dminus_bound_mixed(self):
@@ -423,7 +416,7 @@ class TestDDecomposition:
         params = make_params()
         for _ in range(3):
             cfg = mixed_field(GEO, rng)
-            _, dm, tq = D_decomposition(cfg, params, GEO)
+            _, dm, tq = D_decomposition(cfg, params)
             assert dm <= BIGN ** -0.8
             bound_scale = (BIGN ** -0.8 * params.g ** 2
                            * float(cfg.square_masses.sum()))
@@ -434,7 +427,7 @@ class TestDDecomposition:
         rng = np.random.default_rng(17)
         cfg = mixed_field(GEO, rng)
         params = make_params()
-        B = build_A(cfg, params, GEO, symmetrize=True).b
+        B = build_A(cfg, params, symmetrize=True).b
         D = B + B.conj().T + B.conj().T @ B
         D = 0.5 * (D + D.conj().T)
         lhs = abs(np.exp(-np.sum(np.log(1 + np.linalg.eigvals(B)))))
@@ -466,7 +459,7 @@ class TestTraceCubeBound:
         params = make_params()
         for _ in range(5):
             cfg = small_field(GEO, rng)
-            As = build_A(cfg, params, GEO).a_s.weighted
+            As = build_A(cfg, params).a_s.weighted
             tr3 = abs(np.trace(As @ As @ As))
             bound = (np.linalg.svd(As, compute_uv=False)[0]
                      * np.trace(As.conj().T @ As).real)
@@ -482,7 +475,7 @@ class TestLinkNorms:
         u = rng.uniform(1.0, 12.0, size=LINK_GEO.num_squares)
         u[LINK_GEO.square_index[(0, 0)]] = 1e-20  # effectively tau = 0 there
         cfg = random_field(LINK_GEO, rng, u)
-        aop = build_A(cfg, make_params(), LINK_GEO)
+        aop = build_A(cfg, make_params())
         assert operator_norm(link_block(aop, (0, 0), (2, 2))) < 1e-10
 
     def test_small_field_decay_bound(self):
@@ -496,7 +489,7 @@ class TestLinkNorms:
         consts = {d: [] for d in pairs}
         for _ in range(20):
             cfg = small_field(LINK_GEO, rng)
-            aop = build_A(cfg, params, LINK_GEO)
+            aop = build_A(cfg, params)
             for d, pair in pairs.items():
                 nrm = operator_norm(link_block(aop, *pair))
                 consts[d].append(nrm / (scale * math.exp(-params.m * d)))
@@ -515,7 +508,7 @@ class TestLinkNorms:
             u = rng.uniform(1.0, 12.0, size=LINK_GEO.num_squares)
             u[LINK_GEO.square_index[(-4, 0)]] = 80.0  # an l^1 square
             cfg = random_field(LINK_GEO, rng, u)
-            aop = build_A(cfg, params, LINK_GEO)
+            aop = build_A(cfg, params)
             d = 3.0
             nrm = operator_norm(link_block(aop, (-4, 0), (0, 0)))
             mass = cfg.mass_of((-4, 0))
@@ -532,7 +525,7 @@ class TestLinkNorms:
         fitted = []
         for _ in range(5):
             cfg = small_field(LINK_GEO, rng)
-            aop = build_A(cfg, params, LINK_GEO)
+            aop = build_A(cfg, params)
             order = rng.permutation(len(squares))
             pairs = [(squares[order[2 * k]], squares[order[2 * k + 1]])
                      for k in range(8)]  # disjoint square pairs

@@ -17,6 +17,10 @@ Determinants: ``slogdet`` is named in ``src/sigmagap`` only by
 ``covariance.component_log_z``, a positivity-checked log Z that is no
 det_n; so a hand-rolled slogdet-plus-traces copy cannot come back.
 
+Lattice layout: ``repeat``, the widening of per-square values to sites,
+is named in ``src/sigmagap`` only inside ``regions.LatticeGeometry``, so
+a second copy of the square -> site map cannot come back.
+
 Dependencies: every third-party package that ``src/sigmagap`` imports,
 at module level or inside a function, is declared in ``pyproject.toml``'s
 ``[project].dependencies``, and every declared package is imported.
@@ -268,25 +272,33 @@ def _mentions(tree, name):
                for node in ast.walk(tree))
 
 
-def slogdet_users():
+def users(name):
     """(module, qualname) of every src/sigmagap function or method that
-    names slogdet, and (module, None) for a use outside all of them."""
+    names name, and (module, None) for a use outside all of them."""
     out = set()
     definitions = _definitions()
     for path in sorted(SRC.glob("*.py")):
         inside = 0
         for module, qual, fn, _ in definitions:
-            count = _mentions(fn, "slogdet") if module == path.stem else 0
+            count = _mentions(fn, name) if module == path.stem else 0
             if count:
                 out.add((module, qual))
                 inside += count
-        if _mentions(_parse(path), "slogdet") > inside:
+        if _mentions(_parse(path), name) > inside:
             out.add((path.stem, None))
     return out
 
 
 def test_slogdet_only_in_the_matrix_route():
-    assert slogdet_users() == set(ALLOWED_SLOGDET)
+    assert users("slogdet") == set(ALLOWED_SLOGDET)
+
+
+def test_widening_only_in_the_lattice_geometry():
+    found = users("repeat")
+    assert found, "the square -> site widening is gone"
+    assert all(module == "regions" and qual is not None
+               and qual.startswith("LatticeGeometry.")
+               for module, qual in found), found
 
 
 def imported_packages():

@@ -91,6 +91,19 @@ class TestGeometry:
         assert x[0] == pytest.approx(-2 + 0.125)
         np.testing.assert_allclose(x + x[::-1], 0.0, atol=1e-15)
 
+    def test_blocks_and_widen_share_the_layout(self):
+        # widen copies square k's value to the sites blocks puts under
+        # square k, and those sites lie in that unit square
+        geo = LatticeGeometry(n=2, sites_per_square=3)
+        sites = geo.widen(np.arange(geo.num_squares))
+        blocks = geo.blocks(sites)
+        assert np.shares_memory(blocks, sites)
+        x = geo.blocks(np.repeat(geo.site_coordinates(), geo.sites_per_side))
+        for k, (i, j) in enumerate(geo.squares):
+            assert np.all(blocks[i + geo.n, :, j + geo.n] == k)
+            assert np.all((x[i + geo.n, :, j + geo.n] > i)
+                          & (x[i + geo.n, :, j + geo.n] < i + 1))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             LatticeGeometry(n=0)
