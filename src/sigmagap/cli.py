@@ -63,7 +63,6 @@ KNOWN_KEYS = {
     "model.K": ("--K", "bigK", float),
     "model.N": ("--N", "bigN", int),
     "model.regulator": ("--regulator", "regulator", str),
-    "model.corridor": ("--corridor", "corridor", float),
     "geometry.n": ("--n", "n", int),
     "geometry.sites_per_square": ("--sites", "sites_per_square", int),
     "cutoff.c": ("--cutoff-c", "cutoff_c", float),
@@ -73,13 +72,18 @@ KNOWN_KEYS = {
 }
 
 
+def _config_key(field):
+    """The dotted config key of a RunConfig field."""
+    return next(key for key, (_, name, _) in KNOWN_KEYS.items()
+                if name == field)
+
+
 @dataclasses.dataclass
 class RunConfig:
     lam: float = 1.0
     bigK: float = 1.0
     bigN: int = 10 ** 4
     regulator: str = "exponential"
-    corridor: float = None
     n: int = 4
     sites_per_square: int = 4
     cutoff_c: float = 1.0
@@ -90,7 +94,8 @@ class RunConfig:
     def validate(self):
         for key in ("lam", "bigK", "cutoff_c"):
             if not getattr(self, key) > 0:
-                raise ConfigError(f"config key {key} must be positive")
+                raise ConfigError(f"config key {_config_key(key)} must be "
+                                  "positive")
         try:
             self.cutoff()
         except ValueError as exc:
@@ -103,7 +108,8 @@ class RunConfig:
                               + ", ".join(sorted(REGULATORS)))
         for key in ("n", "sites_per_square", "samples"):
             if getattr(self, key) < 1:
-                raise ConfigError(f"config key {key} must be >= 1")
+                raise ConfigError(f"config key {_config_key(key)} must be "
+                                  ">= 1")
         if self.seed < 0:
             raise ConfigError("config key sampler.seed must be >= 0")
         try:
@@ -121,10 +127,10 @@ class RunConfig:
 
     @functools.cached_property
     def params(self):
-        """Derived once per config: one gap-equation solve per run."""
-        return derive_params(self.lam, self.bigK, self.bigN,
-                             regulator=self.regulator,
-                             corridor_override=self.corridor)
+        """Derived once per config: one gap-equation solve per run.  The
+        gap mass is the exponential regulator's, the model the kernels
+        implement; the regulator key selects criterion 01's equation."""
+        return derive_params(self.lam, self.bigK, self.bigN)
 
     def geometry(self):
         return LatticeGeometry(n=self.n,
@@ -495,7 +501,7 @@ def criterion_06_covariance_structure(cfg, table, size):
     _gate(table, "splitting-identity", "covariance", "covariance-splitting",
           [dc.identity_residual], "<", 1e-8)
     _gate(table, "negative-part-sign", "covariance", "covariance-splitting",
-          [float(np.linalg.eigvalsh(dc.d1.weighted).max())], "<=", 1e-10)
+          [float(np.linalg.eigvalsh(dc.d1_lambda).max())], "<=", 1e-10)
     params = derive_params(32.0, 1.0, 4)
     geo = LatticeGeometry(n=4, sites_per_square=2)
     two, factor_gap = [], []

@@ -27,22 +27,25 @@ generalized eigenvalues of (C_gamma, C0) per component for Z_gamma; all
 are computed where build_Cgamma runs with routes="both".
 
 Only that dual-route gate reads C_gamma itself: Z_gamma and the damping
-bound need the gamma block alone.  So build_Cgamma takes the gamma-block
-Cholesky K = (1-eps)^{-1} - U[gamma, gamma] = L L^T eagerly, as the
-positivity check of the floored form, and the set forms C_gamma on first
-read.  Since 1 - (1-eps) U[gamma, gamma] = (1-eps) K, the same L gives
-log Z_gamma = -|gamma|/2 log(1-eps) - sum log L_ii.
+bound need the gamma block alone.  So a CovarianceSet holds C_gamma by
+its factors: gamma's site index and the Cholesky factor L of
+K = (1-eps)^{-1} - U[gamma, gamma] = L L^T, taken eagerly by build_Cgamma
+as the positivity check of the floored form, beside the one cached grid
+assembly it reads S^-, U and C0 from.  Since 1 - (1-eps) U[gamma, gamma]
+= (1-eps) K, the same L gives log Z_gamma = -|gamma|/2 log(1-eps)
+- sum log L_ii (the set's log_z); C_gamma is formed on first read.
 
 The rest of the per-configuration pipeline costs O(n^2 |gamma|) too:
 deltaC reads S P_gamma S as the rank-|gamma| product S[:, gamma]
-S[gamma, :], keeps the two corrections that vanish outside Lambda x
-Lambda as their Lambda blocks, and checks its splitting identity against
+S[gamma, :].  A DeltaC holds deltaC_1 and deltaC_2, which vanish outside
+Lambda x Lambda, only as their Lambda blocks, and deltaC_3 and deltaC_4
+on the padded grid; build_deltaC checks the splitting identity against
 one cached configuration-independent term (with, once per grid, the
 residual of U^{-1} U = 1, which the identity cannot see).  damping_report
-reads (tau, deltaC tau) on Lambda alone and takes the real part of
-log det_2 from the |L| x |L| Schur complement on the large sites, through
-the matrix route of operators (log_det_n_matrix, one slogdet), instead of
-the eigenvalues or the n x n B.
+reads (tau, deltaC tau) on Lambda alone, log Z_gamma from the set, and
+the real part of log det_2 from the |L| x |L| Schur complement on the
+large sites, through the matrix route of operators (log_det_n_matrix,
+one slogdet), instead of the eigenvalues or the n x n B.
 
 Grids: region bookkeeping lives on the inner lattice covering Lambda; the
 covariance kernels are assembled on a padded grid (pad extra unit squares
@@ -69,8 +72,7 @@ from .kernels import cutoff_enforced_values
 from .operators import (DiscretizedOperator, build_A, gaussian_root,
                         log_det_n, log_det_n_matrix, propagator_matrix,
                         radial_site_matrix)
-from .regions import (FieldConfig, LatticeGeometry, classify_squares,
-                      smooth_step)
+from .regions import FieldConfig, LatticeGeometry, smooth_step
 
 # relative Frobenius tail at which the Neumann series of C^{gamma_i}
 # stops, and the most terms it may take
@@ -96,15 +98,6 @@ def padded_geometry(geometry, pad):
 
 # ---------------------------------------------------------------------------
 # cached kernel assembly
-
-@functools.lru_cache(maxsize=4)
-def _cutoff_matrix_cached(n, sites_per_square, c):
-    """Weighted-representation matrix of the compact-support kernel of
-    1/(1+f)."""
-    geo = LatticeGeometry(n=n, sites_per_square=sites_per_square)
-    return (radial_site_matrix(geo, lambda r: cutoff_enforced_values(c, r))
-            * geo.site_weight)
-
 
 def _cutoff_cholesky(u_w):
     try:
@@ -169,26 +162,22 @@ def _assembly_cached(n, sites_per_square, m, lamK, c):
         raise ArithmeticError("1 + pi lost positivity on the grid")
     s_plus = (vec * np.sqrt(ev)) @ vec.T
     s_minus = (vec / np.sqrt(ev)) @ vec.T
-    u_w = _cutoff_matrix_cached(n, sites_per_square, c)
+    # the compact-support kernel of 1/(1+f)
+    u_w = radial_site_matrix(geo, lambda r: cutoff_enforced_values(c, r)) * w
     _cutoff_cholesky(u_w)  # the positivity check, taken eagerly
     c0_w = s_minus @ u_w @ s_minus
     c0_w.flags.writeable = False  # build_C0 hands it out uncopied
     return _Assembly(geo, nsite, w, pi_w, s_plus, s_minus, u_w, c0_w)
 
 
-def _assembly_key(params, geometry, cutoff, pad):
-    """(grid n, sites per square, m, lambda K, c): the cache key of every
-    covariance assembled on the padded grid, and the exact values it is
-    computed at."""
+def _assembly(params, geometry, cutoff, pad):
+    """The cached assembly of the padded grid, keyed by (grid n, sites per
+    square, m, lambda K, c) at the exact values it is computed at."""
     if not cutoff.c > 0:
         raise ValueError("the covariance needs a cutoff with c > 0")
     grid = padded_geometry(geometry, pad)
-    return (grid.n, grid.sites_per_square, float(params.m),
-            float(params.lam * params.bigK), float(cutoff.c))
-
-
-def _assembly(params, geometry, cutoff, pad):
-    return _assembly_cached(*_assembly_key(params, geometry, cutoff, pad))
+    return _assembly_cached(grid.n, grid.sites_per_square, float(params.m),
+                            float(params.lam * params.bigK), float(cutoff.c))
 
 
 # ---------------------------------------------------------------------------
@@ -207,37 +196,51 @@ def build_C0(params, geometry, cutoff):
 
 @dataclasses.dataclass
 class CovarianceSet:
-    """C0, C_gamma, the total and per-component corrections, and the grid
-    bookkeeping needed by the normalization and splitting routines.
+    """C_gamma on the padded grid of one cached assembly, held by its
+    factors: gamma, the index of gamma's sites on the grid, and chol, the
+    Cholesky factor L of K = (1-eps)^{-1} - U[gamma, gamma].  S^-, U, C0
+    and the grid are the assembly's.
 
-    Cgamma_correction = C_gamma - C0 and Cgamma are formed on first read
-    by closed_form, _closed_form_correction's Woodbury product; the
-    normalization and the damping bound never read them.  gamma_cholesky
-    is the gamma index and the Cholesky factor the closed form holds."""
+    log_z = log Z_gamma, Cgamma_correction = C_gamma - C0 (the Woodbury
+    product) and Cgamma are formed on first read; the normalization and
+    the damping bound never read the two n x n ones.  component_masks are
+    gamma's components as site masks; component_corrections, route_residual
+    and neumann_terms hold the dual routes of routes="both"."""
 
-    C0: DiscretizedOperator
-    component_corrections: list
+    assembly: _Assembly = dataclasses.field(repr=False)
+    gamma: np.ndarray
+    chol: np.ndarray
+    epsilon: float
     component_masks: list
-    grid: LatticeGeometry
+    component_corrections: list
     route_residual: float
     neumann_terms: int
-    epsilon: float
-    cutoff_weighted: np.ndarray
-    closed_form: object = dataclasses.field(repr=False)
-    Zgamma: float = None
+
+    @property
+    def grid(self):
+        return self.assembly.geo
+
+    @functools.cached_property
+    def C0(self):
+        return DiscretizedOperator(self.assembly.c0_w, self.assembly.w)
+
+    @functools.cached_property
+    def log_z(self):
+        """log Z_gamma = -|gamma|/2 log(1-eps) - sum log L_ii, since
+        1 - (1-eps) U[gamma, gamma] = (1-eps) K (compute_Zgamma)."""
+        return (-0.5 * len(self.gamma) * np.log1p(-self.epsilon)
+                - float(np.sum(np.log(np.diag(self.chol)))))
 
     @functools.cached_property
     def Cgamma_correction(self):
-        return DiscretizedOperator(self.closed_form(), self.C0.site_weight)
+        return DiscretizedOperator(
+            _woodbury_product(self.assembly, self.gamma, self.chol),
+            self.assembly.w)
 
     @functools.cached_property
     def Cgamma(self):
         cg_w = self.C0.weighted + self.Cgamma_correction.weighted
         return DiscretizedOperator(0.5 * (cg_w + cg_w.T), self.C0.site_weight)
-
-    @property
-    def gamma_cholesky(self):
-        return self.closed_form.args[1:]
 
 
 def _neumann_correction(asm, mask, eps):
@@ -274,26 +277,24 @@ def _neumann_correction(asm, mask, eps):
     return corr, terms
 
 
-def _closed_form_correction(asm, gmask, eps):
-    """C_gamma - C0 = B K^{-1} B^T by Woodbury on the gamma block, with
-    B = S^- U[:, gamma] and K = (1-eps)^{-1} - U[gamma, gamma], as a
-    function of no arguments that forms it.
+def _woodbury_factor(asm, gmask, eps):
+    """(gamma, L): gamma's site index and the Cholesky factor of
+    K = (1-eps)^{-1} - U[gamma, gamma], the factors of the closed form
+    C_gamma - C0 = B K^{-1} B^T with B = S^- U[:, gamma] (Woodbury on the
+    gamma block).
 
-    The Cholesky factor L of K is taken here, since it is also the
-    positivity check: the floored form U^{-1} - (1-eps) P_gamma is
-    positive definite exactly when K is.  The n x n product, formed as
-    H^T H with H = L^{-1} B^T so that it is exactly symmetric, runs only
-    when the returned function is called."""
+    The factorization is also the positivity check: the floored form
+    U^{-1} - (1-eps) P_gamma is positive definite exactly when K is."""
     idx = np.flatnonzero(gmask)
     k = np.eye(len(idx)) / (1.0 - eps) - asm.u_w[np.ix_(idx, idx)]
     try:
-        chol = np.linalg.cholesky(k)
+        return idx, np.linalg.cholesky(k)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError("floored quadratic form not PD") from exc
-    return functools.partial(_woodbury_product, asm, idx, chol)
 
 
 def _woodbury_product(asm, idx, chol):
+    """B K^{-1} B^T as H^T H with H = L^{-1} B^T, so exactly symmetric."""
     half = np.linalg.solve(chol, (asm.s_minus @ asm.u_w[:, idx]).T)
     return half.T @ half
 
@@ -301,8 +302,8 @@ def _woodbury_product(asm, idx, chol):
 def build_Cgamma(params, geometry, cutoff, regions, pad=2, routes="both"):
     """The covariance set of C_gamma = C0 + B K^{-1} B^T on the padded grid.
 
-    The closed form (Woodbury on the gamma block, _closed_form_correction)
-    needs one |gamma| x |gamma| Cholesky and n x |gamma| products.  The
+    The closed form (Woodbury on the gamma block, _woodbury_factor) needs
+    one |gamma| x |gamma| Cholesky and n x |gamma| products.  The
     Cholesky is taken here and raises when the floored form is not
     positive definite; C_gamma itself is formed on first read of
     Cgamma or Cgamma_correction, so routes="direct" runs no n x n product.
@@ -316,17 +317,17 @@ def build_Cgamma(params, geometry, cutoff, regions, pad=2, routes="both"):
     asm = _assembly(params, geometry, cutoff, pad)
     eps = params.epsilon
     gmask = asm.geo.site_mask(regions.gamma)
+    gamma, chol = _woodbury_factor(asm, gmask, eps)
     covset = CovarianceSet(
-        C0=DiscretizedOperator(asm.c0_w, asm.w),
-        component_corrections=[],
+        assembly=asm,
+        gamma=gamma,
+        chol=chol,
+        epsilon=eps,
         component_masks=[asm.geo.site_mask(comp.gamma)
                          for comp in regions.components],
-        grid=asm.geo,
+        component_corrections=[],
         route_residual=float("nan"),
         neumann_terms=0,
-        epsilon=eps,
-        cutoff_weighted=asm.u_w,
-        closed_form=_closed_form_correction(asm, gmask, eps),
     )
     if routes == "both":
         cg_w = covset.Cgamma.weighted
@@ -367,8 +368,9 @@ def compute_Zgamma(covset, regions):
     to the gamma block 1 - (1-eps) U[gamma, gamma] = (1-eps) K.  The set
     holds K = L L^T from build_Cgamma's positivity check, so
     log Z_gamma = -|gamma|/2 log(1-eps) - sum log L_ii, with no second
-    factorization.  regions.gamma must be the set's gamma (else
-    ArithmeticError); this route is primary and Z_gamma >= 1 is checked.
+    factorization (the set's log_z).  regions.gamma must be the set's gamma
+    (else ArithmeticError); this route is primary and Z_gamma >= 1 is
+    checked.
 
     When the set carries the per-component corrections (routes="both"),
     the generalized eigenvalues of (C0 + C^{gamma_i}, C0) give each
@@ -377,14 +379,11 @@ def compute_Zgamma(covset, regions):
     match Z_gamma (the product factorization, exact for the
     compact-support cutoff kernel since distinct components lie further
     apart than its range), both at FACTOR_TOL."""
-    idx, chol = covset.gamma_cholesky
     gamma = np.flatnonzero(covset.grid.site_mask(regions.gamma))
-    if not np.array_equal(gamma, idx):
+    if not np.array_equal(gamma, covset.gamma):
         raise ArithmeticError(
             "regions.gamma and the covariance set's gamma disagree")
-    log_z = (-0.5 * len(idx) * np.log1p(-covset.epsilon)
-             - float(np.sum(np.log(np.diag(chol)))))
-    z = float(np.exp(log_z))
+    z = float(np.exp(covset.log_z))
     if z < 1.0 - 1e-9:
         raise ArithmeticError(f"Z_gamma = {z} below 1")
 
@@ -409,7 +408,6 @@ def compute_Zgamma(covset, regions):
             raise ArithmeticError(
                 "determinant route and generalized-eigenvalue product "
                 f"disagree: rel {rel:.3e}")
-    covset.Zgamma = z
     return z
 
 
@@ -420,7 +418,7 @@ def component_log_z(covset, cmask):
     the whole grid, so it is the determinant route for one component's
     normalization and, on the gamma mask, the LU route to Z_gamma."""
     idx = np.flatnonzero(cmask)
-    block = (1.0 - covset.epsilon) * covset.cutoff_weighted[np.ix_(idx, idx)]
+    block = (1.0 - covset.epsilon) * covset.assembly.u_w[np.ix_(idx, idx)]
     sign, logdet = np.linalg.slogdet(np.eye(len(idx)) - block)
     if sign <= 0:
         raise ArithmeticError("component determinant changed sign")
@@ -438,9 +436,9 @@ class DeltaC:
     Lambda would hide) or of U^{-1} U = 1, whichever is larger.
 
     deltaC_1 and deltaC_2 vanish outside Lambda x Lambda, so the set holds
-    them as their Lambda blocks d1_lambda and d2_lambda (weighted, in the
-    order of the padded grid's Lambda sites lam); d1 and d2 on the padded
-    grid are formed on first read.  Iterating yields d1, d2, d3, d4."""
+    them only as their Lambda blocks d1_lambda and d2_lambda (weighted, in
+    the order of the padded grid's Lambda sites lam); deltaC_3 and deltaC_4
+    are held on the padded grid."""
 
     d1_lambda: np.ndarray
     d2_lambda: np.ndarray
@@ -448,23 +446,6 @@ class DeltaC:
     d4: DiscretizedOperator
     identity_residual: float
     lam: np.ndarray
-
-    def _padded(self, block):
-        n = self.d3.weighted.shape[0]
-        out = np.zeros((n, n))
-        out[np.ix_(self.lam, self.lam)] = block
-        return DiscretizedOperator(out, self.d3.site_weight)
-
-    @functools.cached_property
-    def d1(self):
-        return self._padded(self.d1_lambda)
-
-    @functools.cached_property
-    def d2(self):
-        return self._padded(self.d2_lambda)
-
-    def __iter__(self):
-        return iter((self.d1, self.d2, self.d3, self.d4))
 
     def lambda_form(self, v):
         """(v, deltaC v) for a weighted field supported in Lambda, given by
@@ -477,7 +458,12 @@ class DeltaC:
 def _lambda_view(grid, geometry, mat):
     """Lambda x Lambda of an n x n array on grid as a (k, k, k, k) view:
     Lambda's sites, grid.site_mask(geometry.squares), are the square
-    [off, off + k)^2 of the side x side site grid, in row-major order."""
+    [off, off + k)^2 of the side x side site grid, in row-major order.
+
+    A view rather than np.ix_ indexing for speed: on criterion 10's grid
+    (576 sites, 144 in Lambda; 2 cores, OpenBLAS 0.3.31) build_deltaC's
+    four Lambda-block operations took 0.13 ms per configuration through
+    it against 0.59 ms through np.ix_ (0.11 against 0.46 ms timed alone)."""
     side = grid.sites_per_side
     off = (grid.n - geometry.n) * grid.sites_per_square
     box = (slice(off, off + geometry.sites_per_side),) * 4
@@ -523,7 +509,6 @@ def build_deltaC(params, geometry, cutoff, regions, pad=2):
     inner = asm.geo.site_mask(geometry.squares)
     lam = np.flatnonzero(inner)
     k = geometry.sites_per_side
-    on_lambda = functools.partial(_lambda_view, asm.geo, geometry)
 
     sp = asm.s_plus
     spgs = sp[:, gamma] @ sp[gamma, :]
@@ -536,14 +521,15 @@ def build_deltaC(params, geometry, cutoff, regions, pad=2):
     l_loc = np.flatnonzero(l_mask[lam])
     ss_loc = np.ix_(s_loc, s_loc)
     d1_l = np.zeros((k * k, k * k))
-    d1_l[ss_loc] = -on_lambda(spgs).reshape(k * k, k * k)[ss_loc]
-    t_l = on_lambda(t).reshape(k * k, k * k)
+    spgs_l = _lambda_view(asm.geo, geometry, spgs).reshape(k * k, k * k)
+    d1_l[ss_loc] = -spgs_l[ss_loc]
+    t_l = _lambda_view(asm.geo, geometry, t).reshape(k * k, k * k)
     d2_l = np.zeros((k * k, k * k))
     for rows, cols in ((l_loc, s_loc), (l_loc, l_loc), (s_loc, l_loc)):
         blk = np.ix_(rows, cols)
         d2_l[blk] += t_l[blk]
     d3_w = t
-    on_lambda(d3_w)[...] = 0.0
+    _lambda_view(asm.geo, geometry, d3_w)[...] = 0.0
 
     # lhs - rhs of the identity, in place; every entry of d1..d4 is read,
     # d1 and d2 on the Lambda block outside which they vanish
@@ -552,7 +538,7 @@ def build_deltaC(params, geometry, cutoff, regions, pad=2):
     res += fixed
     ss = np.ix_(s_idx, s_idx)
     res[ss] -= asm.pi_w[ss]
-    res_l = on_lambda(res)
+    res_l = _lambda_view(asm.geo, geometry, res)
     res_l -= d1_l.reshape(res_l.shape)
     res_l -= d2_l.reshape(res_l.shape)
     res -= d3_w
@@ -631,7 +617,7 @@ def _log_det2_real(aop):
     return log_det_n_matrix(k, 1).real
 
 
-def damping_report(field, params, regions, covset, deltac, assignment=None):
+def damping_report(field, params, regions, covset, deltac, assignment):
     """Evaluate log(Z_gamma |G_gamma(tau)|) for one configuration.
 
     G_gamma is the product of the window weights, the explicit Gaussian
@@ -642,15 +628,13 @@ def damping_report(field, params, regions, covset, deltac, assignment=None):
     Re log det_2(1 + B), B = (1 + iA_s)^{-1} iA'', from the Schur
     complement of 1 + B on the large sites (_log_det2_real), with no
     general eigensolve and no n x n B.  tau vanishes outside Lambda, so
-    (tau, deltaC tau) is read on Lambda x Lambda (DeltaC.lambda_form).
-    required_const is the constant that would make the bound
+    (tau, deltaC tau) is read on Lambda x Lambda (DeltaC.lambda_form);
+    log Z_gamma is the set's log_z.  required_const is the constant that would make the bound
 
         log value <= -0.49 * int_{large} tau^2
                      + const * N^{-2/5} * int_{small} tau^2
 
     hold with equality; the fitted constant of the ensemble is its max."""
-    if assignment is None:
-        assignment = classify_squares(field, params)
     log_theta = 0.0
     for k, lab in enumerate(assignment.labels):
         wgt = (assignment.theta_s[k] if lab == 0
@@ -669,10 +653,7 @@ def damping_report(field, params, regions, covset, deltac, assignment=None):
     quad = deltac.lambda_form(field.tau.reshape(-1)
                               * np.sqrt(covset.grid.site_weight))
 
-    z = covset.Zgamma
-    if z is None:
-        z = compute_Zgamma(covset, regions)
-    log_value = (np.log(z) + log_theta - 0.5 * mass_l
+    log_value = (covset.log_z + log_theta - 0.5 * mass_l
                  - 0.5 * params.bigN * (log3.real + log2_real) + 0.5 * quad)
     if mass_s > 0:
         required = ((log_value + 0.49 * mass_l)

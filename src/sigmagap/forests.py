@@ -260,9 +260,8 @@ def verify_first_forest_formula(squares, neighbor_pairs, components):
     expected = 1
     for comp in comp_sets:
         comp_edges = [e for e in links if e[0] in comp and e[1] in comp]
-        trees = [t for t in enumerate_forests(tuple(sorted(comp)))
-                 if len(t) == len(comp) - 1
-                 and all(e in comp_edges for e in t)]
+        trees = [t for t in spanning_trees(comp)
+                 if all(e in comp_edges for e in t)]
         expected *= len(trees)
     if len(survivors) != expected:
         return False

@@ -39,7 +39,6 @@ class ModelParams:
     m: float
     epsilon: float
     corridorM: float
-    regulator: str = "exponential"
 
     def __post_init__(self):
         if not (self.lam > 0 and self.bigK > 0):
@@ -50,8 +49,6 @@ class ModelParams:
             raise ValueError("epsilon must lie in (0,1)")
         if not self.corridorM > 0:
             raise ValueError("corridorM must be positive")
-        if self.regulator not in REGULATORS:
-            raise ValueError(f"unknown regulator {self.regulator!r}")
 
     @property
     def m2(self) -> float:
@@ -120,9 +117,11 @@ def gap_constant(lam: float, bigK: float,
 
 
 def derive_params(lam: float, bigK: float, bigN: int,
-                  regulator: str = "exponential",
                   corridor_override: float | None = None) -> ModelParams:
     """Fill in g, m, epsilon, corridorM from the three physical inputs.
+
+    m solves the gap equation of the exponential regulator, the
+    propagator 1/(q^2 e^{q^2} + m^2) that the kernels implement.
 
     bigN must be even (a factor N/2 is absorbed in the determinant weight
     throughout).  corridorM defaults to (2/m) ln N, which at small m
@@ -134,7 +133,7 @@ def derive_params(lam: float, bigK: float, bigN: int,
         raise ValueError("bigN must be >= 2")
     if bigN % 2 != 0:
         raise ValueError("bigN must be even")
-    m2 = solve_gap_equation(lam, bigK, regulator)
+    m2 = solve_gap_equation(lam, bigK)
     m = float(np.sqrt(m2))
     g = float(np.sqrt(lam * bigK / bigN))
     eps = float(bigN ** (-0.4))
@@ -142,4 +141,4 @@ def derive_params(lam: float, bigK: float, bigN: int,
     if corridor_override is not None:
         corridor = float(corridor_override)
     return ModelParams(lam=lam, bigK=bigK, bigN=bigN, g=g, m=m,
-                       epsilon=eps, corridorM=corridor, regulator=regulator)
+                       epsilon=eps, corridorM=corridor)

@@ -70,6 +70,24 @@ seed = 7
         with pytest.raises(ConfigError, match="regulator"):
             RunConfig(regulator="cubic").validate()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("lam", 0.0, "model.lambda must be positive"),
+        ("bigK", -1.0, "model.K must be positive"),
+        ("cutoff_c", 0.0, "cutoff.c must be positive"),
+        ("n", 0, "geometry.n must be >= 1"),
+        ("sites_per_square", 0, "geometry.sites_per_square must be >= 1"),
+        ("samples", 0, "sampler.samples must be >= 1"),
+    ])
+    def test_validation_names_the_config_key(self, field, value, message):
+        with pytest.raises(ConfigError) as exc:
+            RunConfig(**{field: value}).validate()
+        assert str(exc.value) == f"config key {message}"
+
+    def test_params_take_the_kernels_regulator(self):
+        # the kernels implement the exponential regulator; model.regulator
+        # selects criterion 01's gap equation alone
+        assert RunConfig(regulator="sharp").params == RunConfig().params
+
     def test_flag_overrides_config(self, tmp_path):
         path = write_config(tmp_path, "[model]\nlambda = 2.0\nK = 3.0\n")
         args = cli.make_parser().parse_args(
@@ -176,8 +194,6 @@ class TestExitCodes:
         ["forest-verify", "--trials", "0"],
         ["decompose", "--cutoff-c", "3"],
         ["twopoint", "--n", "3", "--sites", "2", "--samples", "20"],
-        ["accept-all", "--corridor", "-1"],
-        ["accept-all", "--corridor", "0"],
         ["gap-solve", "--lambda", "1000"],
     ])
     def test_bad_input_exits_2(self, tmp_path, capsys, argv):
@@ -275,7 +291,7 @@ class TestCriterion11Rows:
 
     def test_full_runs_solve_the_gap_equation_once(self, tmp_path,
                                                    monkeypatch):
-        # m depends on (lambda, K, regulator), not on N, so the N-scan's
+        # m depends on (lambda, K), not on N, so the N-scan's
         # parameters reuse the run's solve; each real solve is one brentq
         solves = []
         real = model.brentq
@@ -473,6 +489,22 @@ class TestSubcommands:
         assert len(calls) == 150
         assert [r["check_id"] for r in table.rows if not r["passed"]] \
             == ["det-split-identity"]
+
+    def test_negative_part_sign_catches_a_flipped_d1(self, monkeypatch):
+        # negative control: deltaC_1 negated after build_deltaC's identity
+        # check turns criterion 06's negative-part-sign, and only it, red
+        real = cli.cov.build_deltaC
+
+        def flipped(*args, **kwargs):
+            dc = real(*args, **kwargs)
+            return dataclasses.replace(dc, d1_lambda=-dc.d1_lambda)
+
+        monkeypatch.setattr(cli.cov, "build_deltaC", flipped)
+        table = ResultsTable("control")
+        cli.criterion_06_covariance_structure(RunConfig(), table,
+                                              cli.PROFILES["full"])
+        assert [r["check_id"] for r in table.rows if not r["passed"]] \
+            == ["negative-part-sign"]
 
     def test_covariance_catches_truncated_series(self, tmp_path,
                                                  monkeypatch):

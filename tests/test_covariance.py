@@ -61,6 +61,18 @@ def setup_single(u=50.0, sites=3, corridor=2.0, params=None):
     return params, geo, fld, assign, regions
 
 
+def padded_terms(dc):
+    """deltaC_1..deltaC_4 as weighted matrices on the padded grid, d1 and
+    d2 widened from their Lambda blocks by zeros."""
+    n = dc.d3.weighted.shape[0]
+    out = []
+    for block in (dc.d1_lambda, dc.d2_lambda):
+        mat = np.zeros((n, n))
+        mat[np.ix_(dc.lam, dc.lam)] = block
+        out.append(mat)
+    return out + [dc.d3.weighted, dc.d4.weighted]
+
+
 def site_coordinates(geometry):
     """(nsite, 2) coordinates, flat index = ix * side + iy."""
     x = geometry.site_coordinates()
@@ -225,7 +237,7 @@ class TestBuildCgamma:
         # negative control: the closed form alone built with eps/2, or
         # with one gamma site missing from B and K; the n x n inverse and
         # the series stay as they are
-        real = covariance._closed_form_correction
+        real = covariance._woodbury_factor
 
         def broken(asm, gmask, eps):
             if fault == "half-eps":
@@ -234,7 +246,7 @@ class TestBuildCgamma:
             out[np.flatnonzero(gmask)[0]] = False
             return real(asm, out, eps)
 
-        monkeypatch.setattr(covariance, "_closed_form_correction", broken)
+        monkeypatch.setattr(covariance, "_woodbury_factor", broken)
         params, geo, fld, assign, regions = setup_single()
         with pytest.raises(ArithmeticError, match="covariance routes disagree"):
             build_Cgamma(params, geo, CUT, regions, pad=2)
@@ -511,8 +523,8 @@ class TestDeltaC:
         for got in (dc, again):
             assert got.identity_residual == max(
                 float(np.abs(resid).max()), uinv_residual)
-            for op, ref in zip(got, d):
-                assert np.array_equal(op.weighted, ref)
+            for op, ref in zip(padded_terms(got), d):
+                assert np.array_equal(op, ref)
 
         cached, cached_residual = split_fixed
         assert np.array_equal(cached, fixed)
@@ -537,8 +549,8 @@ class TestDeltaC:
                block(t_old, lm, sm) + block(t_old, sm, lm)
                + block(t_old, lm, lm),
                t_old - block(t_old, lam_f, lam_f), eps * spgs_old]
-        for op, ref in zip(dc, old):
-            assert np.abs(op.weighted - ref).max() <= tol
+        for op, ref in zip(padded_terms(dc), old):
+            assert np.abs(op - ref).max() <= tol
         lhs_old = sp @ ((asm.uinv_w - np.diag((1.0 - eps) * g)) @ sp) \
             - (block(asm.pi_w, sm, sm) + eye
                + sp @ ((asm.uinv_w - eye) @ sp))
@@ -596,7 +608,7 @@ class TestDeltaC:
         v = rng.normal(size=geo.sites_per_side ** 2)
         full = np.zeros(grid.sites_per_side ** 2)
         full[grid.site_mask(geo.squares)] = v
-        ref = sum(float(full @ op.weighted @ full) for op in dc)
+        ref = sum(float(full @ op @ full) for op in padded_terms(dc))
         assert dc.lambda_form(v) == pytest.approx(ref, rel=1e-12, abs=1e-14)
 
     def test_wrong_uinv_violates_the_identity(self, monkeypatch):
@@ -620,7 +632,7 @@ class TestDeltaC:
     def test_d1_negative_semidefinite(self):
         params, geo, fld, assign, regions = setup_single()
         dc = build_deltaC(params, geo, CUT, regions, pad=2)
-        assert np.linalg.eigvalsh(dc.d1.weighted).max() <= 1e-10
+        assert np.linalg.eigvalsh(dc.d1_lambda).max() <= 1e-10
 
     def test_d4_bound(self):
         # ||eps S P_gamma S|| <= eps (1 + ||pi||), rigorously
@@ -655,7 +667,7 @@ class TestDeltaC:
             assign = classify_squares(fld, params, geo)
             regions = build_regions(assign, geo, corridorM=params.corridorM)
             dc = build_deltaC(params, geo, CUT, regions, pad=2)
-            fitted[bigN] = float(np.linalg.norm(dc.d2.weighted, 2)) * bigN ** 2
+            fitted[bigN] = float(np.linalg.norm(dc.d2_lambda, 2)) * bigN ** 2
         assert fitted[4] < 1.0
         assert fitted[16] < 1.0
 
@@ -669,7 +681,7 @@ class TestDeltaC:
             assign = classify_squares(fld, params, geo)
             regions = build_regions(assign, geo, corridorM=params.corridorM)
             dc = build_deltaC(params, geo, CUT, regions, pad=2)
-            fitted[s] = float(np.linalg.norm(dc.d2.weighted, 2)) * 16.0
+            fitted[s] = float(np.linalg.norm(dc.d2_lambda, 2)) * 16.0
         assert 1 / 3 < fitted[3] / fitted[2] < 3
 
     def test_empty_gamma_corrections_vanish(self):
@@ -679,8 +691,8 @@ class TestDeltaC:
         assign = classify_squares(fld, params, geo)
         regions = build_regions(assign, geo, corridorM=params.corridorM)
         dc = build_deltaC(params, geo, CUT, regions, pad=2)
-        assert np.abs(dc.d1.weighted).max() == 0.0
-        assert np.abs(dc.d2.weighted).max() == 0.0
+        assert np.abs(dc.d1_lambda).max() == 0.0
+        assert np.abs(dc.d2_lambda).max() == 0.0
         assert np.abs(dc.d4.weighted).max() == 0.0
 
 
@@ -869,7 +881,8 @@ class TestDampingBound:
 
     def test_one_configuration_stays_on_small_blocks(self, monkeypatch):
         # one warm criterion-10 configuration reads no AOperator.b, takes
-        # no LU of the gamma block and never forms the padded d1 or d2
+        # no LU of the gamma block and forms no padded-grid zeros (d1 and
+        # d2 are kept on Lambda)
         params, geo, ensemble = self._ensemble(1, seed=7)
         fld, assign = ensemble[0]
         regions = build_regions(assign, geo, corridorM=params.corridorM)
@@ -902,13 +915,12 @@ class TestDampingBound:
         compute_Zgamma(covset, regions)
         rep = damping_report(fld, params, regions, covset, dc, assign)
         assert np.isfinite(rep.log_value)
-        gamma = len(covset.gamma_cholesky[0])
+        gamma = len(covset.gamma)
         assert lu_sizes and gamma not in lu_sizes
         assert max(lu_sizes) < geo.sites_per_side ** 2
         assert (nsite, nsite) not in zeros
-        assert "d1" not in vars(dc) and "d2" not in vars(dc)
         # the spies see the forms they guard against
-        dc.d1
+        padded_terms(dc)
         assert (nsite, nsite) in zeros
         with pytest.raises(AssertionError, match="AOperator.b read"):
             build_A(fld, params, assignment=assign).b
