@@ -194,6 +194,8 @@ class TestExitCodes:
         ["forest-verify", "--trials", "0"],
         ["decompose", "--cutoff-c", "3"],
         ["twopoint", "--n", "3", "--sites", "2", "--samples", "20"],
+        ["gap-solve", "--cutoff-c", "0"],
+        ["accept-all", "--K", "-1"],
         ["gap-solve", "--lambda", "1000"],
     ])
     def test_bad_input_exits_2(self, tmp_path, capsys, argv):
