@@ -234,17 +234,14 @@ class ResultsTable:
     COLUMNS = ("check_id", "module", "reference", "value", "bound",
                "passed", "runtime_ms")
 
-    def add(self, check_id, module, reference, value, bound, passed,
-            runtime_ms=None):
-        """runtime_ms defaults to the wall time since the last row."""
+    def add(self, check_id, module, reference, value, bound, passed):
+        """A row whose runtime_ms is the wall time since the last row."""
         now = time.perf_counter()
-        if runtime_ms is None:
-            runtime_ms = 1000.0 * (now - self.clock)
-        self.clock = now
         self.rows.append({"check_id": check_id, "module": module,
                           "reference": reference, "value": value,
                           "bound": bound, "passed": bool(passed),
-                          "runtime_ms": float(runtime_ms)})
+                          "runtime_ms": 1000.0 * (now - self.clock)})
+        self.clock = now
 
     @property
     def all_passed(self):
@@ -344,12 +341,6 @@ def _bench_params(m, lam, bigK, bigN, corridorM):
                        epsilon=bigN ** -0.4, corridorM=corridorM)
 
 
-def _strong_params(corridorM):
-    """lambda = 32 at its gap mass, N = 10^6."""
-    return _bench_params(math.sqrt(solve_gap_equation(32.0, 1.0)), 32.0,
-                         1.0, 10 ** 6, corridorM)
-
-
 def _small_setup(cfg, scale=1.0):
     params = derive_params(32.0, 1.0, 10 ** 6, corridor_override=2.0)
     geo = LatticeGeometry(n=2, sites_per_square=3)
@@ -429,7 +420,8 @@ def criterion_04_small_field_operator_norm(cfg, table, size):
     norm = operator_norm(build_A(fld, params).a_s)
     _gate(table, "small-block-norm", "operators", "small-field-bound",
           [norm / bound if bound else 0.0], "<=", 1.0 + 1e-9)
-    params, geo = _strong_params(3.0), LatticeGeometry(n=4, sites_per_square=2)
+    params = derive_params(32.0, 1.0, 10 ** 6, corridor_override=3.0)
+    geo = LatticeGeometry(n=4, sites_per_square=2)
     small, norms = [], []
     for seed, fields in size["small_fields"]:
         rng = np.random.default_rng(seed)
@@ -457,7 +449,8 @@ def criterion_05_determinant_identities(cfg, table, size):
         1j * build_A(fld, params, symmetrize=True).op.weighted, 3)
     _gate(table, "det3-symmetrization", "operators", "self-adjoint-form",
           [abs(np.exp(sym) - np.exp(eig))], "<", 1e-8)
-    params, geo = _strong_params(3.0), LatticeGeometry(n=2, sites_per_square=4)
+    params = derive_params(32.0, 1.0, 10 ** 6, corridor_override=3.0)
+    geo = LatticeGeometry(n=2, sites_per_square=4)
     split, oracle = [], []  # oracle: (K, n) of each det_n by both routes
     for seed, fields, orders in size["det_split"]:
         rng = np.random.default_rng(seed)
@@ -654,7 +647,7 @@ def criterion_09_partition_and_regions(cfg, table, size):
 def criterion_10_integrand_bound_and_normalization(cfg, table, size):
     """The damping bound of the large-field integrand with a constant fitted
     on half the configurations; the single-square normalization."""
-    params = _strong_params(2.0)
+    params = derive_params(32.0, 1.0, 10 ** 6, corridor_override=2.0)
     geo = LatticeGeometry(n=2, sites_per_square=3)
     fits, holdout, excess = [], [], []
     for seed, configs in size["damping"]:

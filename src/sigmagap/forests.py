@@ -28,6 +28,8 @@ from .regions import _UnionFind
 # upper bound on the growth of the number of fixed polyominoes per size
 # (Klarner-Rivest), used for the tail of the activity sum
 POLYOMINO_GROWTH = 4.65
+# the activity sum enumerates polymers up to this size exactly
+POLYMER_MAX_SIZE = 6
 # exhaustive forest enumeration is limited to this many labels
 FOREST_MAX_LABELS = 8
 # the neighbor-link forest weights must sum to 1 within this
@@ -396,8 +398,8 @@ def mayer_tree_formula(overlap_pairs, q, nodes=12):
 def anchored_polyominoes(max_size):
     """Connected (edge-connected) square sets containing the origin, by
     size; counts per size are 1, 4, 18, 76, 315, 1296, ..."""
-    if max_size > 6:
-        raise ValueError("enumeration guard: size at most 6")
+    if max_size > POLYMER_MAX_SIZE:
+        raise ValueError(f"enumeration guard: size at most {POLYMER_MAX_SIZE}")
     found = {frozenset([(0, 0)])}
     by_size = {1: [frozenset([(0, 0)])]}
     frontier = [frozenset([(0, 0)])]
@@ -432,13 +434,13 @@ class ActivitySum:
         return self.enumerated + self.tail
 
 
-def polymer_activity_sum(rho, max_size=6):
+def polymer_activity_sum(rho):
     """Activity sum for the toy model |b(Y)| = rho^{|Y|}, enumerated
-    exhaustively up to max_size with the polyomino growth-constant tail
-    bound above it."""
+    exhaustively up to POLYMER_MAX_SIZE with the polyomino growth-constant
+    tail bound above it."""
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    by_size = anchored_polyominoes(max_size)
+    by_size = anchored_polyominoes(POLYMER_MAX_SIZE)
     counts = {n: len(polys) for n, polys in by_size.items()}
     enumerated = sum(rho ** len(y) * math.exp(len(y))
                      for polys in by_size.values() for y in polys)
@@ -446,7 +448,7 @@ def polymer_activity_sum(rho, max_size=6):
     if qq >= 1.0:
         tail = math.inf
     else:
-        n0 = max_size + 1
+        n0 = POLYMER_MAX_SIZE + 1
         # sum_{n >= n0} n q^n  (n polyominoes-anchored <= n * growth^n)
         tail = qq ** n0 * (n0 - (n0 - 1) * qq) / (1.0 - qq) ** 2
     return ActivitySum(enumerated=enumerated, tail=tail, counts=counts)

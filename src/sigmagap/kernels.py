@@ -50,6 +50,7 @@ R_POLE_SWITCH = 15.0   # beyond this the two-pole residue formula is exact
 Q_MAX = 6.5            # momentum cutoff of the direct route: g < e^{-42} past it
 FIT_FLOOR = 1e-300     # kernel values at or below this are left out of fits
 FIT_ITERS = 6          # fixed-point steps of the decay-rate fit window
+GRID_STEP = 0.125      # spacing of the 2D kernel tables
 GAUSS_12 = np.polynomial.legendre.leggauss(12)   # nodes, weights on [-1, 1]
 
 
@@ -145,10 +146,10 @@ def radial_grid(radial, n, per_unit):
     return quadrant.reshape(n + 1, n + 1)[a[:, None], a[None, :]]
 
 
-def _kernel_grid(radial, grid_step, half_extent):
-    """radial_grid at spacing grid_step out to half_extent."""
-    return radial_grid(radial, int(round(half_extent / grid_step)),
-                       1.0 / grid_step)
+def _kernel_grid(radial, half_extent):
+    """radial_grid at spacing GRID_STEP out to half_extent."""
+    return radial_grid(radial, int(round(half_extent / GRID_STEP)),
+                       1.0 / GRID_STEP)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +160,7 @@ class SampledKernel:
     """Radial kernel tabulated on a 2D displacement grid.
 
     values[i, j] is the kernel at displacement ((i-n)*h, (j-n)*h) with
-    h = grid_step and n = half_extent/grid_step, read from radial_grid
+    h = GRID_STEP and n the table's half width, read from radial_grid
     (one kernel evaluation per distinct distance).  delta_coeff carries
     an explicit delta contribution (coefficient of the identity operator)
     for kernels of the form c*delta + smooth part.  radial_r / radial_vals
@@ -167,8 +168,6 @@ class SampledKernel:
     decay fit fitted_decay_rate / fit_residual was made on.
     """
 
-    grid_step: float
-    half_extent: float
     values: np.ndarray
     radial_r: np.ndarray
     radial_vals: np.ndarray
@@ -225,46 +224,41 @@ def fit_decay_rate(r, vals, prefactor_power=0.0, z_window=(2.0, 7.0)):
     return float(rate), resid
 
 
-def _fitted_kernel(grid_step, half_extent, grid, rr, vals, prefactor_power,
-                   z_window=(2.0, 7.0), delta_coeff=0.0):
+def _fitted_kernel(grid, rr, vals, prefactor_power, z_window=(2.0, 7.0),
+                   delta_coeff=0.0):
     """SampledKernel of a tabulated radial kernel with its decay-rate fit
     and sup norm filled in."""
     rate, resid = fit_decay_rate(rr, vals, prefactor_power=prefactor_power,
                                  z_window=z_window)
-    return SampledKernel(grid_step=grid_step, half_extent=half_extent,
-                         values=grid, radial_r=rr, radial_vals=vals,
+    return SampledKernel(values=grid, radial_r=rr, radial_vals=vals,
                          fitted_decay_rate=rate, fit_residual=resid,
                          sup_norm=float(np.abs(grid).max()),
                          delta_coeff=delta_coeff)
 
 
-def propagator_kernel(m, grid_step=0.125, half_extent=None):
-    """Tabulated F for gap mass m.  half_extent defaults to min(10, 8/m)
-    for the 2D table; the radial profile used for decay fitting always
-    extends to ~8/m so the fit window in m*r is actually reachable."""
+def propagator_kernel(m):
+    """Tabulated F for gap mass m on a 2D table out to min(10, 8/m); the
+    radial profile used for decay fitting always extends to ~8/m so the
+    fit window in m*r is actually reachable."""
     if not 0 < m < 1:
         raise ValueError("m must lie in (0,1)")
-    if grid_step > 0.25:
-        raise ValueError("grid_step must be <= 0.25")
     m2 = m * m
-    if half_extent is None:
-        half_extent = min(10.0, 8.0 / m)
     r_fit = 8.0 / m + 2.0
     rr = _radial_nodes(r_fit)
     vals = propagator_values(m2, rr)
-    grid = _kernel_grid(lambda r: propagator_values(m2, r), grid_step,
-                        half_extent)
-    return _fitted_kernel(grid_step, half_extent, grid, rr, vals, 0.5)
+    grid = _kernel_grid(lambda r: propagator_values(m2, r),
+                        min(10.0, 8.0 / m))
+    return _fitted_kernel(grid, rr, vals, 0.5)
 
 
-def polarization_kernel(params: ModelParams, grid_step=0.125, half_extent=None):
-    """Position-space bubble pi(x) = (lam*K/2) F(x)^2; decay rate 2m."""
-    fkernel = propagator_kernel(params.m, grid_step, half_extent)
+def polarization_kernel(params: ModelParams):
+    """Position-space bubble pi(x) = (lam*K/2) F(x)^2 on F's table; decay
+    rate 2m."""
+    fkernel = propagator_kernel(params.m)
     half = 0.5 * params.lam * params.bigK
     vals = half * fkernel.radial_vals ** 2
     grid = half * fkernel.values ** 2
-    return _fitted_kernel(fkernel.grid_step, fkernel.half_extent, grid,
-                          fkernel.radial_r, vals, 1.0)
+    return _fitted_kernel(grid, fkernel.radial_r, vals, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +323,9 @@ def polarization_momentum_table(params: ModelParams, pgrid):
     return params.lam * params.bigK * np.pi * vals
 
 
-def sqrt_one_plus_pi_kernel(params: ModelParams, sign, grid_step=0.125,
-                            half_extent=None):
-    """Kernel of (1+pi)^{sign/2} - delta (x != 0 part), sign in {+1, -1}.
+def sqrt_one_plus_pi_kernel(params: ModelParams, sign):
+    """Kernel of (1+pi)^{sign/2} - delta (x != 0 part), sign in {+1, -1},
+    on a 2D table out to min(10, 4/m).
 
     Momentum functional calculus: G(p) = (1+pi(p))^{sign/2} - 1 is
     absolutely integrable (pi(p) is suppressed like e^{-p^2} at large p),
@@ -341,8 +335,6 @@ def sqrt_one_plus_pi_kernel(params: ModelParams, sign, grid_step=0.125,
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     m = params.m
-    if half_extent is None:
-        half_extent = min(10.0, 4.0 / m)
     r_fit = 4.0 / m + 2.0
 
     # momentum panels: pi(p) varies on scale m near 0, support ends ~ p=4.5
@@ -361,13 +353,13 @@ def sqrt_one_plus_pi_kernel(params: ModelParams, sign, grid_step=0.125,
 
     rr = _radial_nodes(r_fit)
     vals = back_transform(rr)
-    grid = _kernel_grid(back_transform, grid_step, half_extent)
+    grid = _kernel_grid(back_transform, min(10.0, 4.0 / m))
     # prefactor powers from the two-particle threshold branch point of pi
     # at p^2 = -4m^2: (1+pi)^{-1/2} vanishes like t^{1/2} there -> r^{-2}
     # prefactor; (1+pi)^{+1/2} diverges like t^{-1/4} -> r^{-5/4}
     rho = 2.0 if sign == -1 else 1.25
-    return _fitted_kernel(grid_step, half_extent, grid, rr, vals, rho,
-                          z_window=(2.5, 7.5), delta_coeff=1.0)
+    return _fitted_kernel(grid, rr, vals, rho, z_window=(2.5, 7.5),
+                          delta_coeff=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +375,6 @@ class CutoffSpec:
     def __post_init__(self):
         if self.c > 0 and not (self.alpha <= self.c <= self.bigA):
             raise ValueError("need alpha <= c <= bigA")
-
-    def f(self, p2):
-        return self.c * np.asarray(p2) ** 2
 
 
 def _wendland(r):

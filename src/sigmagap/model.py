@@ -50,10 +50,6 @@ class ModelParams:
         if not self.corridorM > 0:
             raise ValueError("corridorM must be positive")
 
-    @property
-    def m2(self) -> float:
-        return self.m * self.m
-
 
 def gap_lhs(m2: float, regulator: str = "exponential") -> float:
     """Left side of the gap equation, (1/2) int d^2p/(2pi)^2 1/(p^2_reg + m^2).
@@ -77,8 +73,7 @@ def gap_lhs(m2: float, regulator: str = "exponential") -> float:
 
 
 @functools.lru_cache(maxsize=128)
-def solve_gap_equation(lam: float, bigK: float,
-                       regulator: str = "exponential") -> float:
+def solve_gap_equation(lam: float, bigK: float, regulator: str, /) -> float:
     """Solve the gap equation for m^2 by bracketed root finding.
 
     Returns m^2 to relative tolerance 1e-12.  Both sides are monotone in
@@ -86,7 +81,8 @@ def solve_gap_equation(lam: float, bigK: float,
     ValueError if the bracket [1e-30, 1] shows no sign change, which
     signals lam or K outside the regime m < cutoff.  The root is cached
     on the arguments, so parameters derived at several N share one solve;
-    a call that raises is not cached and raises again.
+    a call that raises is not cached and raises again.  Every argument is
+    required and positional, so each root has one cache key.
     """
     if not (lam > 0 and bigK > 0):
         raise ValueError("lam and bigK must be positive")
@@ -133,7 +129,7 @@ def derive_params(lam: float, bigK: float, bigN: int,
         raise ValueError("bigN must be >= 2")
     if bigN % 2 != 0:
         raise ValueError("bigN must be even")
-    m2 = solve_gap_equation(lam, bigK)
+    m2 = solve_gap_equation(lam, bigK, "exponential")
     m = float(np.sqrt(m2))
     g = float(np.sqrt(lam * bigK / bigN))
     eps = float(bigN ** (-0.4))

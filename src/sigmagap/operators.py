@@ -28,8 +28,6 @@ import numpy as np
 from .kernels import propagator_values, radial_grid
 from .regions import LatticeGeometry, classify_squares
 
-# relative change of sigma^2 at which the power iteration stops
-NORM_TOL = 1e-10
 # smallest scale of det_split_identity's relative residuals: an LU's
 # rounding of log det, 1e-14 at most at 256 sites, stays below 1e-8 of it
 SPLIT_LOG_FLOOR = 1e-6
@@ -176,25 +174,15 @@ def build_A(field, params, assignment=None, symmetrize=False):
     return AOperator(DiscretizedOperator(weighted, w), small, geometry)
 
 
-def operator_norm(op, seed=0, maxiter=10000):
-    """Largest singular value of the weighted matrix via power iteration
-    on S*S, with a seeded start vector; deterministic."""
+def operator_norm(op):
+    """Largest singular value of the weighted matrix: LAPACK's SVD of its
+    nonzero rows and columns, which is exact, as zero rows and columns
+    carry no singular value."""
     s = op.weighted if isinstance(op, DiscretizedOperator) else np.asarray(op)
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=s.shape[1]) + 1j * rng.normal(size=s.shape[1])
-    v /= np.linalg.norm(v)
-    sh = s.conj().T
-    prev = 0.0
-    for _ in range(maxiter):
-        u = sh @ (s @ v)
-        sigma2 = np.linalg.norm(u)
-        if sigma2 == 0.0:
-            return 0.0
-        v = u / sigma2
-        if abs(sigma2 - prev) <= 0.5 * NORM_TOL * sigma2:
-            return math.sqrt(sigma2)
-        prev = sigma2
-    raise ArithmeticError("power iteration did not converge")
+    rows, cols = np.any(s, axis=1), np.any(s, axis=0)
+    if not rows.any():
+        return 0.0
+    return float(np.linalg.norm(s[np.ix_(rows, cols)], 2))
 
 
 def log_det_n(lam, order):

@@ -71,6 +71,8 @@ from .regions import LatticeGeometry
 
 # slack, in combined standard errors, of the N-scan's monotonicity check
 SCAN_SIGMA_SLACK = 2.0
+# batch means behind each standard error
+N_BATCHES = 20
 
 
 class SignProblemError(ArithmeticError):
@@ -467,21 +469,21 @@ def fit_window(geometry):
 
 
 def estimate_S2(params, geometry=None, cutoff=None, seed=0,
-                n_samples=1000, separations=None,
-                n_batches=20, phase_floor=0.05):
+                n_samples=1000, separations=None, phase_floor=0.05):
     """Reweighted ratio estimator of S2 along a lattice axis.
 
     Draws are independent Gaussians with the free covariance; each costs
     one r x r LU and one solve against it on the range of F (see the
-    module docstring).  Standard errors come from >= 20 batch means of
-    the ratio.  Raises SignProblemError when the phase average drops
-    below phase_floor."""
+    module docstring).  Standard errors come from N_BATCHES batch means
+    of the ratio.  Separations must be nonnegative multiples of the site
+    spacing.  Raises SignProblemError when the phase average drops below
+    phase_floor."""
     geometry = geometry or default_geometry()
     cutoff = cutoff or CutoffSpec(c=1.0)
     if separations is None:
         separations = default_separations(geometry)
     separations = np.asarray(separations, dtype=float)
-    if n_samples < n_batches:
+    if n_samples < N_BATCHES:
         raise ValueError("need at least one sample per batch")
     lo, hi = fit_window(geometry)
     sel = (separations >= lo - 1e-12) & (separations <= hi + 1e-12)
@@ -495,8 +497,12 @@ def estimate_S2(params, geometry=None, cutoff=None, seed=0,
     # source two units in from the left edge, on the middle row
     row0, col0 = side // 2, 2 * s
     x_idx = row0 * side + col0
-    y_idx = np.array([row0 * side + col0 + int(round(r * s))
-                      for r in separations])
+    steps = np.round(separations * s)
+    if np.any(separations < 0) or np.any(
+            np.abs(separations * s - steps) > 1e-9):
+        raise ValueError("separations must be nonnegative multiples of "
+                         f"the site spacing 1/{s}")
+    y_idx = x_idx + steps.astype(int)
     if y_idx.max() >= (row0 + 1) * side:
         raise ValueError("separations leave the grid")
 
@@ -521,7 +527,7 @@ def estimate_S2(params, geometry=None, cutoff=None, seed=0,
             "variance unusable at these parameters")
 
     estimates = num.mean(axis=0) / mean_w
-    batches = np.array_split(np.arange(n_samples), n_batches)
+    batches = np.array_split(np.arange(n_samples), N_BATCHES)
     batch_est = np.array([num[b].mean(axis=0) / den[b].mean()
                           for b in batches])
     stderr = batch_est.std(axis=0, ddof=1) / np.sqrt(len(batches))
@@ -536,7 +542,7 @@ def estimate_S2(params, geometry=None, cutoff=None, seed=0,
         sample_count=n_samples,
         params_hash=_params_hash(
             params, geometry, cutoff, seed=seed, n_samples=n_samples,
-            separations=separations.tolist(), n_batches=n_batches,
+            separations=separations.tolist(), n_batches=N_BATCHES,
             phase_floor=phase_floor),
         phase_diagnostic=diag, mean_weight=complex(mean_w),
         gap_mass=params.m, fit_window=(lo, hi))

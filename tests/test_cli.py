@@ -3,6 +3,7 @@ exit codes, and subcommand dispatch."""
 
 import csv
 import dataclasses
+import itertools
 import os
 import types
 
@@ -122,28 +123,34 @@ seed = 7
 
 
 class TestPersistence:
-    def make_table(self):
-        t = ResultsTable("abc123")
-        t.add("check-a", "model", "ref-a", 1.0 / 3.0, 1e-10, True, 2.5)
-        t.add("check-b", "kernels", "ref-b", 0.5, 0.1, False, 1.0)
+    def make_table(self, monkeypatch):
+        # a clock that reads 2.5 ms, then 1 ms later at each reading,
+        # fixes every runtime
+        ticks = itertools.count(2.5e-3, 1e-3)
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(
+            perf_counter=lambda: next(ticks)))
+        t = ResultsTable("abc123", clock=0.0)
+        t.add("check-a", "model", "ref-a", 1.0 / 3.0, 1e-10, True)
+        t.add("check-b", "kernels", "ref-b", 0.5, 0.1, False)
         return t
 
     def test_seventeen_digit_reals(self):
         assert _fmt(1.0 / 3.0) == "0.33333333333333331"
         assert _fmt(True) == "1"
 
-    def test_csv_layout_and_hash(self, tmp_path):
-        (path,) = persist_results(self.make_table(), str(tmp_path))
+    def test_csv_layout_and_hash(self, tmp_path, monkeypatch):
+        (path,) = persist_results(self.make_table(monkeypatch),
+                                  str(tmp_path))
         lines = open(path).read().splitlines()
         assert lines[0] == "# config_hash=abc123"
         assert lines[1].startswith("check_id,module,reference,value")
         assert len(lines) == 4
         assert lines[2].split(",")[3] == "0.33333333333333331"
 
-    def test_byte_identical_rerun(self, tmp_path):
-        persist_results(self.make_table(), str(tmp_path))
+    def test_byte_identical_rerun(self, tmp_path, monkeypatch):
+        persist_results(self.make_table(monkeypatch), str(tmp_path))
         first = open(tmp_path / "results.csv", "rb").read()
-        persist_results(self.make_table(), str(tmp_path))
+        persist_results(self.make_table(monkeypatch), str(tmp_path))
         assert open(tmp_path / "results.csv", "rb").read() == first
 
     def test_empty_table_is_header_only(self, tmp_path):
@@ -151,8 +158,8 @@ class TestPersistence:
         lines = open(path).read().splitlines()
         assert len(lines) == 2
 
-    def test_all_passed(self):
-        t = self.make_table()
+    def test_all_passed(self, monkeypatch):
+        t = self.make_table(monkeypatch)
         assert not t.all_passed
         t2 = ResultsTable("h")
         t2.add("a", "m", "r", 0.0, 1.0, True)
@@ -197,6 +204,8 @@ class TestExitCodes:
         ["gap-solve", "--cutoff-c", "0"],
         ["accept-all", "--K", "-1"],
         ["gap-solve", "--lambda", "1000"],
+        ["twopoint", "--samples", "20", "--separations=-3,2,2.5"],
+        ["twopoint", "--samples", "20", "--separations", "2,2.1,2.5"],
     ])
     def test_bad_input_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -321,10 +330,21 @@ class TestCriterion11Rows:
 
 @pytest.fixture(scope="module")
 def quick_battery(tmp_path_factory):
-    """Exit code and results.csv lines of accept-all --profile quick."""
+    """Exit code and results.csv lines of accept-all --profile quick, and
+    the roots its gap-equation solves found (one brentq per solve)."""
     out = tmp_path_factory.mktemp("quick")
-    code = main(["accept-all", "--profile", "quick", "--out", str(out)])
-    return code, open(out / "results.csv").read().splitlines()
+    roots = []
+    real = model.brentq
+
+    def counted(*args, **kwargs):
+        roots.append(real(*args, **kwargs))
+        return roots[-1]
+
+    model.solve_gap_equation.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "brentq", counted)
+        code = main(["accept-all", "--profile", "quick", "--out", str(out)])
+    return code, open(out / "results.csv").read().splitlines(), roots
 
 
 class TestSubcommands:
@@ -538,8 +558,14 @@ class TestSubcommands:
         assert good.pop("mayer-dual-route")[5] == "1"
         assert bad == good
 
+    def test_accept_all_solves_each_gap_root_once(self, quick_battery):
+        # the battery's two gap roots, lambda = 1 and lambda = 32, take
+        # one solve each, whatever arguments each criterion passes
+        roots = quick_battery[2]
+        assert len(roots) == len(set(roots)) == 2
+
     def test_accept_all_quick(self, quick_battery):
-        code, body = quick_battery
+        code, body, _ = quick_battery
         assert code == 0
         # every module contributes at least one row
         for module in ("model", "kernels", "regions", "operators",

@@ -393,7 +393,7 @@ class TestActivitySum:
 
     def test_size_guard(self):
         with pytest.raises(ValueError):
-            polymer_activity_sum(0.01, max_size=7)
+            anchored_polyominoes(7)
 
 
 def test_cli_import_leaves_out_sympy_and_interpolate(tmp_path):

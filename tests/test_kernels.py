@@ -203,13 +203,16 @@ def test_bubble_position_equals_F_squared():
 def test_bubble_operator_inequality():
     # 0 <= pi <= pi(0) spectrally, on a small discretization
     p = params_for(0.1)
-    # the grid holds exact kernel values at offsets -24..24 (the spline's
-    # ~5e-7 interpolation error would spoil exact positive
-    # semidefiniteness of the sampled PD function); the 25 x 25 sites
-    # at spacing 0.25 read it at their pairwise offsets
-    k = polarization_kernel(p, grid_step=0.25, half_extent=6.0)
+    # the table holds exact kernel values (the spline's ~5e-7
+    # interpolation error would spoil exact positive semidefiniteness of
+    # the sampled PD function); every second row and column of its
+    # offsets -48..48 is the grid at spacing 0.25 out to 6, which the
+    # 25 x 25 sites at spacing 0.25 read at their pairwise offsets
+    k = polarization_kernel(p)
+    mid = k.values.shape[0] // 2
+    grid = k.values[mid - 48:mid + 49:2, mid - 48:mid + 49:2]
     off = np.arange(25)[:, None] - np.arange(25)[None, :] + 24
-    M = k.values[off[:, None, :, None], off[None, :, None, :]] \
+    M = grid[off[:, None, :, None], off[None, :, None, :]] \
         .reshape(625, 625) * 0.0625
     ev = np.linalg.eigvalsh(M)
     pi0 = polarization_momentum(0.0, p)
@@ -221,9 +224,9 @@ def test_sqrt_kernels_are_inverse_pair():
     # ((1+pi)^{1/2}) ((1+pi)^{-1/2}) = 1: with G± the delta-subtracted
     # kernels this reads G+ + G- + G+ * G- = 0 on the grid
     p = params_for(0.5)
-    h = 0.125
-    gp = sqrt_one_plus_pi_kernel(p, +1, grid_step=h, half_extent=8.0)
-    gm = sqrt_one_plus_pi_kernel(p, -1, grid_step=h, half_extent=8.0)
+    h = kernels.GRID_STEP
+    gp = sqrt_one_plus_pi_kernel(p, +1)
+    gm = sqrt_one_plus_pi_kernel(p, -1)
     assert gp.delta_coeff == 1.0 and gm.delta_coeff == 1.0
     conv = fftconvolve(gp.values, gm.values, mode="same") * h * h
     resid = gp.values + gm.values + conv

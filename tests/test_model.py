@@ -63,7 +63,7 @@ def test_leading_mass():
 
 def test_m2_monotone_in_lambda():
     lams = [0.7, 1.0, 1.5, 2.0, 2.5, 3.0]
-    m2s = [solve_gap_equation(l, 1.0) for l in lams]
+    m2s = [solve_gap_equation(l, 1.0, "exponential") for l in lams]
     assert all(a < b for a, b in zip(m2s, m2s[1:]))
 
 
@@ -111,7 +111,7 @@ def test_params_validation():
 @settings(max_examples=25, deadline=None)
 @given(st.floats(min_value=0.7, max_value=3.5))
 def test_gap_lhs_decreasing_and_root_brackets(lam):
-    m2 = solve_gap_equation(lam, 1.0)
+    m2 = solve_gap_equation(lam, 1.0, "exponential")
     # left side decreasing in m^2 around the root
     assert gap_lhs(0.5 * m2) > gap_lhs(m2) > gap_lhs(2.0 * m2)
     assert 0 < m2 < 1

@@ -24,7 +24,7 @@ from sigmagap.operators import (
 )
 
 LAM, BIGK, BIGN = 32.0, 1.0, 10**6
-M_GAP = math.sqrt(solve_gap_equation(LAM, BIGK))  # ~0.828
+M_GAP = math.sqrt(solve_gap_equation(LAM, BIGK, "exponential"))  # ~0.828
 
 
 def make_params(bigN=BIGN):
@@ -220,17 +220,6 @@ class TestOperatorNorm:
         op = DiscretizedOperator(mat, 1.0)
         assert operator_norm(op) == pytest.approx(
             np.linalg.svd(mat, compute_uv=False)[0], rel=1e-8)
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(9)
-        op = DiscretizedOperator(rng.normal(size=(20, 20)), 1.0)
-        assert operator_norm(op, seed=3) == operator_norm(op, seed=3)
-
-    def test_nonconvergence_error(self):
-        rng = np.random.default_rng(10)
-        op = DiscretizedOperator(rng.normal(size=(30, 30)), 1.0)
-        with pytest.raises(ArithmeticError):
-            operator_norm(op, maxiter=1)
 
     def test_small_field_norm_bound(self):
         # Prop 2 scale: ||A_s|| <= N^{-2/5} for small-field configurations

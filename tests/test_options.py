@@ -1,16 +1,17 @@
 """Options and caller audits of the sigmagap source.
 
 Options: every parameter of a sigmagap function is read by its body, and
-every defaulted parameter is set by at least one call.  Callers: every
+every defaulted parameter is set by at least one call in ``src`` or
+``perfbench``, so no option exists for the tests alone.  Callers: every
 public function, method and property is named somewhere in ``src`` or
 ``perfbench`` outside its own body, so no src code is kept alive by its
 own test alone.
 
 The source of ``src/sigmagap`` is parsed with ``ast``; calls are collected
-from ``src``, ``tests`` and ``perfbench`` and matched to definitions by
-name.  A call sets a parameter when it passes it by keyword, by position,
-or as a key of a ``**`` dict literal (directly, or through a loop variable
-that runs over dict literals).
+from ``src`` and ``perfbench`` (a call in ``tests`` does not count) and
+matched to definitions by name.  A call sets a parameter when it passes it
+by keyword, by position, or as a key of a ``**`` dict literal (directly,
+or through a loop variable that runs over dict literals).
 
 Determinants: ``slogdet`` is named in ``src/sigmagap`` only by
 ``operators.log_det_n_matrix``, the one matrix route of log det_n, and by
@@ -26,10 +27,13 @@ at module level or inside a function, is declared in ``pyproject.toml``'s
 ``[project].dependencies``, and every declared package is imported.
 
 Matching by name is approximate.  The caller audit counts any variable or
-attribute of the same name as a use, and a dotted string such as
-``"covariance.build_Cgamma"`` in ``perfbench`` (the names it traces) as a
-use of its last part.  So a method that shares its name with another
-object's, as a ``trace`` method would with ``np.trace``, passes unseen.
+attribute of the same name as a use of a module function, but only an
+attribute access (``x.name``) as a use of a method or property, so a local
+variable that shares a member's name does not keep it alive.  A dotted
+string such as ``"covariance.build_Cgamma"`` in ``perfbench`` (the names
+it traces) counts as an attribute access of its last part.  So a method
+that shares its name with another object's, as a ``trace`` method would
+with ``np.trace``, passes unseen.
 """
 
 import ast
@@ -37,12 +41,12 @@ import collections
 import pathlib
 import re
 import sys
+import textwrap
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "sigmagap"
-CALLER_DIRS = (SRC, ROOT / "tests", ROOT / "perfbench")
 USER_DIRS = (SRC, ROOT / "perfbench")
 
 # (module, function, parameter) -> why the audit lets it stand
@@ -110,22 +114,24 @@ DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
 
 
 def _names(tree, strings=False):
-    """Variable and attribute names in tree; with strings, also the last
-    part of every dotted-name string constant."""
+    """(name, is an attribute) for the variable and attribute names in
+    tree; with strings, also (last part, True) for every dotted-name
+    string constant."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            yield node.id, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            yield node.attr, True
         elif (strings and isinstance(node, ast.Constant)
               and isinstance(node.value, str)
               and DOTTED.fullmatch(node.value)):
-            yield node.value.rsplit(".", 1)[-1]
+            yield node.value.rsplit(".", 1)[-1], True
 
 
 def uncalled_definitions():
     """[(module, qualname)] of the public definitions that nothing in src
-    or perfbench names outside their own body."""
+    or perfbench names outside their own body: a module function by any
+    name, a method or property by an attribute only."""
     named = collections.Counter()
     for root in USER_DIRS:
         for path in sorted(root.rglob("*.py")):
@@ -133,8 +139,9 @@ def uncalled_definitions():
     out = []
     for module, qual, fn in _public_definitions():
         short = qual.rsplit(".", 1)[-1]
-        own = sum(name == short for name in _names(fn))
-        if named[short] <= own:
+        kinds = (True,) if "." in qual else (False, True)
+        own = collections.Counter(_names(fn))
+        if sum(named[short, k] - own[short, k] for k in kinds) <= 0:
             out.append((module, qual))
     return out
 
@@ -160,9 +167,10 @@ def _dict_keys(node):
 
 
 def _calls():
-    """callee name -> list of (positional count, keyword names)."""
+    """callee name -> list of (positional count, keyword names) over the
+    calls in src and perfbench."""
     calls = {}
-    for root in CALLER_DIRS:
+    for root in USER_DIRS:
         for path in sorted(root.rglob("*.py")):
             tree = _parse(path)
             # loop variables that run over dict literals: for d in ({...}, ...)
@@ -213,7 +221,8 @@ def unread_parameters():
 
 
 def defaulted_parameters():
-    """[(module, qualname, parameter, set by some call)] over src/sigmagap."""
+    """[(module, qualname, parameter, set by some src or perfbench call)]
+    over src/sigmagap."""
     calls = _calls()
     out = []
     for module, qual, fn, offset in _definitions():
@@ -233,10 +242,14 @@ def test_every_parameter_is_read():
     assert not unread, f"parameters their function never reads: {unread}"
 
 
+def unset_defaults():
+    return [(m, q, p) for m, q, p, used in defaulted_parameters()
+            if not used]
+
+
 def test_every_default_is_set_by_a_caller():
-    unset = [(m, q, p) for m, q, p, used in defaulted_parameters()
-             if not used]
-    assert not unset, f"defaulted parameters no call sets: {unset}"
+    unset = unset_defaults()
+    assert not unset, f"defaulted parameters no program call sets: {unset}"
 
 
 def test_allowlist_is_current():
@@ -254,6 +267,46 @@ def test_test_only_allowlist_is_current():
     """An allowlisted definition that gained a caller or is gone must be
     dropped from ALLOWED_TEST_ONLY."""
     assert set(ALLOWED_TEST_ONLY) <= set(uncalled_definitions())
+
+
+def test_audits_report_test_only_uses(tmp_path, monkeypatch):
+    """Negative control on a toy tree: a default that only a test file
+    sets, and a property whose name only a local variable shares, are
+    both reported."""
+    src, bench, tests = (tmp_path / "src" / "sigmagap",
+                         tmp_path / "perfbench", tmp_path / "tests")
+    files = {
+        src / "toy.py": """
+            class Box:
+                @property
+                def side(self):
+                    return 2.0
+
+
+            def area(side, scale=1.0):
+                return scale * side * side
+            """,
+        bench / "run.py": """
+            from sigmagap.toy import area
+
+            print(area(3.0))
+            """,
+        tests / "test_toy.py": """
+            from sigmagap.toy import Box, area
+
+
+            def test_area():
+                assert area(Box().side, scale=2.0) == 8.0
+            """,
+    }
+    for path, text in files.items():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(text))
+    audit = sys.modules[__name__]
+    monkeypatch.setattr(audit, "SRC", src)
+    monkeypatch.setattr(audit, "USER_DIRS", (src, bench))
+    assert unset_defaults() == [("toy", "area", "scale")]
+    assert uncalled_definitions() == [("toy", "Box.side")]
 
 
 # (module, qualname) -> why it may call slogdet

@@ -263,7 +263,7 @@ class TestEstimateS2:
         assert not np.array_equal(a.estimates, c.estimates)
         # every estimator input enters the hash
         for change in ({"separations": default_separations(GEO)[1:]},
-                       {"n_batches": 30}, {"phase_floor": 0.01}):
+                       {"phase_floor": 0.01}):
             d = estimate_S2(params, geometry=GEO, n_samples=60, seed=3,
                             **change)
             assert d.params_hash != a.params_hash, change
@@ -272,6 +272,18 @@ class TestEstimateS2:
         params = make_params()
         with pytest.raises(ValueError):
             estimate_S2(params, geometry=GEO, n_samples=10)
+
+    @pytest.mark.parametrize("separations", [(-3.0, 2.0, 2.5),
+                                             (2.0, 2.1, 2.5)])
+    def test_unplaceable_separation_rejected(self, monkeypatch, separations):
+        # on the source row a negative separation would wrap into the row
+        # above, and 2.1 would snap to the site at 2.0 under its own label
+        def no_draws(*args):
+            raise AssertionError("sampling started")
+        monkeypatch.setattr(twopoint, "c0_root", no_draws)
+        with pytest.raises(ValueError, match="multiples of the site spacing"):
+            estimate_S2(make_params(), geometry=GEO, n_samples=20,
+                        separations=separations)
 
     def test_short_fit_window_rejected_before_sampling(self, monkeypatch):
         # n = 3: the window [2, 2] holds one separation, too few to fit
