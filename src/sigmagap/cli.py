@@ -847,8 +847,18 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad command-line input raises ConfigError, named by the parser's
+    prog ("sigmagap twopoint"), so main reports it as one 'config error:'
+    line with exit code 2, like bad config values; the subcommand parsers
+    are of this class too.  --help still exits 0."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def make_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sigmagap",
         description="Numerical checks for the large-N mass-gap "
                     "construction at desk scale.")
@@ -870,8 +880,8 @@ def make_parser():
 
 
 def main(argv=None):
-    args = make_parser().parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         return COMMANDS[args.command](build_config(args), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -35,22 +35,26 @@ assembly it reads S^-, U and C0 from.  Since 1 - (1-eps) U[gamma, gamma]
 = (1-eps) K, the same L gives log Z_gamma = -|gamma|/2 log(1-eps)
 - sum log L_ii (the set's log_z); C_gamma is formed on first read.
 
-The rest of the per-configuration pipeline costs O(n^2 |gamma|) too:
-deltaC reads S P_gamma S as the rank-|gamma| product S[:, gamma]
-S[gamma, :].  A DeltaC holds deltaC_1 and deltaC_2, which vanish outside
-Lambda x Lambda, only as their Lambda blocks, and deltaC_3 and deltaC_4
-on the padded grid; build_deltaC checks the splitting identity against
-one cached configuration-independent term (with, once per grid, the
-residual of U^{-1} U = 1, which the identity cannot see).  damping_report
-reads (tau, deltaC tau) on Lambda alone, log Z_gamma from the set, and
-the real part of log det_2 from the |L| x |L| Schur complement on the
-large sites, through the matrix route of operators (log_det_n_matrix,
-one slogdet), instead of the eigenvalues or the n x n B.
+The rest of the per-configuration pipeline stays on Lambda x Lambda and
+the gamma columns: deltaC reads S P_gamma S only on Lambda x Lambda, as
+the product S[Lambda, gamma] S[Lambda, gamma]^T, and a DeltaC holds
+deltaC_1, deltaC_2 and deltaC_4 only as their Lambda blocks (deltaC_3
+vanishes there, and fields are supported in Lambda).  build_deltaC still
+checks the splitting identity on every entry of the padded grid: outside
+Lambda x Lambda its S P_gamma S terms cancel, so one copy of a cached
+configuration-independent term plus the Lambda block of the rest is the
+whole residual (with, once per grid, the residual of U^{-1} U = 1, which
+the identity cannot see).  damping_report reads (tau, deltaC tau) on
+Lambda alone, log Z_gamma from the set, and the real part of log det_2
+from the |L| x |L| Schur complement on the large sites, through the matrix
+route of operators (log_det_n_matrix, one slogdet), instead of the
+eigenvalues or the n x n B.
 
 Grids: region bookkeeping lives on the inner lattice covering Lambda; the
 covariance kernels are assembled on a padded grid (pad extra unit squares
 per side) so that the belt around Lambda is actually represented.  All
-operators returned here live on the padded grid, whose Lambda sites
+operators returned here live on the padded grid (a DeltaC holds Lambda
+blocks), whose Lambda sites
 (grid.site_mask(geometry.squares), LatticeGeometry's square -> site map)
 hold an inner-field configuration in its own row-major order.
 
@@ -131,14 +135,15 @@ class _Assembly:
 
     @functools.cached_property
     def split_fixed(self):
-        """(F, |U^{-1} U - 1|_max).  F = S U^{-1} S - 1 - S (U^{-1} - 1) S
-        is the configuration-independent part of the splitting identity's
-        left side, from the U^{-1} products (pi in exact arithmetic),
-        read-only; its U^{-1} terms cancel, so U^{-1} gets its own sup
-        residual."""
+        """(F - pi, |U^{-1} U - 1|_max).  F = S U^{-1} S - 1
+        - S (U^{-1} - 1) S is the configuration-independent part of the
+        splitting identity's left side, from the U^{-1} products (pi in
+        exact arithmetic, so F - pi is rounding), read-only; its U^{-1}
+        terms cancel, so U^{-1} gets its own sup residual."""
         sp, uinv_w = self.s_plus, self.uinv_w
         eye = np.eye(self.nsite)
         out = sp @ (uinv_w @ sp) - eye - sp @ ((uinv_w - eye) @ sp)
+        out -= self.pi_w
         out.flags.writeable = False
         return out, float(np.abs(uinv_w @ self.u_w - eye).max())
 
@@ -430,29 +435,27 @@ def component_log_z(covset, cmask):
 
 @dataclasses.dataclass
 class DeltaC:
-    """The four correction operators of the sharp splitting, with the
-    residual of the defining identity (checked on the padded grid,
-    including the (1 - P_Lambda) term that the restriction to fields in
-    Lambda would hide) or of U^{-1} U = 1, whichever is larger.
+    """The correction operators of the sharp splitting on Lambda x Lambda,
+    with the residual of the defining identity (checked on every entry of
+    the padded grid, including the (1 - P_Lambda) term that the restriction
+    to fields in Lambda would hide) or of U^{-1} U = 1, whichever is larger.
 
-    deltaC_1 and deltaC_2 vanish outside Lambda x Lambda, so the set holds
-    them only as their Lambda blocks d1_lambda and d2_lambda (weighted, in
-    the order of the padded grid's Lambda sites lam); deltaC_3 and deltaC_4
-    are held on the padded grid."""
+    Fields are supported in Lambda and deltaC_3 vanishes on Lambda x
+    Lambda, so the set holds deltaC_1, deltaC_2 and deltaC_4 as their
+    Lambda blocks d1_lambda, d2_lambda and d4_lambda (weighted, in the order
+    of the padded grid's Lambda sites, grid.site_mask(geometry.squares));
+    deltaC_1 and deltaC_2 vanish outside that block too."""
 
     d1_lambda: np.ndarray
     d2_lambda: np.ndarray
-    d3: DiscretizedOperator
-    d4: DiscretizedOperator
+    d4_lambda: np.ndarray
     identity_residual: float
-    lam: np.ndarray
 
     def lambda_form(self, v):
         """(v, deltaC v) for a weighted field supported in Lambda, given by
-        its values on lam: deltaC_3 vanishes on Lambda x Lambda."""
-        d4 = self.d4.weighted[np.ix_(self.lam, self.lam)]
+        its values on Lambda's sites."""
         return sum(float(v @ blk @ v)
-                   for blk in (self.d1_lambda, self.d2_lambda, d4))
+                   for blk in (self.d1_lambda, self.d2_lambda, self.d4_lambda))
 
 
 def _lambda_view(grid, geometry, mat):
@@ -461,9 +464,10 @@ def _lambda_view(grid, geometry, mat):
     [off, off + k)^2 of the side x side site grid, in row-major order.
 
     A view rather than np.ix_ indexing for speed: on criterion 10's grid
-    (576 sites, 144 in Lambda; 2 cores, OpenBLAS 0.3.31) build_deltaC's
-    four Lambda-block operations took 0.13 ms per configuration through
-    it against 0.59 ms through np.ix_ (0.11 against 0.46 ms timed alone)."""
+    (576 sites, 144 in Lambda; 2 cores, OpenBLAS 0.3.31) four Lambda-block
+    operations, as build_deltaC once took, ran 0.13 ms per configuration
+    through it against 0.59 ms through np.ix_ (0.11 against 0.46 ms timed
+    alone)."""
     side = grid.sites_per_side
     off = (grid.n - geometry.n) * grid.sites_per_square
     box = (slice(off, off + geometry.sites_per_side),) * 4
@@ -471,7 +475,8 @@ def _lambda_view(grid, geometry, mat):
 
 
 def build_deltaC(params, geometry, cutoff, regions, pad=2):
-    """deltaC_1..deltaC_4 from the block decomposition of S(1-P_gamma)S.
+    """deltaC_1, deltaC_2 and deltaC_4 on Lambda x Lambda from the block
+    decomposition of S(1-P_gamma)S.
 
     With S = sqrt(1+pi), T = S(1-P_gamma)S and blocks taken over the
     partition {s-squares, l-squares, outside Lambda}:
@@ -481,76 +486,74 @@ def build_deltaC(params, geometry, cutoff, regions, pad=2):
         deltaC_3 = all blocks of T touching the outside of Lambda
         deltaC_4 = eps S P_gamma S
 
-    S P_gamma S is the rank-|gamma| product S[:, gamma] S[gamma, :], and
-    T = 1 + pi - S P_gamma S, so no n x n product runs per configuration;
-    deltaC_1 and deltaC_2 are written on Lambda x Lambda only (DeltaC).
-    The assembly is verified, entry by entry, against the difference
-    C_gamma^{-1} - C_ls^{-1} = deltaC - P_l - (1 - P_Lambda) with
-    C_ls^{-1} = P_s pi P_s + 1 + S f S, whose U^{-1} route is
+    deltaC_3 vanishes on Lambda x Lambda, the only block damping_report
+    reads, so it is not formed.  The other three are written on that block
+    (DeltaC), from G = S P_gamma S there, the product S[Lambda, gamma]
+    S[Lambda, gamma]^T, and T = 1 + pi - G; no n x n product runs per
+    configuration.
+
+    The result is verified, entry by entry on the padded grid, against the
+    difference C_gamma^{-1} - C_ls^{-1} = deltaC - P_l - (1 - P_Lambda)
+    with C_ls^{-1} = P_s pi P_s + 1 + S f S, whose U^{-1} route is
 
         S (U^{-1} - (1-eps) P_gamma) S - P_s pi P_s - 1 - S (U^{-1} - 1) S
-            = F - (1-eps) S P_gamma S - P_s pi P_s,
+            = F - (1-eps) G - P_s pi P_s,
 
     where F = S U^{-1} S - 1 - S (U^{-1} - 1) S does not depend on the
-    configuration and is computed once per grid from the U^{-1} products
-    (the cached assembly's split_fixed).  The U^{-1} terms of F cancel in
-    exact arithmetic, F = S^2 - 1 = pi, so this residual checks S^2 = 1 + pi
-    on the grid and the block bookkeeping (region masks that overlap, miss
+    configuration.  Outside Lambda x Lambda deltaC = T + eps G, so the G
+    terms cancel and the residual there is (F - pi) - P_s pi P_s + P_l; on
+    Lambda x Lambda it is the same plus pi - G - deltaC_1 - deltaC_2.  So
+    each configuration takes one n x n copy of F - pi, computed once per
+    grid from the U^{-1} products (the cached assembly's split_fixed), and
+    works on the Lambda block.  The U^{-1} terms of F cancel in exact
+    arithmetic, F = S^2 - 1 = pi, so this residual checks S^2 = 1 + pi on
+    the grid and the block bookkeeping (region masks that overlap, miss
     sites or leave Lambda), not U^{-1} itself; identity_residual is
     therefore the larger of it and |U^{-1} U - 1|_max, taken once per grid
-    beside F.  P_s pi P_s and P_l are read on the whole padded grid, so an
-    s- or l-square outside Lambda leaves its blocks in the residual."""
+    beside F - pi.  P_s pi P_s and P_l are read on the whole padded grid,
+    so an s- or l-square outside Lambda leaves its blocks in the residual.
+    gamma is not checked here: G cancels from the identity, so a wrong
+    gamma leaves the residual at rounding level."""
     asm = _assembly(params, geometry, cutoff, pad)
-    eps, n = params.epsilon, asm.nsite
+    n, k2 = asm.nsite, geometry.sites_per_side ** 2
     gamma = np.flatnonzero(asm.geo.site_mask(regions.gamma))
     l_mask = asm.geo.site_mask(regions.lambda_l)
     s_mask = asm.geo.site_mask(regions.lambda_s)
-    s_idx = np.flatnonzero(s_mask)
-    inner = asm.geo.site_mask(geometry.squares)
-    lam = np.flatnonzero(inner)
-    k = geometry.sites_per_side
+    lam = np.flatnonzero(asm.geo.site_mask(geometry.squares))
 
-    sp = asm.s_plus
-    spgs = sp[:, gamma] @ sp[gamma, :]
-    d4_w = eps * spgs
-    t = asm.pi_w - spgs
-    t.flat[::n + 1] += 1.0  # T = 1 + pi - S P_gamma S
+    s_lg = asm.s_plus[np.ix_(lam, gamma)]
+    g = s_lg @ s_lg.T  # G on Lambda x Lambda, exactly symmetric
+    pi_l = _lambda_view(asm.geo, geometry, asm.pi_w)
+    pi_g = (pi_l - g.reshape(pi_l.shape)).reshape(k2, k2)
+    t = pi_g.copy()
+    t.flat[::k2 + 1] += 1.0  # T = 1 + pi - G
     # d1 and d2 on Lambda x Lambda; d2's blocks add up where regions
     # overlap, as a mask sum would
     s_loc = np.flatnonzero(s_mask[lam])
     l_loc = np.flatnonzero(l_mask[lam])
     ss_loc = np.ix_(s_loc, s_loc)
-    d1_l = np.zeros((k * k, k * k))
-    spgs_l = _lambda_view(asm.geo, geometry, spgs).reshape(k * k, k * k)
-    d1_l[ss_loc] = -spgs_l[ss_loc]
-    t_l = _lambda_view(asm.geo, geometry, t).reshape(k * k, k * k)
-    d2_l = np.zeros((k * k, k * k))
+    d1_l = np.zeros((k2, k2))
+    d1_l[ss_loc] = -g[ss_loc]
+    d2_l = np.zeros((k2, k2))
     for rows, cols in ((l_loc, s_loc), (l_loc, l_loc), (s_loc, l_loc)):
         blk = np.ix_(rows, cols)
-        d2_l[blk] += t_l[blk]
-    d3_w = t
-    _lambda_view(asm.geo, geometry, d3_w)[...] = 0.0
+        d2_l[blk] += t[blk]
 
-    # lhs - rhs of the identity, in place; every entry of d1..d4 is read,
-    # d1 and d2 on the Lambda block outside which they vanish
+    # lhs - rhs of the identity on the padded grid: (F - pi) - P_s pi P_s
+    # + P_l, plus pi - G - d1 - d2 on Lambda x Lambda
     fixed, uinv_residual = asm.split_fixed
-    res = np.multiply(spgs, eps - 1.0)
-    res += fixed
+    res = fixed.copy()
+    s_idx = np.flatnonzero(s_mask)
     ss = np.ix_(s_idx, s_idx)
     res[ss] -= asm.pi_w[ss]
+    res.flat[::n + 1] += l_mask
     res_l = _lambda_view(asm.geo, geometry, res)
-    res_l -= d1_l.reshape(res_l.shape)
-    res_l -= d2_l.reshape(res_l.shape)
-    res -= d3_w
-    res -= d4_w
-    res.flat[::n + 1] += l_mask + (1.0 - inner)
+    res_l += (pi_g - d1_l - d2_l).reshape(res_l.shape)
     residual = max(float(res.max()), float(-res.min()), uinv_residual)
     if not residual <= SPLIT_IDENTITY_TOL:
         raise ArithmeticError(
             f"splitting identity violated: sup residual {residual:.3e}")
-    return DeltaC(d1_l, d2_l, DiscretizedOperator(d3_w, asm.w),
-                  DiscretizedOperator(d4_w, asm.w),
-                  identity_residual=residual, lam=lam)
+    return DeltaC(d1_l, d2_l, params.epsilon * g, identity_residual=residual)
 
 
 # ---------------------------------------------------------------------------

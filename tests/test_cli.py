@@ -206,6 +206,8 @@ class TestExitCodes:
         ["gap-solve", "--lambda", "1000"],
         ["twopoint", "--samples", "20", "--separations=-3,2,2.5"],
         ["twopoint", "--samples", "20", "--separations", "2,2.1,2.5"],
+        ["twopoint", "--separations", "-3,2,2.5"],
+        ["twopoint", "--samples", "abc"],
     ])
     def test_bad_input_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -213,6 +215,13 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["twopoint", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: sigmagap" in capsys.readouterr().out
 
     def test_failed_check_exits_1(self, tmp_path, monkeypatch):
         def red(cfg, table, size):

@@ -3,6 +3,7 @@ corrections deltaC_1..4, Gaussian sampling, and the assembled integrand
 bound with its single-square normalization."""
 
 import dataclasses
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -61,16 +62,86 @@ def setup_single(u=50.0, sites=3, corridor=2.0, params=None):
     return params, geo, fld, assign, regions
 
 
-def padded_terms(dc):
-    """deltaC_1..deltaC_4 as weighted matrices on the padded grid, d1 and
-    d2 widened from their Lambda blocks by zeros."""
-    n = dc.d3.weighted.shape[0]
+def padded_terms(dc, params, geometry, regions):
+    """deltaC_1..deltaC_4 as weighted matrices on the pad-2 grid: d1 and d2
+    widened from their Lambda blocks by zeros, d3 (T = 1 + pi - S P_gamma S
+    off Lambda x Lambda) and d4 = eps S P_gamma S formed here from the
+    assembly, S P_gamma S as the full-grid product S[:, gamma] S[gamma, :]."""
+    asm = covariance._assembly(params, geometry, CUT, pad=2)
+    n, sp = asm.nsite, asm.s_plus
+    lam = np.flatnonzero(asm.geo.site_mask(geometry.squares))
+    gi = np.flatnonzero(asm.geo.site_mask(regions.gamma))
+    spgs = sp[:, gi] @ sp[gi, :]
+    d3 = asm.pi_w - spgs
+    d3.flat[::n + 1] += 1.0
+    d3[np.ix_(lam, lam)] = 0.0
     out = []
     for block in (dc.d1_lambda, dc.d2_lambda):
         mat = np.zeros((n, n))
-        mat[np.ix_(dc.lam, dc.lam)] = block
+        mat[np.ix_(lam, lam)] = block
         out.append(mat)
-    return out + [dc.d3.weighted, dc.d4.weighted]
+    return out + [d3, params.epsilon * spgs]
+
+
+def fixed_term(asm):
+    """F = S U^{-1} S - 1 - S (U^{-1} - 1) S from the U^{-1} products,
+    recomputed rather than read from the assembly's cache."""
+    sp, uinv_w = asm.s_plus, asm.uinv_w
+    eye = np.eye(asm.nsite)
+    return sp @ (uinv_w @ sp) - eye - sp @ ((uinv_w - eye) @ sp)
+
+
+def full_grid_residual(params, geometry, regions, fixed):
+    """The entrywise residual of the splitting identity as build_deltaC
+    formed it on the whole pad-2 grid before it moved to the Lambda block
+    (S P_gamma S on the padded grid, d1 and d2 on Lambda x Lambda, d3 and
+    d4 padded, subtracted in that order), with |U^{-1} U - 1|_max beside
+    it: build_deltaC raised exactly when their max exceeded
+    SPLIT_IDENTITY_TOL.  fixed is fixed_term of the assembly."""
+    asm = covariance._assembly(params, geometry, CUT, pad=2)
+    eps, n, sp = params.epsilon, asm.nsite, asm.s_plus
+    inner = asm.geo.site_mask(geometry.squares).astype(float)
+    sm, lm = (asm.geo.site_mask(c).astype(float)
+              for c in (regions.lambda_s, regions.lambda_l))
+    gi = np.flatnonzero(asm.geo.site_mask(regions.gamma))
+    spgs = sp[:, gi] @ sp[gi, :]
+    t = asm.pi_w - spgs
+    t.flat[::n + 1] += 1.0
+    si, li = sm * inner, lm * inner  # d1 and d2 lived on Lambda x Lambda
+    d1 = -(spgs * np.outer(si, si))
+    d2 = (np.outer(li, si + li) + np.outer(si, li)) * t
+    d3 = t * (1.0 - np.outer(inner, inner))
+    res = (eps - 1.0) * spgs + fixed - asm.pi_w * np.outer(sm, sm)
+    res = res - d1 - d2 - d3 - eps * spgs
+    res.flat[::n + 1] += lm + (1.0 - inner)
+    return (float(np.abs(res).max()),
+            float(np.abs(asm.uinv_w @ asm.u_w - np.eye(n)).max()))
+
+
+# squares of the pad-2 belt around the n = 2 Lambda (squares -2..1 per
+# axis): one beside it, one at its corner
+BELT = ((2, 0), (-3, -3))
+
+
+def region_mutants(regions):
+    """(name, regions) with one square of lambda_s or lambda_l removed,
+    added or moved: moved into the other set (a relabelling, which keeps
+    the partition), onto a square the other set holds, or onto the belt,
+    and added from the other set or on the belt."""
+    out = []
+    for label, other in (("lambda_s", "lambda_l"), ("lambda_l", "lambda_s")):
+        own, oth = getattr(regions, label), getattr(regions, other)
+        sq, taken = min(own), min(oth)
+        out += [(f"{label} remove", {label: own - {sq}}),
+                (f"{label} relabel", {label: own - {sq}, other: oth | {sq}}),
+                (f"{label} add {taken}", {label: own | {taken}}),
+                (f"{label} move onto {taken}",
+                 {label: (own - {sq}) | {taken}})]
+        for belt in BELT:
+            out += [(f"{label} add {belt}", {label: own | {belt}}),
+                    (f"{label} move onto {belt}",
+                     {label: (own - {sq}) | {belt}})]
+    return [(name, dataclasses.replace(regions, **kw)) for name, kw in out]
 
 
 def site_coordinates(geometry):
@@ -484,10 +555,11 @@ class TestDeltaC:
         assert dc.identity_residual < 1e-10
 
     def test_cached_term_keeps_the_bits(self):
-        # d1..d4 and the residual against the splitting identity written
-        # out here with the fixed term F = S U^{-1} S - 1 - S (U^{-1} - 1) S
-        # recomputed, not read from cache; the residual subtracts d1..d4
-        # from the left side one at a time, in build_deltaC's order
+        # d1, d2, d4 and the residual written out here in build_deltaC's
+        # order, with the fixed term F - pi, F = S U^{-1} S - 1
+        # - S (U^{-1} - 1) S, recomputed, not read from cache: one copy of
+        # F - pi, minus P_s pi P_s, plus P_l, plus pi - G - d1 - d2 on
+        # Lambda x Lambda, G = S[Lambda, gamma] S[Lambda, gamma]^T
         params, geo, fld, assign, regions = setup_single()
         covariance._assembly_cached.cache_clear()
         asm = covariance._assembly(params, geo, CUT, pad=2)
@@ -506,37 +578,41 @@ class TestDeltaC:
         gi = np.flatnonzero(g)
         inner = asm.geo.site_mask(geo.squares)
         lam = np.flatnonzero(inner)
+        lam_ix = np.ix_(lam, lam)
+        k2 = len(lam)
         eye = np.eye(n)
-        spgs = sp[:, gi] @ sp[gi, :]
-        ss = np.outer(sm, sm)
-        t = asm.pi_w - spgs
-        t.flat[::n + 1] += 1.0
-        d3 = t.copy()
-        d3[np.ix_(lam, lam)] = 0.0
-        d = [-(spgs * ss), (np.outer(lm, sm + lm) + np.outer(sm, lm)) * t,
-             d3, eps * spgs]
-        fixed = sp @ (asm.uinv_w @ sp) - eye - sp @ ((asm.uinv_w - eye) @ sp)
-        lhs = fixed - (1.0 - eps) * spgs - asm.pi_w * ss
-        resid = lhs - d[0] - d[1] - d[2] - d[3]
-        resid.flat[::n + 1] += lm + (1.0 - inner)
+        s_lg = sp[np.ix_(lam, gi)]
+        g_l = s_lg @ s_lg.T
+        assert np.array_equal(g_l, g_l.T)
+        pi_g = asm.pi_w[lam_ix] - g_l
+        t = pi_g.copy()
+        t.flat[::k2 + 1] += 1.0
+        s_l, l_l = sm[lam], lm[lam]
+        d = [-(g_l * np.outer(s_l, s_l)),
+             (np.outer(l_l, s_l + l_l) + np.outer(s_l, l_l)) * t, eps * g_l]
+        fixed = fixed_term(asm)
+        resid = (fixed - asm.pi_w) - asm.pi_w * np.outer(sm, sm)
+        resid.flat[::n + 1] += lm
+        resid[lam_ix] += pi_g - d[0] - d[1]
         uinv_residual = float(np.abs(asm.uinv_w @ asm.u_w - eye).max())
         for got in (dc, again):
             assert got.identity_residual == max(
                 float(np.abs(resid).max()), uinv_residual)
-            for op, ref in zip(padded_terms(got), d):
+            for op, ref in zip((got.d1_lambda, got.d2_lambda,
+                                got.d4_lambda), d):
                 assert np.array_equal(op, ref)
 
         cached, cached_residual = split_fixed
-        assert np.array_equal(cached, fixed)
+        assert np.array_equal(cached, fixed - asm.pi_w)
         assert cached_residual == uinv_residual
         assert not cached.flags.writeable
 
-        # the full-product form the rank-|gamma| one replaced: each entry
-        # of S P_gamma S is a sum of products S_ik S_kj, which either
+        # the full-grid form build_deltaC once took: S P_gamma S as the
+        # full product, each entry a sum of products S_ik S_kj, which any
         # order rounds to within n eps (|S| |S|)_ij (the dot-product error
         # bound), and 1 + pi - S P_gamma S adds one rounding of its O(1)
-        # entries; the identity's sides differ in how F is formed, so
-        # both residuals stay below the same bound
+        # entries; the identity's sides differ in how F is formed, so both
+        # residuals stay below the same bound
         def block(mat, left, right):
             return mat * left[:, None] * right[None, :]
 
@@ -549,8 +625,9 @@ class TestDeltaC:
                block(t_old, lm, sm) + block(t_old, sm, lm)
                + block(t_old, lm, lm),
                t_old - block(t_old, lam_f, lam_f), eps * spgs_old]
-        for op, ref in zip(padded_terms(dc), old):
+        for op, ref in zip(padded_terms(dc, params, geo, regions), old):
             assert np.abs(op - ref).max() <= tol
+        assert np.abs(dc.d4_lambda - old[3][lam_ix]).max() <= tol
         lhs_old = sp @ ((asm.uinv_w - np.diag((1.0 - eps) * g)) @ sp) \
             - (block(asm.pi_w, sm, sm) + eye
                + sp @ ((asm.uinv_w - eye) @ sp))
@@ -598,6 +675,53 @@ class TestDeltaC:
         lam = np.flatnonzero(grid.site_mask(geo.squares))
         assert np.array_equal(view.reshape(k2, k2), mat[np.ix_(lam, lam)])
 
+    @pytest.mark.parametrize("index", range(4))
+    def test_region_faults_raise_as_the_full_grid_residual_did(self, index):
+        # fault parity on a criterion-10 configuration: every mutant of
+        # lambda_s or lambda_l raises exactly when the full-grid residual
+        # of the padded build, written out in full_grid_residual, breaks
+        # the tolerance
+        params, geo, ensemble = TestDampingBound._ensemble(4, seed=7)
+        fld, assign = ensemble[index]
+        regions = build_regions(assign, geo, corridorM=params.corridorM)
+        fixed = fixed_term(covariance._assembly(params, geo, CUT, pad=2))
+        verdicts = []
+        for name, bad in region_mutants(regions):
+            full = max(full_grid_residual(params, geo, bad, fixed))
+            try:
+                build_deltaC(params, geo, CUT, bad, pad=2)
+                raised = False
+            except ArithmeticError as exc:
+                assert "splitting identity violated" in str(exc)
+                raised = True
+            assert raised == (full > covariance.SPLIT_IDENTITY_TOL), name
+            verdicts.append(raised)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_gamma_is_not_checked_by_the_identity(self):
+        # records what the gate cannot see: S P_gamma S cancels from the
+        # identity, so gamma with a Lambda square removed, a free square of
+        # the padded grid added, or one moved onto a free square leaves this
+        # residual and the full-grid one at rounding level, while
+        # deltaC_1 moves (gamma reaches past Lambda, and may cover it)
+        params, geo, ensemble = TestDampingBound._ensemble(4, seed=7)
+        fixed = fixed_term(covariance._assembly(params, geo, CUT, pad=2))
+        squares = set(padded_geometry(geo, 2).squares)
+        for fld, assign in ensemble:
+            regions = build_regions(assign, geo, corridorM=params.corridorM)
+            clean = build_deltaC(params, geo, CUT, regions, pad=2)
+            sq = min(regions.gamma & set(geo.squares))
+            free = squares - regions.gamma
+            for gamma in (regions.gamma - {sq}, regions.gamma | {min(free)},
+                          regions.gamma | {max(free)},
+                          (regions.gamma - {sq}) | {min(free)}):
+                bad = dataclasses.replace(regions, gamma=gamma)
+                dc = build_deltaC(params, geo, CUT, bad, pad=2)
+                assert dc.identity_residual <= 1e-12
+                full = max(full_grid_residual(params, geo, bad, fixed))
+                assert full <= 1e-12
+                assert np.abs(dc.d1_lambda - clean.d1_lambda).max() > 1e-10
+
     def test_lambda_form_is_the_padded_quadratic_form(self):
         # damping_report's (tau, deltaC tau) on Lambda against the sum of
         # the four padded-grid forms
@@ -608,7 +732,8 @@ class TestDeltaC:
         v = rng.normal(size=geo.sites_per_side ** 2)
         full = np.zeros(grid.sites_per_side ** 2)
         full[grid.site_mask(geo.squares)] = v
-        ref = sum(float(full @ op @ full) for op in padded_terms(dc))
+        ref = sum(float(full @ op @ full)
+                  for op in padded_terms(dc, params, geo, regions))
         assert dc.lambda_form(v) == pytest.approx(ref, rel=1e-12, abs=1e-14)
 
     def test_wrong_uinv_violates_the_identity(self, monkeypatch):
@@ -642,8 +767,9 @@ class TestDeltaC:
         fmat = propagator_matrix(grid, params.m)
         pi_w = 0.5 * params.lam * params.bigK * fmat * fmat * grid.site_weight
         pi_norm = np.linalg.eigvalsh(pi_w).max()
-        n4 = np.linalg.norm(dc.d4.weighted, 2)
+        n4 = np.linalg.norm(padded_terms(dc, params, geo, regions)[3], 2)
         assert n4 <= params.epsilon * (1.0 + pi_norm) * (1.0 + 1e-9)
+        assert np.linalg.norm(dc.d4_lambda, 2) <= n4 * (1.0 + 1e-9)
 
     def test_d3_bound(self):
         # out-of-Lambda blocks of S(1-P_gamma)S: operator norm below a
@@ -654,7 +780,8 @@ class TestDeltaC:
         fmat = propagator_matrix(grid, params.m)
         pi_w = 0.5 * params.lam * params.bigK * fmat * fmat * grid.site_weight
         pi_norm = np.linalg.eigvalsh(pi_w).max()
-        assert np.linalg.norm(dc.d3.weighted, 2) <= 2.0 * (1.0 + pi_norm)
+        d3 = padded_terms(dc, params, geo, regions)[2]
+        assert np.linalg.norm(d3, 2) <= 2.0 * (1.0 + pi_norm)
 
     def test_d2_corridor_bound(self):
         # ||deltaC_2|| <= O(1) N^{-2} at the un-overridden corridor width
@@ -693,7 +820,7 @@ class TestDeltaC:
         dc = build_deltaC(params, geo, CUT, regions, pad=2)
         assert np.abs(dc.d1_lambda).max() == 0.0
         assert np.abs(dc.d2_lambda).max() == 0.0
-        assert np.abs(dc.d4.weighted).max() == 0.0
+        assert np.abs(dc.d4_lambda).max() == 0.0
 
 
 class TestSampling:
@@ -920,10 +1047,40 @@ class TestDampingBound:
         assert max(lu_sizes) < geo.sites_per_side ** 2
         assert (nsite, nsite) not in zeros
         # the spies see the forms they guard against
-        padded_terms(dc)
+        padded_terms(dc, params, geo, regions)
         assert (nsite, nsite) in zeros
         with pytest.raises(AssertionError, match="AOperator.b read"):
             build_A(fld, params, assignment=assign).b
+
+    def test_one_configuration_stays_within_two_grids_of_memory(self):
+        # one warm build_deltaC at 576 sites: its traced peak stays below
+        # two n x n arrays of doubles (the padded build took 4.4) and the
+        # returned DeltaC holds below half of one (the padded build held
+        # 2.1)
+        params, geo, ensemble = self._ensemble(1, seed=7)
+        fld, assign = ensemble[0]
+        regions = build_regions(assign, geo, corridorM=params.corridorM)
+        build_deltaC(params, geo, CUT, regions, pad=2)  # warm the caches
+        grid_bytes = padded_geometry(geo, 2).sites_per_side ** 4 * 8
+
+        def traced_peak(fn):
+            tracemalloc.start()
+            try:
+                out = fn()
+                return out, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        dc, peak = traced_peak(
+            lambda: build_deltaC(params, geo, CUT, regions, pad=2))
+        held = sum(v.nbytes for v in vars(dc).values()
+                   if isinstance(v, np.ndarray))
+        assert peak < 2 * grid_bytes
+        assert held < 0.5 * grid_bytes
+        # the tracer sees the padded terms the padded build formed
+        _, padded_peak = traced_peak(
+            lambda: padded_terms(dc, params, geo, regions))
+        assert padded_peak > 2 * grid_bytes
 
     def test_pipeline_calls_no_scipy_linalg(self, monkeypatch):
         # with the assembly cache warm, one configuration runs classify ->
