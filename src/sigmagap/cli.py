@@ -16,8 +16,9 @@ The subcommands run "quick": gap-solve 01, kernels 02-03, opcheck 04-05,
 decompose 09, covariance 06 and 10, forest-verify 07, 08 and 12;
 accept-all runs all twelve at its --profile.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error,
-3 numerical abort (e.g. the sign-problem guard).
+Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error
+(an output directory or file that cannot be written included), 3
+numerical abort (e.g. the sign-problem guard).
 """
 
 import argparse
@@ -26,6 +27,7 @@ import csv
 import dataclasses
 import functools
 import hashlib
+import io
 import itertools
 import math
 import operator
@@ -42,8 +44,8 @@ from . import twopoint as tp
 from .kernels import (CutoffSpec, cutoff_enforced_values,
                       polarization_kernel, polarization_momentum,
                       propagator_kernel, sqrt_one_plus_pi_kernel)
-from .model import (ModelParams, REGULATORS, derive_params, gap_constant,
-                    gap_lhs, solve_gap_equation)
+from .model import (REGULATORS, derive_params, gap_constant, gap_lhs,
+                    solve_gap_equation)
 from .operators import (build_A, det_split_identity, log_det_n,
                         log_det_n_matrix, operator_norm, propagator_matrix)
 from .regions import (FieldConfig, LatticeGeometry, build_regions,
@@ -228,8 +230,9 @@ def _fmt(x):
 @dataclasses.dataclass
 class ResultsTable:
     config_hash: str
-    rows: list = dataclasses.field(default_factory=list)
-    clock: float = dataclasses.field(default_factory=time.perf_counter)
+    rows: list = dataclasses.field(default_factory=list, init=False)
+    clock: float = dataclasses.field(default_factory=time.perf_counter,
+                                     init=False)
 
     COLUMNS = ("check_id", "module", "reference", "value", "bound",
                "passed", "runtime_ms")
@@ -255,19 +258,44 @@ class ResultsTable:
                   f" bound={_fmt(r['bound'])}")
 
 
-def persist_results(table, outdir):
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, "results.csv")
+def check_outdir(outdir):
+    """Raise ConfigError, before any work, unless the output directory
+    exists or can be made: its nearest existing ancestor must be a
+    directory this process may write.  Nothing is created, so a run that
+    stops at a later input check leaves no directory behind."""
+    path = os.path.abspath(outdir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"cannot write {outdir}: {path} is not a "
+                          "directory")
+    if not os.access(path, os.W_OK | os.X_OK):
+        raise ConfigError(f"cannot write {outdir}: permission denied on "
+                          f"{path}")
+
+
+def write_output(outdir, name, text):
+    """Write text to outdir/name, creating outdir, and return the path;
+    any OSError is a ConfigError."""
+    path = os.path.join(outdir, name)
     try:
+        os.makedirs(outdir, exist_ok=True)
         with open(path, "w", newline="") as fh:
-            fh.write(f"# config_hash={table.config_hash}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(ResultsTable.COLUMNS)
-            writer.writerows([_fmt(r[c]) for c in ResultsTable.COLUMNS]
-                             for r in table.rows)
+            fh.write(text)
     except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}")
-    return [path]
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") \
+            from exc
+    return path
+
+
+def persist_results(table, outdir):
+    buf = io.StringIO()
+    buf.write(f"# config_hash={table.config_hash}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(ResultsTable.COLUMNS)
+    writer.writerows([_fmt(r[c]) for c in ResultsTable.COLUMNS]
+                     for r in table.rows)
+    return [write_output(outdir, "results.csv", buf.getvalue())]
 
 
 # ---------------------------------------------------------------------------
@@ -336,19 +364,21 @@ def _holds(table, check_id, module, reference, oks):
 
 def _bench_params(m, lam, bigK, bigN, corridorM):
     """Model parameters at a chosen gap mass."""
-    return ModelParams(lam=lam, bigK=bigK, bigN=bigN,
-                       g=math.sqrt(lam * bigK / bigN), m=m,
-                       epsilon=bigN ** -0.4, corridorM=corridorM)
+    return dataclasses.replace(
+        derive_params(lam, bigK, bigN, corridor_override=corridorM), m=m)
 
 
 def _small_setup(cfg, scale=1.0):
+    """The 144-site set-up of criteria 04, 05 and 09 with one draw of C0
+    at the config's seed, scaled by scale."""
     params = derive_params(32.0, 1.0, 10 ** 6, corridor_override=2.0)
     geo = LatticeGeometry(n=2, sites_per_square=3)
-    c0 = cov.build_C0(params, geo, CutoffSpec(c=cfg.cutoff_c))
-    fld = cov.sample_gaussian(c0, seed=cfg.seed, count=1, geometry=geo)[0]
-    if scale != 1.0:
-        fld = FieldConfig.from_tau(geo, scale * fld.tau)
-    return params, geo, fld
+    root = cov.c0_root(params, geo, cfg.cutoff())
+    tau = np.random.default_rng(cfg.seed).standard_normal(
+        (1, len(root))) @ root.T
+    side = geo.sites_per_side
+    return params, geo, FieldConfig.from_tau(geo, scale
+                                             * tau.reshape(side, side))
 
 
 def _rescaled_field(geometry, rng, u_targets):
@@ -688,10 +718,10 @@ def criterion_10_integrand_bound_and_normalization(cfg, table, size):
           "<=", 0.0)
     dev = []
     for bigN, samples, seed in size["square_normalization"]:
-        sn = cov.single_square_normalization(
+        value = cov.single_square_normalization(
             derive_params(1.0, 1.0, bigN, corridor_override=2.0),
-            cfg.cutoff(), sites_per_square=3, samples=samples, seed=seed)
-        dev.append(abs(sn.value - 1.0) / bigN ** (-0.2))
+            cfg.cutoff(), samples=samples, seed=seed)
+        dev.append(abs(value - 1.0) / bigN ** (-0.2))
     _gate(table, "square-normalization", "covariance",
           "square-normalization", dev, "<=", 1.0)
 
@@ -800,9 +830,6 @@ def run_twopoint(cfg, args):
                              separations=seps)
     except ValueError as exc:  # separations or sample count it rejects
         raise ConfigError(str(exc)) from exc
-    outdir = cfg.resolved_outdir()
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, "twopoint.csv")
     lines = [f"# config_hash={run_hash(cfg, args)}",
              "sep,re_mean,im_mean,se,weight_phase_diag"]
     for i, r in enumerate(res.separations):
@@ -814,8 +841,8 @@ def run_twopoint(cfg, args):
               f"# m={_fmt(res.gap_mass)}",
               f"# ratio={_fmt(res.fitted_mprime / res.gap_mass)}",
               f"# fit_residual={_fmt(res.fit_residual)}"]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    path = write_output(cfg.resolved_outdir(), "twopoint.csv",
+                        "\n".join(lines) + "\n")
     print(f"fitted_mprime={_fmt(res.fitted_mprime)} "
           f"m={_fmt(res.gap_mass)} "
           f"ratio={_fmt(res.fitted_mprime / res.gap_mass)} "
@@ -882,7 +909,9 @@ def make_parser():
 def main(argv=None):
     try:
         args = make_parser().parse_args(argv)
-        return COMMANDS[args.command](build_config(args), args)
+        cfg = build_config(args)
+        check_outdir(cfg.resolved_outdir())
+        return COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

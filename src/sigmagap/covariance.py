@@ -9,7 +9,8 @@ large-field region gamma the quadratic form is opened up,
 with a floor eps on the gamma block so the inverse stays bounded.  The
 module assembles C_gamma, the normalization Z_gamma with its component
 factorization, the four correction terms deltaC_1..deltaC_4 of the
-small/large splitting, and a seeded Gaussian sampler.
+small/large splitting, and the cached root of C0 that Gaussian draws
+tau = root z are taken with.
 
 Per configuration, neither C_gamma nor Z_gamma needs an n x n
 factorization.  With U the cutoff kernel (1+f)^{-1} and
@@ -76,7 +77,7 @@ from .kernels import cutoff_enforced_values
 from .operators import (DiscretizedOperator, build_A, gaussian_root,
                         log_det_n, log_det_n_matrix, propagator_matrix,
                         radial_site_matrix)
-from .regions import FieldConfig, LatticeGeometry, smooth_step
+from .regions import LatticeGeometry, smooth_step
 
 # relative Frobenius tail at which the Neumann series of C^{gamma_i}
 # stops, and the most terms it may take
@@ -560,31 +561,11 @@ def build_deltaC(params, geometry, cutoff, regions, pad=2):
 # sampling
 
 def c0_root(params, geometry, cutoff):
-    """operators.gaussian_root of build_C0(params, geometry, cutoff).matrix,
-    computed once per (grid, m, lambda K, c) and read-only; the cached
-    assembly forms it on first read, so callers that never sample never
-    pay the eigh."""
+    """operators.gaussian_root of C0's kernel values (build_C0's weighted
+    matrix over its site weight), computed once per (grid, m, lambda K, c)
+    and read-only; the cached assembly forms it on first read, so callers
+    that never sample never pay the eigh."""
     return _assembly(params, geometry, cutoff, pad=0).c0_root
-
-
-def sample_gaussian(covariance, seed=0, count=1, geometry=None):
-    """Mean-zero Gaussian draws with the given covariance kernel.
-
-    Spectral factorization of the kernel-entry matrix (so the sample
-    covariance of the site values matches the kernel entries); a fixed
-    seed gives a bit-identical sequence.  With a geometry the draws are
-    wrapped as FieldConfig on that grid."""
-    mat = covariance.matrix
-    root = gaussian_root(mat)
-    rng = np.random.default_rng(seed)
-    draws = rng.standard_normal((count, mat.shape[0])) @ root.T
-    if geometry is None:
-        return [draws[i] for i in range(count)]
-    side = geometry.sites_per_side
-    if side * side != mat.shape[0]:
-        raise ValueError("geometry does not match covariance dimension")
-    return [FieldConfig.from_tau(geometry, draws[i].reshape(side, side))
-            for i in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -666,20 +647,13 @@ def damping_report(field, params, regions, covset, deltac, assignment):
     return DampingReport(float(log_value), mass_l, mass_s, float(required))
 
 
-@dataclasses.dataclass
-class SquareNormalization:
-    value: float
-    stderr: float
-    samples: int
-
-
-def single_square_normalization(params, cutoff, sites_per_square=4,
-                                samples=2000, seed=0):
+def single_square_normalization(params, cutoff, samples, seed):
     """Monte Carlo estimate of the normalized partition integral of a
-    single small-field square: the free-covariance average of the window
-    weight times det_3^{-N/2}(1 + iA) with the covariance restricted to
-    the square.  Tends to 1 faster than N^{-1/5} as N grows."""
-    geo = LatticeGeometry(n=1, sites_per_square=sites_per_square)
+    single small-field square of 3 x 3 sites: the free-covariance average
+    of the window weight times det_3^{-N/2}(1 + iA) with the covariance
+    restricted to the square.  Tends to 1 faster than N^{-1/5} as N
+    grows."""
+    geo = LatticeGeometry(n=1, sites_per_square=3)
     asm = _assembly(params, geo, cutoff, pad=2)
     idx = np.flatnonzero(asm.geo.site_mask([(0, 0)]))
     root = gaussian_root((asm.c0_w / asm.w)[np.ix_(idx, idx)])
@@ -698,6 +672,4 @@ def single_square_normalization(params, cutoff, sites_per_square=4,
         lam_e = 1j * np.linalg.eigvals(f_block * (params.g * tau * asm.w)[None, :])
         log3 = log_det_n(lam_e, 3)
         vals[i] = t * np.exp(-0.5 * params.bigN * log3)
-    value = float(vals.real.mean())
-    stderr = float(vals.real.std(ddof=1) / np.sqrt(samples))
-    return SquareNormalization(value, stderr, samples)
+    return float(vals.real.mean())

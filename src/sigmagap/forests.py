@@ -365,7 +365,7 @@ def mayer_connectivity(overlap_pairs, q):
     return total
 
 
-def mayer_tree_formula(overlap_pairs, q, nodes=12):
+def mayer_tree_formula(overlap_pairs, q, nodes):
     """T(M) via the tree formula: sum over spanning trees of overlapping
     pairs, each tree edge contributing -1, times the integral of
     prod_{(ij) not in tree, overlapping} (1 - h_T(i,j))."""

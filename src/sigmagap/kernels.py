@@ -173,7 +173,6 @@ class SampledKernel:
     radial_vals: np.ndarray
     fitted_decay_rate: float
     fit_residual: float
-    sup_norm: float
     delta_coeff: float
 
 
@@ -186,7 +185,7 @@ def _radial_nodes(r_max):
     return np.concatenate([[0.0], close, far])
 
 
-def fit_decay_rate(r, vals, prefactor_power=0.0, z_window=(2.0, 7.0)):
+def fit_decay_rate(r, vals, prefactor_power, z_window):
     """Exponential decay rate of |vals(r)| ~ C r^{-rho} e^{-rate r}.
 
     Least squares of ln(r^rho |v|) against r, restricted to the window
@@ -227,12 +226,11 @@ def fit_decay_rate(r, vals, prefactor_power=0.0, z_window=(2.0, 7.0)):
 def _fitted_kernel(grid, rr, vals, prefactor_power, z_window=(2.0, 7.0),
                    delta_coeff=0.0):
     """SampledKernel of a tabulated radial kernel with its decay-rate fit
-    and sup norm filled in."""
+    filled in."""
     rate, resid = fit_decay_rate(rr, vals, prefactor_power=prefactor_power,
                                  z_window=z_window)
     return SampledKernel(values=grid, radial_r=rr, radial_vals=vals,
                          fitted_decay_rate=rate, fit_residual=resid,
-                         sup_norm=float(np.abs(grid).max()),
                          delta_coeff=delta_coeff)
 
 
@@ -264,7 +262,7 @@ def polarization_kernel(params: ModelParams):
 # ---------------------------------------------------------------------------
 # polarization in momentum space
 
-def polarization_momentum(p2, params: ModelParams, test_mode_unregulated=False):
+def polarization_momentum(p2, params: ModelParams, test_mode_unregulated):
     """pi(p) = (lam K/2) int d^2q/(2pi)^2 g(q) g(p+q) by direct 2D polar
     quadrature (relative accuracy ~1e-9).  test_mode_unregulated replaces
     g by the free propagator 1/(q^2+m^2), for which pi(0) = lam K/(8 pi m^2)
@@ -365,15 +363,17 @@ def sqrt_one_plus_pi_kernel(params: ModelParams, sign):
 # ---------------------------------------------------------------------------
 # tau-field cutoff
 
+# the admissible range alpha <= c <= bigA of the cutoff constant
+CUTOFF_ALPHA, CUTOFF_BIGA = 0.5, 2.0
+
+
 @dataclass(frozen=True)
 class CutoffSpec:
     """Quartic momentum cutoff f(p) = c (p^2)^2 with alpha <= c <= bigA."""
     c: float = 1.0
-    alpha: float = 0.5
-    bigA: float = 2.0
 
     def __post_init__(self):
-        if self.c > 0 and not (self.alpha <= self.c <= self.bigA):
+        if self.c > 0 and not (CUTOFF_ALPHA <= self.c <= CUTOFF_BIGA):
             raise ValueError("need alpha <= c <= bigA")
 
 

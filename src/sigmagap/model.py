@@ -51,7 +51,7 @@ class ModelParams:
             raise ValueError("corridorM must be positive")
 
 
-def gap_lhs(m2: float, regulator: str = "exponential") -> float:
+def gap_lhs(m2: float, regulator: str) -> float:
     """Left side of the gap equation, (1/2) int d^2p/(2pi)^2 1/(p^2_reg + m^2).
 
     Radially, with s = p^2, this is (1/8pi) int_0^inf ds / (s e^s + m^2)
@@ -106,8 +106,7 @@ def leading_mass(lam: float) -> float:
     return float(np.exp(-4.0 * np.pi / lam))
 
 
-def gap_constant(lam: float, bigK: float,
-                 regulator: str = "exponential") -> float:
+def gap_constant(lam: float, bigK: float, regulator: str) -> float:
     """c_m = m^2 e^{4pi/lam}, the prefactor of the asymptotic mass formula."""
     return solve_gap_equation(lam, bigK, regulator) / leading_mass(lam)
 

@@ -45,7 +45,7 @@ class DiscretizedOperator:
     """An integral kernel K on discretization sites of quadrature weight w,
     held as its weighted matrix W^{1/2} K W^{1/2} = w K, which carries the
     operator's spectrum and algebra: composition is the matrix product and
-    the trace the matrix trace.  matrix recovers the kernel values."""
+    the trace the matrix trace; the kernel values are weighted / w."""
 
     weighted: np.ndarray
     site_weight: float
@@ -57,18 +57,11 @@ class DiscretizedOperator:
         if not self.site_weight > 0:
             raise ValueError("site_weight must be positive")
 
-    @property
-    def matrix(self):
-        return self.weighted / self.site_weight
-
-    def masked(self, left_mask=None, right_mask=None):
+    def masked(self, left_mask, right_mask):
         """P_left K P_right with diagonal projector masks (bool per site)."""
-        mat = self.weighted
-        if left_mask is not None:
-            mat = mat * left_mask[:, None]
-        if right_mask is not None:
-            mat = mat * right_mask[None, :]
-        return DiscretizedOperator(mat, self.site_weight)
+        return DiscretizedOperator(
+            self.weighted * left_mask[:, None] * right_mask[None, :],
+            self.site_weight)
 
 
 def radial_site_matrix(geometry, radial):

@@ -66,7 +66,6 @@ from scipy.optimize import brentq
 from .covariance import c0_root
 from .kernels import CutoffSpec, propagator_values
 from .operators import build_A, log_det_n, propagator_factor, propagator_matrix
-from .regions import LatticeGeometry
 
 
 # slack, in combined standard errors, of the N-scan's monotonicity check
@@ -77,11 +76,6 @@ N_BATCHES = 20
 
 class SignProblemError(ArithmeticError):
     """The phase average is too small for the ratio estimator."""
-
-
-def default_geometry():
-    """8x8 unit squares at 4x4 sites per square (1024 sites)."""
-    return LatticeGeometry(n=4, sites_per_square=4)
 
 
 def resolvent_matrix(field, params):
@@ -417,10 +411,11 @@ def reference_slope(m_trial, separations, wts):
     return slope
 
 
-def match_decay_mass(separations, values, errors=None):
+def match_decay_mass(separations, values, errors):
     """Convert measured decay values to a mass by slope matching.
 
     Fits log(Re S2) over the separations with inverse-variance weights
+    (unit weights when errors is None or all zero, as in the free case)
     and solves reference_slope(m) = measured slope for m.  Returns
     (mass, mass_stderr, r_squared, measured_slope)."""
     r = np.asarray(separations, dtype=float)
@@ -468,8 +463,8 @@ def fit_window(geometry):
     return 2.0, (2.0 * geometry.n) / 3.0
 
 
-def estimate_S2(params, geometry=None, cutoff=None, seed=0,
-                n_samples=1000, separations=None, phase_floor=0.05):
+def estimate_S2(params, *, geometry, seed, n_samples, cutoff=None,
+                separations=None, phase_floor=0.05):
     """Reweighted ratio estimator of S2 along a lattice axis.
 
     Draws are independent Gaussians with the free covariance; each costs
@@ -478,7 +473,6 @@ def estimate_S2(params, geometry=None, cutoff=None, seed=0,
     of the ratio.  Separations must be nonnegative multiples of the site
     spacing.  Raises SignProblemError when the phase average drops below
     phase_floor."""
-    geometry = geometry or default_geometry()
     cutoff = cutoff or CutoffSpec(c=1.0)
     if separations is None:
         separations = default_separations(geometry)
@@ -548,8 +542,7 @@ def estimate_S2(params, geometry=None, cutoff=None, seed=0,
         gap_mass=params.m, fit_window=(lo, hi))
 
 
-def mass_vs_N_scan(params_list, cutoff, geometry=None, seed=0,
-                   n_samples=1000):
+def mass_vs_N_scan(params_list, cutoff, geometry, seed, n_samples):
     """estimate_S2 over a grid of parameter sets ordered by increasing N.
 
     Returns the rows and, for each step to the next N, the excess of the

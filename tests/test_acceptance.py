@@ -25,7 +25,7 @@ def run_criterion(budget_s, criterion, *cfg):
 def test_criterion_01_gap_equation():
     run_criterion(1.0, cli.criterion_01_gap_equation, CFG)
     for lam in cli.PROFILES["full"]["gap_lams"]:
-        c_m = gap_constant(lam, 1.0)
+        c_m = gap_constant(lam, 1.0, "exponential")
         # the true asymptotic constant is e^{-gamma_E} ~ 0.5615, which
         # the solver reproduces to many digits; the advertised window
         # [0.9, 1.1] does not contain it, so this check fails honestly

@@ -5,12 +5,13 @@ import csv
 import dataclasses
 import itertools
 import os
+import pathlib
 import types
 
 import numpy as np
 import pytest
 
-from sigmagap import cli, model, operators
+from sigmagap import cli, covariance, model, operators
 from sigmagap.cli import (
     ConfigError,
     ResultsTable,
@@ -22,7 +23,12 @@ from sigmagap.cli import (
     run_hash,
     _fmt,
 )
+from sigmagap.regions import FieldConfig
 from sigmagap.twopoint import SignProblemError
+
+# accept-all --profile quick's results.csv at the default config
+REFERENCE_QUICK = pathlib.Path(__file__).with_name(
+    "reference_results_quick.csv")
 
 
 def write_config(tmp_path, text):
@@ -129,7 +135,8 @@ class TestPersistence:
         ticks = itertools.count(2.5e-3, 1e-3)
         monkeypatch.setattr(cli, "time", types.SimpleNamespace(
             perf_counter=lambda: next(ticks)))
-        t = ResultsTable("abc123", clock=0.0)
+        t = ResultsTable("abc123")
+        t.clock = 0.0
         t.add("check-a", "model", "ref-a", 1.0 / 3.0, 1e-10, True)
         t.add("check-b", "kernels", "ref-b", 0.5, 0.1, False)
         return t
@@ -216,6 +223,45 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("config error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["gap-solve"],
+        ["twopoint", "--n", "4", "--sites", "2", "--samples", "40"],
+    ])
+    @pytest.mark.parametrize("blocked", ["under-a-file", "read-only"])
+    def test_unwritable_out_exits_2_before_any_work(self, tmp_path, capsys,
+                                                    monkeypatch, argv,
+                                                    blocked):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+        monkeypatch.setattr(cli, "solve_gap_equation", no_work)
+        monkeypatch.setattr(cli.tp, "estimate_S2", no_work)
+        if blocked == "under-a-file":
+            parent = tmp_path / "file"
+            parent.write_text("")
+            reason = f"{parent} is not a directory"
+        else:
+            parent = tmp_path
+            monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+            reason = f"permission denied on {parent}"
+        out = parent / "x"
+        assert main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: cannot write {out}: {reason}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,name", [
+        (["gap-solve"], "results.csv"),
+        (["twopoint", "--n", "4", "--sites", "2", "--samples", "20"],
+         "twopoint.csv"),
+    ])
+    def test_unwritable_output_file_exits_2(self, tmp_path, capsys, argv,
+                                            name):
+        (tmp_path / name).mkdir()
+        assert main(argv + ["--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: cannot write {tmp_path / name}: "
+                       "Is a directory"]
+
     @pytest.mark.parametrize("argv", [["--help"], ["twopoint", "--help"]])
     def test_help_exits_0(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -230,6 +276,25 @@ class TestExitCodes:
                             cli._table_command(red))
         assert main(["gap-solve", "--out", str(tmp_path)]) \
             == cli.EXIT_CHECK
+
+
+def test_small_setup_draws_once_through_the_cached_root(monkeypatch):
+    # criteria 04, 05 and 09 each read one draw tau = R z of C0 at the
+    # config's seed, R the PSD root of C0's kernel entries, formed once
+    covariance._assembly_cached.cache_clear()
+    formed = []
+    real = covariance.gaussian_root
+    monkeypatch.setattr(covariance, "gaussian_root",
+                        lambda mat: formed.append(mat.shape) or real(mat))
+    cfg = RunConfig(seed=5)
+    for scale in (1.0, 0.4, 0.4):
+        params, geo, fld = cli._small_setup(cfg, scale)
+    assert formed == [(144, 144)]
+    c0 = covariance.build_C0(params, geo, cfg.cutoff())
+    root = real(c0.weighted / c0.site_weight)
+    z = np.random.default_rng(5).standard_normal((1, 144))
+    assert isinstance(fld, FieldConfig) and fld.tau.shape == (12, 12)
+    assert np.array_equal(fld.tau.reshape(1, -1), 0.4 * (z @ root.T))
 
 
 class TestCriterion11Rows:
@@ -572,6 +637,31 @@ class TestSubcommands:
         # one solve each, whatever arguments each criterion passes
         roots = quick_battery[2]
         assert len(roots) == len(set(roots)) == 2
+
+    def test_accept_all_quick_matches_the_reference(self, quick_battery):
+        """Each row against the committed run at the default config: the
+        hash line and every column but value and runtime_ms exactly, and
+        value to 1e-8 relative, or below 1e-2 |bound| where the committed
+        value is (a rounding-level residual).  A change that moves a row
+        updates the file and says why; the tolerances stay."""
+        _, body, _ = quick_battery
+        ref = REFERENCE_QUICK.read_text().splitlines()
+        assert body[0] == ref[0]
+        got, want = (list(csv.DictReader(lines[1:])) for lines in (body, ref))
+        assert [r["check_id"] for r in got] == [r["check_id"] for r in want]
+        for g, w in zip(got, want):
+            for key in ("module", "reference", "bound", "passed"):
+                assert g[key] == w[key], (w["check_id"], key)
+            value, committed = float(g["value"]), float(w["value"])
+            try:
+                floor = 1e-2 * abs(float(w["bound"]))
+            except ValueError:  # the bracketed bound of a range
+                floor = 0.0
+            if abs(committed) < floor:
+                assert abs(value) < floor, w["check_id"]
+            else:
+                assert abs(value - committed) <= 1e-8 * abs(committed), \
+                    (w["check_id"], value, committed)
 
     def test_accept_all_quick(self, quick_battery):
         code, body, _ = quick_battery

@@ -18,14 +18,15 @@ from sigmagap.covariance import (
     component_log_z,
     compute_Zgamma,
     damping_report,
+    c0_root,
     padded_geometry,
-    sample_gaussian,
     single_square_normalization,
 )
 from sigmagap.kernels import CutoffSpec
 from sigmagap.model import derive_params
-from sigmagap.operators import (DiscretizedOperator, build_A, log_det_n,
-                                log_det_n_matrix, propagator_matrix)
+from sigmagap.operators import (DiscretizedOperator, build_A, gaussian_root,
+                                log_det_n, log_det_n_matrix,
+                                propagator_matrix)
 from sigmagap.regions import (
     FieldConfig,
     LatticeGeometry,
@@ -35,6 +36,11 @@ from sigmagap.regions import (
 
 LAM, BIGK, BIGN = 32.0, 1.0, 10 ** 6
 CUT = CutoffSpec(c=1.0)
+
+
+def kernel(op):
+    """The kernel values of a DiscretizedOperator: weighted / w."""
+    return op.weighted / op.site_weight
 
 
 def make_params(bigN=BIGN, corridor=2.0, lam=LAM, bigK=BIGK):
@@ -178,17 +184,18 @@ class TestBuildC0:
     def test_symmetry(self):
         params = make_params()
         geo = LatticeGeometry(n=2, sites_per_square=3)
-        mat = build_C0(params, geo, CUT).matrix
+        mat = kernel(build_C0(params, geo, CUT))
         assert np.abs(mat - mat.T).max() < 1e-12
 
     def test_kernel_matrix_is_the_assembly_over_w(self):
-        # the sampler draws from .matrix: it must keep the bits of c0_w / w
+        # c0_root draws from c0_w / w: build_C0's kernel values must keep
+        # those bits
         params = make_params()
         geo = LatticeGeometry(n=2, sites_per_square=3)
         asm = covariance._assembly(params, geo, CUT, pad=0)
         c0 = build_C0(params, geo, CUT)
         assert c0.weighted is asm.c0_w
-        np.testing.assert_array_equal(c0.matrix, asm.c0_w / asm.w)
+        np.testing.assert_array_equal(kernel(c0), asm.c0_w / asm.w)
 
     def test_c0_alone_forms_no_inverse(self):
         # U^{-1}, the splitting identity's fixed term and the C0 root are
@@ -202,7 +209,7 @@ class TestBuildC0:
         assert not lazy & set(vars(asm))
         root = covariance.c0_root(params, geo, CUT)
         assert lazy & set(vars(asm)) == {"c0_root"}
-        assert np.array_equal(root, covariance.gaussian_root(c0.matrix))
+        assert np.array_equal(root, covariance.gaussian_root(kernel(c0)))
 
     def test_exponential_decay_fitted(self):
         # |C0(x,y)| <= O(1) e^{-2m|x-y|}; the fitted constant must be
@@ -217,7 +224,7 @@ class TestBuildC0:
             r = np.hypot(diff[..., 0], diff[..., 1])
             mask = r >= 1.0
             fitted[s] = float(
-                (np.abs(c0.matrix) * np.exp(2 * params.m * r))[mask].max())
+                (np.abs(kernel(c0)) * np.exp(2 * params.m * r))[mask].max())
         assert fitted[3] < 2.0
         assert 1 / 3 < fitted[4] / fitted[3] < 3
 
@@ -277,7 +284,7 @@ class TestBuildCgamma:
         assign = classify_squares(fld, params, geo)
         regions = build_regions(assign, geo, corridorM=params.corridorM)
         covset = build_Cgamma(params, geo, CUT, regions, pad=2)
-        assert np.abs(covset.Cgamma.matrix - covset.C0.matrix).max() < 1e-10
+        assert np.abs(kernel(covset.Cgamma) - kernel(covset.C0)).max() < 1e-10
         assert len(covset.component_corrections) == 0
 
     def test_routes_agree(self):
@@ -409,7 +416,7 @@ class TestBuildCgamma:
             covset = build_Cgamma(params, geo, CUT, regions, pad=2,
                                   routes="direct")
             d = site_gamma_distance(covset.grid, regions)
-            env = (np.abs(covset.Cgamma_correction.matrix)
+            env = (np.abs(kernel(covset.Cgamma_correction))
                    * np.exp(2 * params.m * (d[:, None] + d[None, :])))
             fitted[s] = float(env.max()) / params.bigN ** 0.4
         assert fitted[3] < 0.2
@@ -434,7 +441,7 @@ class TestBuildCgamma:
             outside = (grid.site_mask(geo.squares)
                        & ~grid.site_mask(regions.big_gamma))
             assert outside.sum() > 0
-            sup = np.abs(covset.Cgamma_correction.matrix[
+            sup = np.abs(kernel(covset.Cgamma_correction)[
                 np.ix_(outside, outside)]).max()
             fitted[bigN] = float(sup) / bigN ** (-18 / 5)
         assert fitted[4] < 0.1
@@ -823,6 +830,12 @@ class TestDeltaC:
         assert np.abs(dc.d4_lambda).max() == 0.0
 
 
+def draws(root, seed, count):
+    """count Gaussian draws tau = root z, z from default_rng(seed)."""
+    z = np.random.default_rng(seed).standard_normal((count, len(root)))
+    return z @ root.T
+
+
 class TestSampling:
     def test_identity_covariance_unit_variance(self):
         geo = LatticeGeometry(n=1, sites_per_square=3)
@@ -830,8 +843,8 @@ class TestSampling:
         w = geo.site_weight
         ident = DiscretizedOperator(np.eye(nsite), w)
         n = 20000
-        draws = np.array(sample_gaussian(ident, seed=3, count=n))
-        scaled = draws * np.sqrt(geo.site_weight)
+        taus = draws(gaussian_root(kernel(ident)), 3, n)
+        scaled = taus * np.sqrt(geo.site_weight)
         var = scaled.var(axis=0)
         se = np.sqrt(2.0 / n)
         assert np.abs(var - 1.0).max() < 5 * se
@@ -841,21 +854,21 @@ class TestSampling:
         geo = LatticeGeometry(n=1, sites_per_square=3)
         c0 = build_C0(params, geo, CUT)
         n = 20000
-        draws = np.array(sample_gaussian(c0, seed=4, count=n))
-        emp = draws.T @ draws / n
-        target = c0.matrix
+        taus = draws(c0_root(params, geo, CUT), 4, n)
+        emp = taus.T @ taus / n
+        target = kernel(c0)
         se = np.sqrt((np.outer(np.diag(target), np.diag(target))
                       + target ** 2) / n)
         assert np.all(np.abs(emp - target) < 5 * se + 1e-12)
 
     def test_deterministic(self):
+        # the root formed afresh gives the same draws bit for bit
         params = make_params()
         geo = LatticeGeometry(n=1, sites_per_square=3)
-        c0 = build_C0(params, geo, CUT)
-        a = sample_gaussian(c0, seed=11, count=3)
-        b = sample_gaussian(c0, seed=11, count=3)
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
+        a = draws(c0_root(params, geo, CUT), 11, 3)
+        covariance._assembly_cached.cache_clear()
+        b = draws(c0_root(params, geo, CUT), 11, 3)
+        assert np.array_equal(a, b)
 
     def test_draws_keep_their_values_under_rounding_of_the_covariance(self):
         # C0's lattice symmetries make its spectrum degenerate: a root
@@ -868,17 +881,9 @@ class TestSampling:
         bumped = DiscretizedOperator(
             c0.weighted * (1.0 + 1e-15 * (noise + noise.T)), c0.site_weight)
         assert 0 < np.abs(bumped.weighted - c0.weighted).max() <= 1e-14
-        a = np.array(sample_gaussian(c0, seed=7, count=4))
-        b = np.array(sample_gaussian(bumped, seed=7, count=4))
+        a = draws(c0_root(params, geo, CUT), 7, 4)
+        b = draws(gaussian_root(kernel(bumped)), 7, 4)
         assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
-
-    def test_field_config_wrapping(self):
-        params = make_params()
-        geo = LatticeGeometry(n=1, sites_per_square=3)
-        c0 = build_C0(params, geo, CUT)
-        fields = sample_gaussian(c0, seed=2, count=2, geometry=geo)
-        assert all(isinstance(f, FieldConfig) for f in fields)
-        assert fields[0].tau.shape == (6, 6)
 
 
 class TestDampingBound:
@@ -1135,14 +1140,12 @@ class TestSquareNormalization:
     @pytest.mark.parametrize("bigN,samples", [(10 ** 4, 1200), (10 ** 6, 800)])
     def test_close_to_one(self, bigN, samples):
         params = derive_params(1.0, 1.0, bigN, corridor_override=2.0)
-        sn = single_square_normalization(params, CUT, sites_per_square=3,
-                                         samples=samples, seed=5)
-        assert abs(sn.value - 1.0) <= bigN ** (-0.2)
+        value = single_square_normalization(params, CUT, samples=samples,
+                                            seed=5)
+        assert abs(value - 1.0) <= bigN ** (-0.2)
 
     def test_deterministic(self):
         params = derive_params(1.0, 1.0, 10 ** 4, corridor_override=2.0)
-        a = single_square_normalization(params, CUT, sites_per_square=3,
-                                        samples=200, seed=9)
-        b = single_square_normalization(params, CUT, sites_per_square=3,
-                                        samples=200, seed=9)
-        assert a.value == b.value
+        a = single_square_normalization(params, CUT, samples=200, seed=9)
+        b = single_square_normalization(params, CUT, samples=200, seed=9)
+        assert a == b

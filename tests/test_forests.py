@@ -333,7 +333,7 @@ class TestMayerTreeFormula:
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     def test_complete_graph(self, q):
         direct = mayer_connectivity(complete_pairs(q), q)
-        tree = mayer_tree_formula(complete_pairs(q), q)
+        tree = mayer_tree_formula(complete_pairs(q), q, 12)
         assert abs(tree - direct) < 1e-6
 
     @pytest.mark.parametrize("pairs,q", [
@@ -345,12 +345,12 @@ class TestMayerTreeFormula:
     ])
     def test_sparse_graphs(self, pairs, q):
         direct = mayer_connectivity(pairs, q)
-        tree = mayer_tree_formula(pairs, q)
+        tree = mayer_tree_formula(pairs, q, 12)
         assert abs(tree - direct) < 1e-6
 
     def test_guard(self):
         with pytest.raises(ValueError):
-            mayer_tree_formula(complete_pairs(7), 7)
+            mayer_tree_formula(complete_pairs(7), 7, 12)
 
 
 class TestActivitySum:

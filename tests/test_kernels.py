@@ -13,7 +13,8 @@ from scipy.special import j0
 
 from sigmagap import kernels
 from sigmagap.model import ModelParams
-from sigmagap.kernels import (CutoffSpec, cutoff_enforced_values,
+from sigmagap.kernels import (CUTOFF_ALPHA, CUTOFF_BIGA, CutoffSpec,
+                              cutoff_enforced_values,
                               cutoff_inverse_values, cutoff_momentum_integral,
                               fit_decay_rate, polarization_kernel,
                               polarization_momentum,
@@ -102,9 +103,8 @@ def test_propagator_kernel_positive_and_symmetric():
     assert (k.values > 0).all()
     assert np.allclose(k.values, k.values[::-1, :], rtol=1e-12)
     assert np.allclose(k.values, k.values.T, rtol=1e-12)
-    assert k.sup_norm == k.values.max()
     n = k.values.shape[0] // 2
-    assert k.values[n, n] == k.sup_norm  # max at origin
+    assert k.values[n, n] == k.values.max()  # max at origin
 
 
 @pytest.mark.parametrize("n,per_unit", [(5, 3), (12, 8.0)])
@@ -161,17 +161,18 @@ def test_unregulated_bubble_analytic():
 def test_regulated_bubble_prefactor():
     # pi(0) = C_pi * lam K/(8 pi m^2) with C_pi close to 1
     p = params_for(0.1)
-    C = polarization_momentum(0.0, p) * 8 * np.pi * p.m ** 2 / (p.lam * p.bigK)
+    C = (polarization_momentum(0.0, p, False) * 8 * np.pi * p.m ** 2
+         / (p.lam * p.bigK))
     assert 0.8 < C < 1.2
     assert C == pytest.approx(0.94025520, rel=1e-6)  # frozen measurement
 
 
 def test_bubble_momentum_decreasing():
     p = params_for(0.1)
-    pi0 = polarization_momentum(0.0, p)
+    pi0 = polarization_momentum(0.0, p, False)
     prev = pi0
     for p2 in (0.01, 0.04, 0.25, 1.0, 4.0):
-        cur = polarization_momentum(p2, p)
+        cur = polarization_momentum(p2, p, False)
         assert cur < prev
         assert cur < pi0
         prev = cur
@@ -181,7 +182,7 @@ def test_bubble_dual_routes_agree():
     # direct 2D momentum quadrature vs Hankel transform of F^2
     p = params_for(0.1)
     for p2 in (0.0, 0.04, 0.25, 1.0):
-        direct = polarization_momentum(p2, p)
+        direct = polarization_momentum(p2, p, False)
         table = polarization_momentum_table(p, [np.sqrt(p2)])[0]
         assert table == pytest.approx(direct, rel=1e-8)
 
@@ -215,7 +216,7 @@ def test_bubble_operator_inequality():
     M = grid[off[:, None, :, None], off[None, :, None, :]] \
         .reshape(625, 625) * 0.0625
     ev = np.linalg.eigvalsh(M)
-    pi0 = polarization_momentum(0.0, p)
+    pi0 = polarization_momentum(0.0, p, False)
     assert ev.min() > -1e-10
     assert ev.max() < pi0 + 1e-10
 
@@ -299,7 +300,11 @@ def test_cutoff_momentum_power_bound():
 
 def test_cutoff_spec_validation():
     with pytest.raises(ValueError):
-        CutoffSpec(c=5.0, alpha=0.5, bigA=2.0)
+        CutoffSpec(c=5.0)
+    for c in (CUTOFF_ALPHA, CUTOFF_BIGA):  # the range is closed
+        CutoffSpec(c=c)
+    with pytest.raises(ValueError, match="alpha <= c <= bigA"):
+        CutoffSpec(c=0.99 * CUTOFF_ALPHA)
 
 
 @settings(max_examples=30, deadline=None)
@@ -308,6 +313,7 @@ def test_cutoff_spec_validation():
 def test_fit_recovers_synthetic_rate(rate, rho):
     r = np.linspace(0.5, 12.0 / rate, 400)
     v = r ** (-rho) * np.exp(-rate * r)
-    got, resid = fit_decay_rate(r, v, prefactor_power=rho)
+    got, resid = fit_decay_rate(r, v, prefactor_power=rho,
+                                 z_window=(2.0, 7.0))
     assert got == pytest.approx(rate, rel=1e-6)
     assert resid < 1e-8

@@ -113,5 +113,6 @@ def test_params_validation():
 def test_gap_lhs_decreasing_and_root_brackets(lam):
     m2 = solve_gap_equation(lam, 1.0, "exponential")
     # left side decreasing in m^2 around the root
-    assert gap_lhs(0.5 * m2) > gap_lhs(m2) > gap_lhs(2.0 * m2)
+    assert (gap_lhs(0.5 * m2, "exponential") > gap_lhs(m2, "exponential")
+            > gap_lhs(2.0 * m2, "exponential"))
     assert 0 < m2 < 1

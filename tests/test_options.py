@@ -2,16 +2,26 @@
 
 Options: every parameter of a sigmagap function is read by its body, and
 every defaulted parameter is set by at least one call in ``src`` or
-``perfbench``, so no option exists for the tests alone.  Callers: every
+``perfbench``, so no option exists for the tests alone.  Its mirror image
+has two rules.  Rule A: no defaulted parameter is set by every program
+call, so no default is taken by the tests alone; such a parameter becomes
+required, or a constant.  Rule B: every defaulted dataclass field is set
+by at least one program construction (by the class's name, ``cls(...)``
+in its body, or ``dataclasses.replace``); a field no program sets becomes
+a constant or ``init=False``.  The count of defaulted parameters is
+recorded (DEFAULTED_PARAMETERS): a change that adds an option raises it
+and names the two callers that need different values.  Callers: every
 public function, method and property is named somewhere in ``src`` or
 ``perfbench`` outside its own body, so no src code is kept alive by its
 own test alone.
 
 The source of ``src/sigmagap`` is parsed with ``ast``; calls are collected
 from ``src`` and ``perfbench`` (a call in ``tests`` does not count) and
-matched to definitions by name.  A call sets a parameter when it passes it
-by keyword, by position, or as a key of a ``**`` dict literal (directly,
-or through a loop variable that runs over dict literals).
+matched to definitions by name.  A call sets a parameter or field when it
+passes it by keyword, by position, or as a key of a ``**`` dict literal
+(directly, or through a loop variable that runs over dict literals).  A
+``*`` argument counts as every position and any other ``**`` argument as
+every name, so ``RunConfig(**values)`` sets every field.
 
 Determinants: ``slogdet`` is named in ``src/sigmagap`` only by
 ``operators.log_det_n_matrix``, the one matrix route of log det_n, and by
@@ -38,6 +48,7 @@ with ``np.trace``, passes unseen.
 
 import ast
 import collections
+import math
 import pathlib
 import re
 import sys
@@ -168,7 +179,10 @@ def _dict_keys(node):
 
 def _calls():
     """callee name -> list of (positional count, keyword names) over the
-    calls in src and perfbench."""
+    calls in src and perfbench.  A ``*`` argument counts as every
+    position, and a ``**`` argument whose keys are unknown makes the
+    keyword names None, every name; ``cls(...)`` in a class body counts
+    as a call of the class."""
     calls = {}
     for root in USER_DIRS:
         for path in sorted(root.rglob("*.py")):
@@ -184,25 +198,44 @@ def _calls():
                     keys = set().union(*(_dict_keys(e)
                                          for e in node.iter.elts))
                     loop_keys.setdefault(node.target.id, set()).update(keys)
+            owners = {}  # call node -> name of the innermost enclosing class
+            for cls in ast.walk(tree):
+                if isinstance(cls, ast.ClassDef):
+                    owners.update((node, cls.name) for node in ast.walk(cls))
             for node in ast.walk(tree):
                 if not isinstance(node, ast.Call):
                     continue
                 func = node.func
                 name = (func.id if isinstance(func, ast.Name) else
                         func.attr if isinstance(func, ast.Attribute) else None)
+                if name == "cls" and node in owners:
+                    name = owners[node]
                 if name is None:
                     continue
-                npos = sum(not isinstance(a, ast.Starred) for a in node.args)
+                npos = (math.inf if any(isinstance(a, ast.Starred)
+                                        for a in node.args)
+                        else len(node.args))
                 kws = set()
                 for kw in node.keywords:
                     if kw.arg is not None:
                         kws.add(kw.arg)
                     elif isinstance(kw.value, ast.Dict):
                         kws |= _dict_keys(kw.value)
-                    elif isinstance(kw.value, ast.Name):
-                        kws |= loop_keys.get(kw.value.id, set())
+                    elif (isinstance(kw.value, ast.Name)
+                          and kw.value.id in loop_keys):
+                        kws |= loop_keys[kw.value.id]
+                    else:
+                        kws = None
+                        break
                 calls.setdefault(name, []).append((npos, kws))
     return calls
+
+
+def _passes(call, name, pos):
+    """Whether a (positional count, keyword names) call sets the
+    parameter or field name at position pos (None: keyword only)."""
+    npos, kws = call
+    return kws is None or name in kws or (pos is not None and npos > pos)
 
 
 def _reads(fn, name):
@@ -221,8 +254,9 @@ def unread_parameters():
 
 
 def defaulted_parameters():
-    """[(module, qualname, parameter, set by some src or perfbench call)]
-    over src/sigmagap."""
+    """[(module, qualname, parameter, its position in a call or None,
+    the src and perfbench calls of the function)] over the defaulted
+    parameters of src/sigmagap."""
     calls = _calls()
     out = []
     for module, qual, fn, offset in _definitions():
@@ -231,20 +265,103 @@ def defaulted_parameters():
         for name in _defaulted(fn):
             pos = positional.index(name) - offset if name in positional \
                 else None
-            used = any(name in kws or (pos is not None and npos > pos)
-                       for npos, kws in calls.get(short, ()))
-            out.append((module, qual, name, used))
+            out.append((module, qual, name, pos, calls.get(short, [])))
     return out
+
+
+def unset_defaults():
+    """Defaulted parameters that no program call sets."""
+    return [(m, q, p) for m, q, p, pos, sites in defaulted_parameters()
+            if not any(_passes(c, p, pos) for c in sites)]
+
+
+def always_set_defaults():
+    """Rule A: defaulted parameters that every program call sets, so only
+    the tests take the default."""
+    return [(m, q, p) for m, q, p, pos, sites in defaulted_parameters()
+            if sites and all(_passes(c, p, pos) for c in sites)]
+
+
+def _is_dataclass_decorator(node):
+    node = node.func if isinstance(node, ast.Call) else node
+    return (isinstance(node, ast.Name) and node.id == "dataclass"
+            or isinstance(node, ast.Attribute) and node.attr == "dataclass")
+
+
+def _field_call(value):
+    """The dataclasses.field(...) call of a field's value, else None."""
+    if isinstance(value, ast.Call):
+        func = value.func
+        name = (func.id if isinstance(func, ast.Name) else
+                getattr(func, "attr", None))
+        if name == "field":
+            return value
+    return None
+
+
+def dataclass_fields():
+    """[(module, class, field, position, defaulted)] over the __init__
+    fields of the dataclasses in src/sigmagap."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(_parse(path)):
+            if not (isinstance(cls, ast.ClassDef) and any(
+                    map(_is_dataclass_decorator, cls.decorator_list))):
+                continue
+            pos = 0
+            for stmt in cls.body:
+                if not (isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)) \
+                        or "ClassVar" in ast.unparse(stmt.annotation):
+                    continue
+                call = _field_call(stmt.value)
+                kws = {kw.arg: kw.value for kw in getattr(call, "keywords",
+                                                          ())}
+                init = kws.get("init")
+                if isinstance(init, ast.Constant) and init.value is False:
+                    continue
+                defaulted = stmt.value is not None and (
+                    call is None or "default" in kws
+                    or "default_factory" in kws)
+                out.append((path.stem, cls.name, stmt.target.id, pos,
+                            defaulted))
+                pos += 1
+    return out
+
+
+def unset_fields():
+    """Rule B: defaulted dataclass fields that no program construction
+    sets, by the class's name, by cls(...) or by dataclasses.replace."""
+    calls = _calls()
+    replaced = [(0, kws) for _, kws in calls.get("replace", [])]
+    return [(m, cls, name) for m, cls, name, pos, defaulted
+            in dataclass_fields()
+            if defaulted and not any(_passes(c, name, pos) for c in
+                                     calls.get(cls, []) + replaced)]
+
+
+# (module, qualname, parameter) -> why every program call may set it
+ALLOWED_ALWAYS_SET = {
+    ("regions", "classify_squares", "geometry"):
+        "perfbench/worker.py passes it by position, always the field's "
+        "geometry; to be deleted, not made required, once perfbench may "
+        "change",
+    ("regions", "build_regions", "geometry"):
+        "perfbench/worker.py passes it by position, always the "
+        "assignment's geometry; to be deleted, not made required, once "
+        "perfbench may change",
+}
+
+# (module, class, field) -> why no program construction sets it
+ALLOWED_UNSET_FIELDS = {}
+
+# defaulted parameters in src/sigmagap (the ratchet: it may only fall)
+DEFAULTED_PARAMETERS = 16
 
 
 def test_every_parameter_is_read():
     unread = [u for u in unread_parameters() if u not in ALLOWED_UNREAD]
     assert not unread, f"parameters their function never reads: {unread}"
-
-
-def unset_defaults():
-    return [(m, q, p) for m, q, p, used in defaulted_parameters()
-            if not used]
 
 
 def test_every_default_is_set_by_a_caller():
@@ -255,6 +372,37 @@ def test_every_default_is_set_by_a_caller():
 def test_allowlist_is_current():
     """An allowlist entry whose finding is gone must be dropped."""
     assert set(ALLOWED_UNREAD) <= set(unread_parameters())
+
+
+def test_no_default_only_the_tests_take():
+    """Rule A."""
+    found = [d for d in always_set_defaults() if d not in ALLOWED_ALWAYS_SET]
+    assert not found, f"defaulted parameters every program call sets: {found}"
+
+
+def test_always_set_allowlist_is_current():
+    assert set(ALLOWED_ALWAYS_SET) <= set(always_set_defaults())
+
+
+def test_every_field_default_is_set_by_a_construction():
+    """Rule B."""
+    found = [f for f in unset_fields() if f not in ALLOWED_UNSET_FIELDS]
+    assert not found, f"dataclass defaults no program construction sets: " \
+        f"{found}"
+
+
+def test_unset_field_allowlist_is_current():
+    assert set(ALLOWED_UNSET_FIELDS) <= set(unset_fields())
+
+
+def test_defaulted_parameter_count_does_not_grow():
+    count = len(defaulted_parameters())
+    assert count <= DEFAULTED_PARAMETERS, (
+        f"{count} defaulted parameters, {DEFAULTED_PARAMETERS} on record: a "
+        "new option raises the record and names the two program callers "
+        "that need different values")
+    assert count == DEFAULTED_PARAMETERS, (
+        f"lower DEFAULTED_PARAMETERS to {count}")
 
 
 def test_every_definition_has_a_caller():
@@ -271,32 +419,60 @@ def test_test_only_allowlist_is_current():
 
 def test_audits_report_test_only_uses(tmp_path, monkeypatch):
     """Negative control on a toy tree: a default that only a test file
-    sets, and a property whose name only a local variable shares, are
-    both reported."""
+    sets, a default that only a test file takes, a dataclass default
+    that only a test file sets, and a property whose name only a local
+    variable shares, are each reported; a field set through replace or
+    an unread ** mapping, and an init=False field, are not."""
     src, bench, tests = (tmp_path / "src" / "sigmagap",
                          tmp_path / "perfbench", tmp_path / "tests")
     files = {
         src / "toy.py": """
+            import dataclasses
+
+
             class Box:
                 @property
                 def side(self):
                     return 2.0
 
 
+            @dataclasses.dataclass
+            class Crate:
+                width: float
+                depth: float = 1.0
+                height: float = 1.0
+                label: str = dataclasses.field(default="", init=False)
+
+
+            @dataclasses.dataclass
+            class Shelf:
+                rows: int = 1
+
+
             def area(side, scale=1.0):
                 return scale * side * side
+
+
+            def volume(side, depth=1.0):
+                return side * side * depth
             """,
         bench / "run.py": """
-            from sigmagap.toy import area
+            import dataclasses
 
-            print(area(3.0))
+            from sigmagap.toy import Crate, Shelf, area, volume
+
+            values = {"rows": 2}
+            print(area(3.0), volume(3.0, 2.0), volume(1.0, depth=0.5))
+            print(dataclasses.replace(Crate(1.0), depth=2.0), Shelf(**values))
             """,
         tests / "test_toy.py": """
-            from sigmagap.toy import Box, area
+            from sigmagap.toy import Box, Crate, area, volume
 
 
             def test_area():
                 assert area(Box().side, scale=2.0) == 8.0
+                assert volume(2.0) == 4.0
+                assert Crate(1.0, height=2.0).height == 2.0
             """,
     }
     for path, text in files.items():
@@ -306,6 +482,8 @@ def test_audits_report_test_only_uses(tmp_path, monkeypatch):
     monkeypatch.setattr(audit, "SRC", src)
     monkeypatch.setattr(audit, "USER_DIRS", (src, bench))
     assert unset_defaults() == [("toy", "area", "scale")]
+    assert always_set_defaults() == [("toy", "volume", "depth")]
+    assert unset_fields() == [("toy", "Crate", "height")]
     assert uncalled_definitions() == [("toy", "Box.side")]
 
 

@@ -13,7 +13,7 @@ from scipy.linalg import lapack
 
 from sigmagap import twopoint
 from sigmagap.covariance import (_assembly_cached, build_C0, c0_root,
-                                 gaussian_root, sample_gaussian)
+                                 gaussian_root)
 from sigmagap.kernels import CutoffSpec, propagator_values
 from sigmagap.model import derive_params, leading_mass
 from sigmagap.operators import (build_A, log_det_n, propagator_factor,
@@ -22,7 +22,6 @@ from sigmagap.regions import FieldConfig, LatticeGeometry
 from sigmagap.twopoint import (
     SignProblemError,
     _sample_on_range,
-    default_geometry,
     default_separations,
     estimate_S2,
     fit_window,
@@ -45,8 +44,10 @@ def free_params(lam=1.0, bigN=10 ** 4):
 
 
 def random_field(params, seed, geometry=GEO, scale=1.0):
-    cov = build_C0(params, geometry, CUT)
-    fld = sample_gaussian(cov, seed=seed, count=1, geometry=geometry)[0]
+    root = c0_root(params, geometry, CUT)
+    tau = np.random.default_rng(seed).standard_normal((1, len(root))) @ root.T
+    side = geometry.sites_per_side
+    fld = FieldConfig.from_tau(geometry, tau.reshape(side, side))
     if scale != 1.0:
         fld = FieldConfig.from_tau(geometry, scale * fld.tau)
     return fld
@@ -209,25 +210,25 @@ class TestMassMatching:
     def test_recovers_known_mass_from_exact_kernel(self, m):
         seps = np.array([2.0, 2.25, 2.5])
         vals = propagator_values(m ** 2, seps)
-        mass, se, r2, _ = match_decay_mass(seps, vals)
+        mass, se, r2, _ = match_decay_mass(seps, vals, None)
         assert abs(mass - m) < 1e-8
         assert se == 0.0
 
     def test_rejects_impossible_slope(self):
         seps = np.array([2.0, 2.5])
         with pytest.raises(ArithmeticError):
-            match_decay_mass(seps, np.array([1.0, 2.0]))  # growing
+            match_decay_mass(seps, np.array([1.0, 2.0]), None)  # growing
 
     def test_rejects_nonpositive_values(self):
         with pytest.raises(ArithmeticError):
             match_decay_mass(np.array([2.0, 2.5]),
-                             np.array([1.0, -0.5]))
+                             np.array([1.0, -0.5]), None)
 
 
 class TestEstimateS2:
     def test_free_case_is_exact_propagator(self):
         params = free_params()
-        res = estimate_S2(params, geometry=GEO, n_samples=40)
+        res = estimate_S2(params, geometry=GEO, seed=0, n_samples=40)
         f = propagator_values(params.m ** 2, res.separations)
         assert np.abs(res.estimates.real - f).max() < 1e-9
         assert abs(res.fitted_mprime / params.m - 1.0) < 1e-4
@@ -271,7 +272,7 @@ class TestEstimateS2:
     def test_batch_floor(self):
         params = make_params()
         with pytest.raises(ValueError):
-            estimate_S2(params, geometry=GEO, n_samples=10)
+            estimate_S2(params, geometry=GEO, seed=0, n_samples=10)
 
     @pytest.mark.parametrize("separations", [(-3.0, 2.0, 2.5),
                                              (2.0, 2.1, 2.5)])
@@ -282,7 +283,7 @@ class TestEstimateS2:
             raise AssertionError("sampling started")
         monkeypatch.setattr(twopoint, "c0_root", no_draws)
         with pytest.raises(ValueError, match="multiples of the site spacing"):
-            estimate_S2(make_params(), geometry=GEO, n_samples=20,
+            estimate_S2(make_params(), geometry=GEO, seed=0, n_samples=20,
                         separations=separations)
 
     def test_short_fit_window_rejected_before_sampling(self, monkeypatch):
@@ -292,16 +293,16 @@ class TestEstimateS2:
         monkeypatch.setattr(twopoint, "c0_root", no_draws)
         geo = LatticeGeometry(n=3, sites_per_square=2)
         with pytest.raises(ValueError, match=r"fit window \[2, 2\] holds 1"):
-            estimate_S2(make_params(), geometry=geo, n_samples=20)
+            estimate_S2(make_params(), geometry=geo, seed=0, n_samples=20)
 
     def test_sign_problem_abort(self):
         params = make_params()
         with pytest.raises(SignProblemError):
-            estimate_S2(params, geometry=GEO, n_samples=40,
+            estimate_S2(params, geometry=GEO, seed=0, n_samples=40,
                         phase_floor=1.5)
 
-    def test_default_geometry_and_window(self):
-        geo = default_geometry()
+    def test_window_and_separations_of_1024_sites(self):
+        geo = LatticeGeometry(n=4, sites_per_square=4)
         assert geo.sites_per_side ** 2 == 1024
         lo, hi = fit_window(geo)
         assert lo == 2.0 and abs(hi - 8.0 / 3.0) < 1e-15
@@ -612,8 +613,9 @@ class TestC0RootCache:
     def test_root_is_build_C0_root_and_read_only(self):
         params = make_params()
         root = c0_root(params, GEO, CUT)
-        assert np.array_equal(root, gaussian_root(
-            build_C0(params, GEO, CUT).matrix))
+        c0 = build_C0(params, GEO, CUT)
+        assert np.array_equal(root, gaussian_root(c0.weighted
+                                                  / c0.site_weight))
         assert not root.flags.writeable
 
     def test_second_call_hits_with_identical_estimates(self):
@@ -646,7 +648,7 @@ class TestMassScan:
     def test_free_scan_monotone_and_exact(self):
         rows, excess = mass_vs_N_scan(
             [free_params(bigN=n) for n in (10 ** 3, 10 ** 4)], CUT,
-            geometry=GEO, n_samples=40)
+            geometry=GEO, seed=0, n_samples=40)
         for row in rows:
             assert row["deviation"] < 0.05
         assert len(excess) == 1 and excess[0] <= 0.0
@@ -666,7 +668,8 @@ class TestMassScan:
         # by 9e-3 and 9e-2 against a slack of 2 * sqrt(2) * 1e-3
         monkeypatch.setattr(twopoint, "estimate_S2", drifting_fit(1e-6))
         _, excess = mass_vs_N_scan(
-            [make_params(bigN=n) for n in (10 ** 3, 10 ** 4, 10 ** 5)], CUT)
+            [make_params(bigN=n) for n in (10 ** 3, 10 ** 4, 10 ** 5)], CUT,
+            geometry=None, seed=0, n_samples=1000)
         slack = twopoint.SCAN_SIGMA_SLACK * np.sqrt(2.0) * 1e-3
         np.testing.assert_allclose(excess, [9e-3 - slack, 9e-2 - slack],
                                    rtol=1e-9)
@@ -676,7 +679,7 @@ class TestMassScan:
         # gap-equation prediction
         fits = {}
         for lam in (0.8, 1.0):
-            res = estimate_S2(free_params(lam=lam), geometry=GEO,
+            res = estimate_S2(free_params(lam=lam), geometry=GEO, seed=0,
                               n_samples=40)
             fits[lam] = res.fitted_mprime
         oracle = np.sqrt(leading_mass(1.0) / leading_mass(0.8))
@@ -691,5 +694,5 @@ class TestNegativeControls:
         geo = LatticeGeometry(n=4, sites_per_square=3)
         params = make_params()
         wrong = dataclasses.replace(params, g=0.0, m=factor * params.m)
-        res = estimate_S2(wrong, geometry=geo, n_samples=100)
+        res = estimate_S2(wrong, geometry=geo, seed=0, n_samples=100)
         assert not abs(res.fitted_mprime / params.m - 1.0) < 0.05
