@@ -27,6 +27,15 @@ gamma-restricted kernel chain (summed by doubling) for C_gamma, and the
 generalized eigenvalues of (C_gamma, C0) per component for Z_gamma; all
 are computed where build_Cgamma runs with routes="both".
 
+Every factorization here is numpy's (np.linalg), none scipy.linalg's.
+numpy and scipy each load their own OpenBLAS, each with its own thread
+pool, and a process whose work alternates between the two pools makes
+their threads contend for the cores: on 2 cores that took about 40% of
+accept-all --profile quick's run after import.  So the parent process's
+linear algebra runs on numpy's pool alone; scipy's BLAS and LAPACK are
+called only in twopoint's per-sample loop, which calls no numpy BLAS and
+runs in one-thread worker processes where it can.
+
 Only that dual-route gate reads C_gamma itself: Z_gamma and the damping
 bound need the gamma block alone.  So a CovarianceSet holds C_gamma by
 its factors: gamma's site index and the Cholesky factor L of
@@ -71,7 +80,6 @@ import dataclasses
 import functools
 
 import numpy as np
-import scipy.linalg
 
 from .kernels import cutoff_enforced_values
 from .operators import (DiscretizedOperator, build_A, gaussian_root,
@@ -90,6 +98,8 @@ FACTOR_TOL = 1e-8
 # sup residual allowed in the small/large splitting identity
 SPLIT_IDENTITY_TOL = 1e-8
 
+_CUTOFF_NOT_PD = "cutoff kernel not positive definite: grid too coarse"
+
 
 # ---------------------------------------------------------------------------
 # grid plumbing
@@ -104,12 +114,24 @@ def padded_geometry(geometry, pad):
 # ---------------------------------------------------------------------------
 # cached kernel assembly
 
-def _cutoff_cholesky(u_w):
+def _cholesky(x, message):
+    """The lower Cholesky factor of x; ArithmeticError(message) when x is
+    not positive definite."""
     try:
-        return scipy.linalg.cho_factor(u_w)
+        return np.linalg.cholesky(x)
     except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(
-            "cutoff kernel not positive definite: grid too coarse") from exc
+        raise ArithmeticError(message) from exc
+
+
+def _cholesky_inverse(chol):
+    """x^{-1} from x's Cholesky factor L by two solves, L^{-T} (L^{-1} 1),
+    as LAPACK's potrs takes them, symmetrized.  Of the numpy routes tried
+    this one rounds closest to potrs.  On criterion 06's 576-site grid it
+    leaves |U^{-1} U - 1|_max = 1.4e-15 and a C_gamma route gap of
+    1.7e-13 (potrs: 1.3e-15 and 1.6e-13); L^{-T} L^{-1} formed from
+    inv(L) leaves 6.7e-15 and 7.8e-13."""
+    xinv = np.linalg.solve(chol.T, np.linalg.inv(chol))
+    return 0.5 * (xinv + xinv.T)
 
 
 @dataclasses.dataclass
@@ -130,9 +152,7 @@ class _Assembly:
 
     @functools.cached_property
     def uinv_w(self):
-        uinv_w = scipy.linalg.cho_solve(_cutoff_cholesky(self.u_w),
-                                        np.eye(self.nsite))
-        return 0.5 * (uinv_w + uinv_w.T)
+        return _cholesky_inverse(_cholesky(self.u_w, _CUTOFF_NOT_PD))
 
     @functools.cached_property
     def split_fixed(self):
@@ -170,7 +190,7 @@ def _assembly_cached(n, sites_per_square, m, lamK, c):
     s_minus = (vec / np.sqrt(ev)) @ vec.T
     # the compact-support kernel of 1/(1+f)
     u_w = radial_site_matrix(geo, lambda r: cutoff_enforced_values(c, r)) * w
-    _cutoff_cholesky(u_w)  # the positivity check, taken eagerly
+    _cholesky(u_w, _CUTOFF_NOT_PD)  # the positivity check, taken eagerly
     c0_w = s_minus @ u_w @ s_minus
     c0_w.flags.writeable = False  # build_C0 hands it out uncopied
     return _Assembly(geo, nsite, w, pi_w, s_plus, s_minus, u_w, c0_w)
@@ -338,13 +358,10 @@ def build_Cgamma(params, geometry, cutoff, regions, pad=2, routes="both"):
     if routes == "both":
         cg_w = covset.Cgamma.weighted
         corr = covset.Cgamma_correction.weighted
-        x = asm.uinv_w - np.diag((1.0 - eps) * gmask)
-        try:
-            cf = scipy.linalg.cho_factor(x)
-        except np.linalg.LinAlgError as exc:
-            raise ArithmeticError("floored quadratic form not PD") from exc
-        minv = scipy.linalg.cho_solve(cf, np.eye(asm.nsite))
-        inv_w = asm.s_minus @ (0.5 * (minv + minv.T)) @ asm.s_minus
+        minv = _cholesky_inverse(_cholesky(
+            asm.uinv_w - np.diag((1.0 - eps) * gmask),
+            "floored quadratic form not PD"))
+        inv_w = asm.s_minus @ minv @ asm.s_minus
         corr_sum = np.zeros_like(cg_w)
         for cmask in covset.component_masks:
             series, terms = _neumann_correction(asm, cmask, eps)
@@ -380,7 +397,11 @@ def compute_Zgamma(covset, regions):
 
     When the set carries the per-component corrections (routes="both"),
     the generalized eigenvalues of (C0 + C^{gamma_i}, C0) give each
-    log Z_{gamma_i} by the independent route.  Each must match its
+    log Z_{gamma_i} by the independent route.  They are reduced as LAPACK's
+    sygv does, by one Cholesky factor C0 = L L^T per call: mu_i are the
+    eigenvalues of L^{-1} (C0 + C^{gamma_i}) L^{-T} = 1 + L^{-1} C^{gamma_i}
+    L^{-T}, taken in the second form so that log mu_i = log1p(mu_i - 1)
+    keeps the small ones' digits.  Each must match its
     component's determinant (component_log_z), and exp of their sum must
     match Z_gamma (the product factorization, exact for the
     compact-support cutoff kernel since distinct components lie further
@@ -394,15 +415,16 @@ def compute_Zgamma(covset, regions):
         raise ArithmeticError(f"Z_gamma = {z} below 1")
 
     if covset.component_corrections:
-        c0_w = covset.C0.weighted
+        linv = np.linalg.inv(_cholesky(covset.C0.weighted,
+                                       "C0 lost positivity"))
         log_parts = []
         for corr, cmask in zip(covset.component_corrections,
                                covset.component_masks):
-            mu_i = scipy.linalg.eigh(c0_w + corr.weighted, c0_w,
-                                     eigvals_only=True)
-            if mu_i.min() <= 0:
+            # mu_i - 1, the eigenvalues of L^{-1} C^{gamma_i} L^{-T}
+            nu_i = np.linalg.eigvalsh(linv @ corr.weighted @ linv.T)
+            if nu_i.min() <= -1.0:
                 raise ArithmeticError("C_gamma/C0 lost positivity")
-            log_i = 0.5 * float(np.sum(np.log(mu_i)))
+            log_i = 0.5 * float(np.sum(np.log1p(nu_i)))
             log_det = component_log_z(covset, cmask)
             if abs(log_i - log_det) > FACTOR_TOL * max(1.0, abs(log_i)):
                 raise ArithmeticError(

@@ -3,6 +3,7 @@
 import types
 
 import pytest
+import scipy.linalg
 
 
 @pytest.fixture
@@ -17,3 +18,24 @@ def drifting_fit():
                 fit_residual=1.0)
         return fit
     return make
+
+
+@pytest.fixture(scope="session")
+def forbid_scipy_linalg():
+    """forbid(mp) replaces, through the MonkeyPatch mp, every public
+    function of scipy.linalg with a stub that raises AssertionError
+    naming it, and returns the names replaced.  The blas and lapack
+    submodules, which the two-point sampler calls, stay."""
+    def stub(name):
+        def raising(*args, **kwargs):
+            raise AssertionError(f"scipy.linalg.{name} called")
+        return raising
+
+    def forbid(mp):
+        names = [name for name in scipy.linalg.__all__
+                 if callable(getattr(scipy.linalg, name))
+                 and not isinstance(getattr(scipy.linalg, name), type)]
+        for name in names:
+            mp.setattr(scipy.linalg, name, stub(name))
+        return names
+    return forbid

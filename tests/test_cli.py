@@ -403,9 +403,13 @@ class TestCriterion11Rows:
 
 
 @pytest.fixture(scope="module")
-def quick_battery(tmp_path_factory):
-    """Exit code and results.csv lines of accept-all --profile quick, and
-    the roots its gap-equation solves found (one brentq per solve)."""
+def quick_battery(tmp_path_factory, forbid_scipy_linalg):
+    """Exit code and results.csv lines of accept-all --profile quick, the
+    roots its gap-equation solves found (one brentq per solve), and the
+    scipy.linalg functions it ran without: every public one is a stub
+    that raises (forbid_scipy_linalg), so the whole battery's process
+    runs its dense linear algebra on numpy's BLAS pool alone, but for the
+    two-point sampler's scipy blas and lapack calls."""
     out = tmp_path_factory.mktemp("quick")
     roots = []
     real = model.brentq
@@ -415,10 +419,14 @@ def quick_battery(tmp_path_factory):
         return roots[-1]
 
     model.solve_gap_equation.cache_clear()
+    # the cached grid assemblies hold the once-per-grid factorizations
+    covariance._assembly_cached.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "brentq", counted)
+        forbidden = forbid_scipy_linalg(mp)
         code = main(["accept-all", "--profile", "quick", "--out", str(out)])
-    return code, open(out / "results.csv").read().splitlines(), roots
+    return (code, open(out / "results.csv").read().splitlines(), roots,
+            forbidden)
 
 
 class TestSubcommands:
@@ -644,7 +652,7 @@ class TestSubcommands:
         value to 1e-8 relative, or below 1e-2 |bound| where the committed
         value is (a rounding-level residual).  A change that moves a row
         updates the file and says why; the tolerances stay."""
-        _, body, _ = quick_battery
+        _, body, _, _ = quick_battery
         ref = REFERENCE_QUICK.read_text().splitlines()
         assert body[0] == ref[0]
         got, want = (list(csv.DictReader(lines[1:])) for lines in (body, ref))
@@ -663,8 +671,19 @@ class TestSubcommands:
                 assert abs(value - committed) <= 1e-8 * abs(committed), \
                     (w["check_id"], value, committed)
 
+    def test_accept_all_quick_runs_without_scipy_linalg(self,
+                                                       quick_battery):
+        """The quick battery ran with every public scipy.linalg function
+        stubbed to raise: it exits 0 (and matches the reference, above);
+        only the sampler's blas and lapack submodules stayed."""
+        code, _, _, forbidden = quick_battery
+        assert code == 0
+        assert {"cho_factor", "cho_solve", "cholesky", "eigh", "inv",
+                "solve"} <= set(forbidden)
+        assert not {"blas", "lapack"} & set(forbidden)
+
     def test_accept_all_quick(self, quick_battery):
-        code, body, _ = quick_battery
+        code, body, _, _ = quick_battery
         assert code == 0
         # every module contributes at least one row
         for module in ("model", "kernels", "regions", "operators",

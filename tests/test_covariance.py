@@ -4,7 +4,6 @@ bound with its single-square normalization."""
 
 import dataclasses
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -332,12 +331,12 @@ class TestBuildCgamma:
     def test_perturbed_inverse_fails_route_gate(self, monkeypatch):
         # negative control for the other dual route: the n x n inverse of
         # the form off by 1e-6 relative; the assembly's U^{-1} is formed
-        # first, so its own cho_solve stays exact
+        # first, so its own Cholesky inverse stays exact
         params, geo, fld, assign, regions = setup_single()
         covariance._assembly(params, geo, CUT, pad=2).uinv_w
-        real = scipy.linalg.cho_solve
-        monkeypatch.setattr(scipy.linalg, "cho_solve",
-                            lambda cf, b: real(cf, b) * (1.0 + 1e-6))
+        real = covariance._cholesky_inverse
+        monkeypatch.setattr(covariance, "_cholesky_inverse",
+                            lambda chol: real(chol) * (1.0 + 1e-6))
         with pytest.raises(ArithmeticError, match="covariance routes disagree"):
             build_Cgamma(params, geo, CUT, regions, pad=2)
 
@@ -552,6 +551,18 @@ class TestZgamma:
         else:
             covset.component_masks[0] = moved(covset.component_masks[0])
         with pytest.raises(ArithmeticError, match="disagree"):
+            compute_Zgamma(covset, regions)
+
+    def test_scaled_component_correction_fails_the_eigenvalue_route(self):
+        # negative control for the per-component generalized eigenvalues:
+        # one C^{gamma_i} off by 1e-6 relative
+        params, geo, fld, assign, regions = setup_single()
+        covset = build_Cgamma(params, geo, CUT, regions, pad=2)
+        corr = covset.component_corrections[0]
+        covset.component_corrections[0] = DiscretizedOperator(
+            corr.weighted * (1.0 + 1e-6), corr.site_weight)
+        with pytest.raises(ArithmeticError, match="generalized-eigenvalue "
+                           "and determinant routes disagree"):
             compute_Zgamma(covset, regions)
 
 
@@ -1087,7 +1098,8 @@ class TestDampingBound:
             lambda: padded_terms(dc, params, geo, regions))
         assert padded_peak > 2 * grid_bytes
 
-    def test_pipeline_calls_no_scipy_linalg(self, monkeypatch):
+    def test_pipeline_calls_no_scipy_linalg(self, monkeypatch,
+                                            forbid_scipy_linalg):
         # with the assembly cache warm, one configuration runs classify ->
         # regions -> C_gamma -> deltaC -> Z_gamma -> damping_report on
         # numpy's LAPACK alone (scipy.linalg's own BLAS pool would contend)
@@ -1095,13 +1107,7 @@ class TestDampingBound:
         params, geo, ensemble = self._ensemble(1, seed=7)
         fld, _ = ensemble[0]
         covariance._assembly(params, geo, CUT, pad=2)
-
-        class Forbidden:
-            def __getattr__(self, name):
-                raise AssertionError(f"scipy.linalg.{name} called")
-
-        monkeypatch.setattr(covariance, "scipy",
-                            SimpleNamespace(linalg=Forbidden()))
+        forbid_scipy_linalg(monkeypatch)
 
         def no_eigvals(*args, **kwargs):
             raise AssertionError("np.linalg.eigvals called")
@@ -1115,8 +1121,9 @@ class TestDampingBound:
         assert compute_Zgamma(covset, regions) >= 1.0
         rep = damping_report(fld, params, regions, covset, dc, assign)
         assert np.isfinite(rep.required_const)
+        # positive control: the stubs fire when called
         with pytest.raises(AssertionError, match="scipy.linalg.cho_factor"):
-            build_Cgamma(params, geo, CUT, regions, pad=2, routes="both")
+            scipy.linalg.cho_factor(np.eye(2))
 
     def test_pure_small_field_value(self):
         # no large squares: Z = 1, no Gaussian damping, log value stays

@@ -32,6 +32,12 @@ Lattice layout: ``repeat``, the widening of per-square values to sites,
 is named in ``src/sigmagap`` only inside ``regions.LatticeGeometry``, so
 a second copy of the square -> site map cannot come back.
 
+BLAS pools: no ``src/sigmagap`` module but ``twopoint`` imports
+``scipy.linalg`` or reads it as ``scipy.linalg``.  numpy and scipy each
+load their own OpenBLAS with its own thread pool, and the two contend when
+one process alternates between them, so the parent process's dense linear
+algebra is numpy's; the sampler's per-sample loop is scipy's alone.
+
 Dependencies: every third-party package that ``src/sigmagap`` imports,
 at module level or inside a function, is declared in ``pyproject.toml``'s
 ``[project].dependencies``, and every declared package is imported.
@@ -557,3 +563,41 @@ def test_imports_match_declared_dependencies():
     imported, declared = imported_packages(), declared_dependencies()
     assert imported - declared == set(), "imported but not declared"
     assert declared - imported == set(), "declared but never imported"
+
+
+def uses_scipy_linalg(tree):
+    """True when tree imports scipy.linalg (or a submodule of it), in any
+    form, or reads it as the attribute scipy.linalg."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(a.name.split(".")[:2] == ["scipy", "linalg"]
+                   for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            parts = node.module.split(".")
+            if parts[:2] == ["scipy", "linalg"] or (
+                    parts == ["scipy"]
+                    and any(a.name == "linalg" for a in node.names)):
+                return True
+        elif (isinstance(node, ast.Attribute) and node.attr == "linalg"
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "scipy"):
+            return True
+    return False
+
+
+def test_only_the_sampler_uses_scipy_linalg():
+    found = {path.stem for path in SRC.glob("*.py")
+             if uses_scipy_linalg(_parse(path))}
+    assert found == {"twopoint"}
+
+
+@pytest.mark.parametrize("source, uses", [
+    ("import scipy.linalg", True), ("import scipy.linalg as sl", True),
+    ("from scipy.linalg import cho_factor", True),
+    ("from scipy import linalg", True),
+    ("from scipy.linalg.lapack import dpotrf", True),
+    ("import scipy\nscipy.linalg.eigh(a, b)", True),
+    ("import numpy as np\nimport scipy\nnp.linalg.eigh(a)", False)])
+def test_scipy_linalg_audit_sees_every_form(source, uses):
+    assert uses_scipy_linalg(ast.parse(source)) == uses
