@@ -506,7 +506,8 @@ def criterion_05_determinant_identities(cfg, table, size):
 
 def criterion_06_covariance_structure(cfg, table, size):
     """C_gamma by two routes, Z_gamma >= 1 and its factorization over two
-    components, the splitting identity and its negative part's sign."""
+    components, the splitting identity, its negative part's sign and the
+    deltaC form against its factored form."""
     params = derive_params(32.0, 1.0, 10 ** 6, corridor_override=2.0)
     geo = LatticeGeometry(n=2, sites_per_square=3)
     tau = np.zeros((geo.sites_per_side,) * 2)
@@ -525,6 +526,14 @@ def criterion_06_covariance_structure(cfg, table, size):
           [dc.identity_residual], "<", 1e-8)
     _gate(table, "negative-part-sign", "covariance", "covariance-splitting",
           [float(np.linalg.eigvalsh(dc.d1_lambda).max())], "<=", 1e-10)
+    # (v, deltaC v) against its factored form, which reads gamma and eps,
+    # over three seeded fields on Lambda: the worst relative gap
+    forms = [(dc.lambda_form(v), cov.deltac_factored_form(
+        params, geo, cfg.cutoff(), regions, 2, v))
+        for v in np.random.default_rng(6).standard_normal(
+            (3, geo.sites_per_side ** 2))]
+    _gate(table, "deltac-factored-form", "covariance", "covariance-splitting",
+          [abs(a - b) / abs(b) for a, b in forms], "<", 1e-12)
     params = derive_params(32.0, 1.0, 4)
     geo = LatticeGeometry(n=4, sites_per_square=2)
     two, factor_gap = [], []

@@ -49,12 +49,13 @@ The rest of the per-configuration pipeline stays on Lambda x Lambda and
 the gamma columns: deltaC reads S P_gamma S only on Lambda x Lambda, as
 the product S[Lambda, gamma] S[Lambda, gamma]^T, and a DeltaC holds
 deltaC_1, deltaC_2 and deltaC_4 only as their Lambda blocks (deltaC_3
-vanishes there, and fields are supported in Lambda).  build_deltaC still
-checks the splitting identity on every entry of the padded grid: outside
-Lambda x Lambda its S P_gamma S terms cancel, so one copy of a cached
-configuration-independent term plus the Lambda block of the rest is the
-whole residual (with, once per grid, the residual of U^{-1} U = 1, which
-the identity cannot see).  damping_report reads (tau, deltaC tau) on
+vanishes there, and fields are supported in Lambda).  build_deltaC
+checks the splitting identity on Lambda x Lambda alone and forms no
+padded-grid array: outside that block its S P_gamma S terms cancel, and
+with every s- and l-site in Lambda (an O(n) mask check) the residual
+there is a configuration-independent term whose sup is taken once per
+(grid, Lambda), beside the residual of U^{-1} U = 1, which the identity
+cannot see.  damping_report reads (tau, deltaC tau) on
 Lambda alone, log Z_gamma from the set, and the real part of log det_2
 from the |L| x |L| Schur complement on the large sites, through the matrix
 route of operators (log_det_n_matrix, one slogdet), instead of the
@@ -134,12 +135,28 @@ def _cholesky_inverse(chol):
     return 0.5 * (xinv + xinv.T)
 
 
+@dataclasses.dataclass(frozen=True)
+class _LambdaTerms:
+    """What build_deltaC reads of one Lambda on a grid, formed once: its
+    site index and mask, S[Lambda, :], pi and F - pi on Lambda x Lambda,
+    and the sup of |F - pi| over the entries outside Lambda x Lambda (0
+    when Lambda is the whole grid)."""
+
+    index: np.ndarray
+    mask: np.ndarray
+    s_rows: np.ndarray
+    pi: np.ndarray
+    fixed: np.ndarray
+    outside_sup: float
+
+
 @dataclasses.dataclass
 class _Assembly:
     """One grid's weighted kernels: pi, S = sqrt(1+pi), S^-, the cutoff
-    kernel U and C0.  U^{-1}, the splitting identity's fixed term and the
-    C0 root are formed on first read, so callers of C0 alone never pay
-    them; U^{-1} factors U again rather than keep a factor in the cache."""
+    kernel U and C0.  U^{-1}, the splitting identity's fixed term, its
+    terms on each Lambda and the C0 root are formed on first read, so
+    callers of C0 alone never pay them; U^{-1} factors U again rather than
+    keep a factor in the cache."""
 
     geo: LatticeGeometry
     nsite: int
@@ -149,6 +166,26 @@ class _Assembly:
     s_minus: np.ndarray
     u_w: np.ndarray
     c0_w: np.ndarray
+    _lambdas: dict = dataclasses.field(default_factory=dict, init=False,
+                                       repr=False)
+
+    def lambda_terms(self, geometry):
+        """The _LambdaTerms of geometry's Lambda (its squares on this
+        padded grid), formed on first read from split_fixed."""
+        terms = self._lambdas.get(geometry.n)
+        if terms is None:
+            mask = self.geo.site_mask(geometry.squares)
+            lam = np.flatnonzero(mask)
+            block = np.ix_(lam, lam)
+            fixed = self.split_fixed[0]
+            outside = np.abs(fixed)
+            outside[block] = 0.0
+            arrays = (self.s_plus[lam], self.pi_w[block], fixed[block])
+            for arr in arrays:
+                arr.flags.writeable = False
+            terms = _LambdaTerms(lam, mask, *arrays, float(outside.max()))
+            self._lambdas[geometry.n] = terms
+        return terms
 
     @functools.cached_property
     def uinv_w(self):
@@ -312,7 +349,9 @@ def _woodbury_factor(asm, gmask, eps):
     The factorization is also the positivity check: the floored form
     U^{-1} - (1-eps) P_gamma is positive definite exactly when K is."""
     idx = np.flatnonzero(gmask)
-    k = np.eye(len(idx)) / (1.0 - eps) - asm.u_w[np.ix_(idx, idx)]
+    k = np.take(np.take(asm.u_w, idx, axis=0), idx, axis=1)
+    np.subtract(0.0, k, out=k)  # -U[gamma, gamma], +0.0 where U vanishes
+    k.flat[::len(idx) + 1] += 1.0 / (1.0 - eps)
     try:
         return idx, np.linalg.cholesky(k)
     except np.linalg.LinAlgError as exc:
@@ -459,9 +498,9 @@ def component_log_z(covset, cmask):
 @dataclasses.dataclass
 class DeltaC:
     """The correction operators of the sharp splitting on Lambda x Lambda,
-    with the residual of the defining identity (checked on every entry of
-    the padded grid, including the (1 - P_Lambda) term that the restriction
-    to fields in Lambda would hide) or of U^{-1} U = 1, whichever is larger.
+    with the sup residual of the defining identity over the padded grid
+    (including the (1 - P_Lambda) term that the restriction to fields in
+    Lambda would hide) or of U^{-1} U = 1, whichever is larger.
 
     Fields are supported in Lambda and deltaC_3 vanishes on Lambda x
     Lambda, so the set holds deltaC_1, deltaC_2 and deltaC_4 as their
@@ -481,22 +520,6 @@ class DeltaC:
                    for blk in (self.d1_lambda, self.d2_lambda, self.d4_lambda))
 
 
-def _lambda_view(grid, geometry, mat):
-    """Lambda x Lambda of an n x n array on grid as a (k, k, k, k) view:
-    Lambda's sites, grid.site_mask(geometry.squares), are the square
-    [off, off + k)^2 of the side x side site grid, in row-major order.
-
-    A view rather than np.ix_ indexing for speed: on criterion 10's grid
-    (576 sites, 144 in Lambda; 2 cores, OpenBLAS 0.3.31) four Lambda-block
-    operations, as build_deltaC once took, ran 0.13 ms per configuration
-    through it against 0.59 ms through np.ix_ (0.11 against 0.46 ms timed
-    alone)."""
-    side = grid.sites_per_side
-    off = (grid.n - geometry.n) * grid.sites_per_square
-    box = (slice(off, off + geometry.sites_per_side),) * 4
-    return mat.reshape(side, side, side, side)[box]
-
-
 def build_deltaC(params, geometry, cutoff, regions, pad=2):
     """deltaC_1, deltaC_2 and deltaC_4 on Lambda x Lambda from the block
     decomposition of S(1-P_gamma)S.
@@ -512,12 +535,12 @@ def build_deltaC(params, geometry, cutoff, regions, pad=2):
     deltaC_3 vanishes on Lambda x Lambda, the only block damping_report
     reads, so it is not formed.  The other three are written on that block
     (DeltaC), from G = S P_gamma S there, the product S[Lambda, gamma]
-    S[Lambda, gamma]^T, and T = 1 + pi - G; no n x n product runs per
+    S[Lambda, gamma]^T, and T = 1 + pi - G; no n x n array is formed per
     configuration.
 
-    The result is verified, entry by entry on the padded grid, against the
-    difference C_gamma^{-1} - C_ls^{-1} = deltaC - P_l - (1 - P_Lambda)
-    with C_ls^{-1} = P_s pi P_s + 1 + S f S, whose U^{-1} route is
+    The result is verified against the difference C_gamma^{-1} - C_ls^{-1}
+    = deltaC - P_l - (1 - P_Lambda) with C_ls^{-1} = P_s pi P_s + 1 + S f S,
+    whose U^{-1} route is
 
         S (U^{-1} - (1-eps) P_gamma) S - P_s pi P_s - 1 - S (U^{-1} - 1) S
             = F - (1-eps) G - P_s pi P_s,
@@ -525,58 +548,80 @@ def build_deltaC(params, geometry, cutoff, regions, pad=2):
     where F = S U^{-1} S - 1 - S (U^{-1} - 1) S does not depend on the
     configuration.  Outside Lambda x Lambda deltaC = T + eps G, so the G
     terms cancel and the residual there is (F - pi) - P_s pi P_s + P_l; on
-    Lambda x Lambda it is the same plus pi - G - deltaC_1 - deltaC_2.  So
-    each configuration takes one n x n copy of F - pi, computed once per
-    grid from the U^{-1} products (the cached assembly's split_fixed), and
-    works on the Lambda block.  The U^{-1} terms of F cancel in exact
-    arithmetic, F = S^2 - 1 = pi, so this residual checks S^2 = 1 + pi on
-    the grid and the block bookkeeping (region masks that overlap, miss
-    sites or leave Lambda), not U^{-1} itself; identity_residual is
-    therefore the larger of it and |U^{-1} U - 1|_max, taken once per grid
-    beside F - pi.  P_s pi P_s and P_l are read on the whole padded grid,
-    so an s- or l-square outside Lambda leaves its blocks in the residual.
-    gamma is not checked here: G cancels from the identity, so a wrong
-    gamma leaves the residual at rounding level."""
+    Lambda x Lambda it is the same plus pi - G - deltaC_1 - deltaC_2.  An
+    s- or l-site outside Lambda raises at once (it would leave -pi_ii or +1
+    on its diagonal entry, far above the tolerance); with s and l inside
+    Lambda the residual outside the block is F - pi alone, whose sup the
+    cached assembly takes once per (grid, Lambda) beside F - pi, pi and
+    S on Lambda (_LambdaTerms).  So each configuration works on the
+    Lambda block alone, and identity_residual, the max of that sup, the
+    block's and |U^{-1} U - 1|_max, is the sup over the whole padded grid.
+    The U^{-1} terms of F cancel in exact arithmetic, F = S^2 - 1 = pi, so
+    the identity checks S^2 = 1 + pi on the grid and the block bookkeeping
+    (region masks that overlap, miss sites or leave Lambda), not U^{-1}
+    itself; hence the |U^{-1} U - 1|_max term, taken once per grid.
+    gamma and the eps of deltaC_4 are not checked here: G cancels from the
+    identity, so a wrong gamma leaves the residual at rounding level
+    (deltac_factored_form sees both)."""
     asm = _assembly(params, geometry, cutoff, pad)
-    n, k2 = asm.nsite, geometry.sites_per_side ** 2
+    lt = asm.lambda_terms(geometry)
+    k2 = len(lt.index)
     gamma = np.flatnonzero(asm.geo.site_mask(regions.gamma))
     l_mask = asm.geo.site_mask(regions.lambda_l)
     s_mask = asm.geo.site_mask(regions.lambda_s)
-    lam = np.flatnonzero(asm.geo.site_mask(geometry.squares))
+    if ((s_mask | l_mask) & ~lt.mask).any():
+        raise ArithmeticError("splitting identity violated: an s- or "
+                              "l-site outside Lambda")
 
-    s_lg = asm.s_plus[np.ix_(lam, gamma)]
+    s_lg = np.take(lt.s_rows, gamma, axis=1)
     g = s_lg @ s_lg.T  # G on Lambda x Lambda, exactly symmetric
-    pi_l = _lambda_view(asm.geo, geometry, asm.pi_w)
-    pi_g = (pi_l - g.reshape(pi_l.shape)).reshape(k2, k2)
+    pi_g = lt.pi - g
     t = pi_g.copy()
     t.flat[::k2 + 1] += 1.0  # T = 1 + pi - G
-    # d1 and d2 on Lambda x Lambda; d2's blocks add up where regions
-    # overlap, as a mask sum would
-    s_loc = np.flatnonzero(s_mask[lam])
-    l_loc = np.flatnonzero(l_mask[lam])
-    ss_loc = np.ix_(s_loc, s_loc)
-    d1_l = np.zeros((k2, k2))
-    d1_l[ss_loc] = -g[ss_loc]
-    d2_l = np.zeros((k2, k2))
-    for rows, cols in ((l_loc, s_loc), (l_loc, l_loc), (s_loc, l_loc)):
-        blk = np.ix_(rows, cols)
-        d2_l[blk] += t[blk]
+    # d1 and d2 on Lambda x Lambda, by masks of the s and l sites on it;
+    # d2's blocks add up where regions overlap
+    s_lam, l_lam = s_mask[lt.index], l_mask[lt.index]
+    ss = np.outer(s_lam, s_lam)
+    d1_l = np.where(ss, -g, 0.0)
+    s_f, l_f = s_lam.astype(float), l_lam.astype(float)
+    blocks = np.outer(l_f, s_f + l_f) + np.outer(s_f, l_f)
+    d2_l = np.where(blocks > 0.0, blocks * t, 0.0)
 
-    # lhs - rhs of the identity on the padded grid: (F - pi) - P_s pi P_s
-    # + P_l, plus pi - G - d1 - d2 on Lambda x Lambda
-    fixed, uinv_residual = asm.split_fixed
-    res = fixed.copy()
-    s_idx = np.flatnonzero(s_mask)
-    ss = np.ix_(s_idx, s_idx)
-    res[ss] -= asm.pi_w[ss]
-    res.flat[::n + 1] += l_mask
-    res_l = _lambda_view(asm.geo, geometry, res)
-    res_l += (pi_g - d1_l - d2_l).reshape(res_l.shape)
-    residual = max(float(res.max()), float(-res.min()), uinv_residual)
+    # lhs - rhs of the identity on Lambda x Lambda: (F - pi) - P_s pi P_s
+    # + P_l + pi - G - d1 - d2; outside it only F - pi is left
+    uinv_residual = asm.split_fixed[1]
+    res = lt.fixed - ss * lt.pi
+    res.flat[::k2 + 1] += l_lam
+    res += pi_g - d1_l - d2_l
+    residual = max(lt.outside_sup, float(res.max()), float(-res.min()),
+                   uinv_residual)
     if not residual <= SPLIT_IDENTITY_TOL:
         raise ArithmeticError(
             f"splitting identity violated: sup residual {residual:.3e}")
     return DeltaC(d1_l, d2_l, params.epsilon * g, identity_residual=residual)
+
+
+def deltac_factored_form(params, geometry, cutoff, regions, pad, v):
+    """(v, deltaC v) for a weighted field v given by its values on Lambda's
+    sites, by the factored form: when the s- and l-squares partition
+    Lambda, with u = S[gamma, Lambda] v and v_s, v_l the s- and l-parts of
+    v,
+
+        (v, deltaC v) = (eps - 1) |u|^2 + |v_l|^2 + v_l pi v_l + 2 v_s pi v_l.
+
+    Read from S and pi of the padded grid, not from a DeltaC, it is the
+    dual route of DeltaC.lambda_form, and sees what the splitting identity
+    cannot: gamma and the eps of deltaC_4 (both cancel from the identity's
+    residual)."""
+    asm = _assembly(params, geometry, cutoff, pad)
+    lam = np.flatnonzero(asm.geo.site_mask(geometry.squares))
+    gamma = np.flatnonzero(asm.geo.site_mask(regions.gamma))
+    v_s = v * asm.geo.site_mask(regions.lambda_s)[lam]
+    v_l = v * asm.geo.site_mask(regions.lambda_l)[lam]
+    u = asm.s_plus[np.ix_(gamma, lam)] @ v
+    pi_l = asm.pi_w[np.ix_(lam, lam)] @ v_l
+    return float((params.epsilon - 1.0) * (u @ u) + v_l @ v_l + v_l @ pi_l
+                 + 2.0 * (v_s @ pi_l))
 
 
 # ---------------------------------------------------------------------------
@@ -596,12 +641,25 @@ def c0_root(params, geometry, cutoff):
 @dataclasses.dataclass
 class DampingReport:
     """Log of the normalized large-field integrand and the two field
-    masses entering its exponential damping bound."""
+    masses entering its exponential damping bound, with the terms of the
+    log: log Z_gamma, the log of the window weights, Re log det_3 and
+    Re log det_2, and (tau, deltaC tau), so that
+
+        log_value = log_z + log_window - mass_large / 2
+                    - N / 2 (log_det3_real + log_det2_real) + deltac_form / 2.
+
+    When a window weight vanishes, log_window and log_value are -inf and
+    the determinant and deltaC terms, not computed, are nan."""
 
     log_value: float
     mass_large: float
     mass_small: float
     required_const: float
+    log_z: float
+    log_window: float
+    log_det3_real: float
+    log_det2_real: float
+    deltac_form: float
 
 
 def _log_det2_real(aop):
@@ -617,9 +675,11 @@ def _log_det2_real(aop):
     a = aop.op.weighted
     s = np.flatnonzero(aop.small_sites)
     big = np.flatnonzero(~aop.small_sites)
-    x = np.eye(len(s)) + 1j * a[np.ix_(s, s)]
-    k = 1j * a[np.ix_(big, big)] + a[np.ix_(big, s)] @ np.linalg.solve(
-        x, a[np.ix_(s, big)])
+    a_s, a_big = np.take(a, s, axis=0), np.take(a, big, axis=0)
+    x = 1j * np.take(a_s, s, axis=1)
+    x.flat[::len(s) + 1] += 1.0
+    k = 1j * np.take(a_big, big, axis=1) + np.take(a_big, s, axis=1) \
+        @ np.linalg.solve(x, np.take(a_s, big, axis=1))
     return log_det_n_matrix(k, 1).real
 
 
@@ -646,7 +706,8 @@ def damping_report(field, params, regions, covset, deltac, assignment):
         wgt = (assignment.theta_s[k] if lab == 0
                else assignment.theta_n[k, lab - 1])
         if wgt <= 0.0:
-            return DampingReport(-np.inf, 0.0, 0.0, -np.inf)
+            return DampingReport(-np.inf, 0.0, 0.0, -np.inf, covset.log_z,
+                                 -np.inf, np.nan, np.nan, np.nan)
         log_theta += np.log(wgt)
 
     mass_l = float(sum(field.mass_of(c) for c in regions.lambda_l))
@@ -666,7 +727,9 @@ def damping_report(field, params, regions, covset, deltac, assignment):
                     / (params.bigN ** (-0.4) * mass_s))
     else:
         required = -np.inf
-    return DampingReport(float(log_value), mass_l, mass_s, float(required))
+    return DampingReport(float(log_value), mass_l, mass_s, float(required),
+                         covset.log_z, float(log_theta), float(log3.real),
+                         float(log2_real), quad)
 
 
 def single_square_normalization(params, cutoff, samples, seed):

@@ -596,7 +596,8 @@ class TestSubcommands:
 
     def test_negative_part_sign_catches_a_flipped_d1(self, monkeypatch):
         # negative control: deltaC_1 negated after build_deltaC's identity
-        # check turns criterion 06's negative-part-sign, and only it, red
+        # check turns criterion 06's negative-part-sign red, and no other
+        # row but deltac-factored-form, whose (v, deltaC v) it moves
         real = cli.cov.build_deltaC
 
         def flipped(*args, **kwargs):
@@ -608,7 +609,41 @@ class TestSubcommands:
         cli.criterion_06_covariance_structure(RunConfig(), table,
                                               cli.PROFILES["full"])
         assert [r["check_id"] for r in table.rows if not r["passed"]] \
-            == ["negative-part-sign"]
+            == ["negative-part-sign", "deltac-factored-form"]
+
+    @pytest.mark.parametrize("fault", ["eps", "swap", "gamma"])
+    def test_factored_form_catches_a_faulted_deltac(self, monkeypatch,
+                                                    fault):
+        # negative controls, each faulting build_deltaC alone: deltaC_4
+        # without its eps, the s and l masks swapped, one gamma square
+        # moved; the splitting identity sees none of them (eps and gamma
+        # cancel from it, and it holds for any partition of Lambda), so
+        # criterion 06's deltac-factored-form, and only it, turns red
+        real = cli.cov.build_deltaC
+
+        def faulted(params, geometry, cutoff, regions, *args, **kwargs):
+            gamma = regions.gamma
+            if fault == "swap":
+                regions = dataclasses.replace(
+                    regions, lambda_s=regions.lambda_l,
+                    lambda_l=regions.lambda_s)
+            elif fault == "gamma":  # a Lambda square onto a free one
+                grid = cli.cov.padded_geometry(geometry, 2)
+                moved = {min(gamma & set(geometry.squares)),
+                         max(set(grid.squares) - gamma)}
+                regions = dataclasses.replace(regions, gamma=gamma ^ moved)
+            dc = real(params, geometry, cutoff, regions, *args, **kwargs)
+            if fault == "eps":
+                dc = dataclasses.replace(
+                    dc, d4_lambda=dc.d4_lambda / params.epsilon)
+            return dc
+
+        monkeypatch.setattr(cli.cov, "build_deltaC", faulted)
+        table = ResultsTable("control")
+        cli.criterion_06_covariance_structure(RunConfig(), table,
+                                              cli.PROFILES["full"])
+        assert [r["check_id"] for r in table.rows if not r["passed"]] \
+            == ["deltac-factored-form"]
 
     def test_covariance_catches_truncated_series(self, tmp_path,
                                                  monkeypatch):

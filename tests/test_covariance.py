@@ -680,18 +680,28 @@ class TestDeltaC:
 
     @pytest.mark.parametrize("n, sites, pad",
                              [(2, 3, 2), (1, 4, 2), (4, 2, 0), (3, 3, 1)])
-    def test_lambda_view_picks_the_lambda_sites(self, n, sites, pad):
-        # build_deltaC reads Lambda x Lambda through a box view of the
-        # padded grid, kept for speed; its entries must be those of
-        # grid.site_mask(geo.squares), in the same order
+    def test_lambda_terms_hold_the_lambda_block(self, n, sites, pad):
+        # build_deltaC reads Lambda through the assembly's terms, formed
+        # once per Lambda: the sites of grid.site_mask(geo.squares) in
+        # their order, the Lambda rows and blocks of S, pi and F - pi, and
+        # the sup of |F - pi| off Lambda x Lambda, 0 at pad 0
+        params = make_params()
         geo = LatticeGeometry(n=n, sites_per_square=sites)
-        grid = padded_geometry(geo, pad)
-        nsite, k2 = grid.sites_per_side ** 2, geo.sites_per_side ** 2
-        mat = np.arange(float(nsite * nsite)).reshape(nsite, nsite)
-        view = covariance._lambda_view(grid, geo, mat)
-        assert np.shares_memory(view, mat)
-        lam = np.flatnonzero(grid.site_mask(geo.squares))
-        assert np.array_equal(view.reshape(k2, k2), mat[np.ix_(lam, lam)])
+        asm = covariance._assembly(params, geo, CUT, pad=pad)
+        terms = asm.lambda_terms(geo)
+        assert asm.lambda_terms(geo) is terms
+        mask = asm.geo.site_mask(geo.squares)
+        lam = np.flatnonzero(mask)
+        block = np.ix_(lam, lam)
+        fixed = asm.split_fixed[0]
+        assert np.array_equal(terms.mask, mask)
+        assert np.array_equal(terms.index, lam)
+        assert np.array_equal(terms.s_rows, asm.s_plus[lam])
+        assert np.array_equal(terms.pi, asm.pi_w[block])
+        assert np.array_equal(terms.fixed, fixed[block])
+        outside = np.abs(fixed[~np.outer(mask, mask)])
+        assert terms.outside_sup == (outside.max() if pad else 0.0)
+        assert not terms.fixed.flags.writeable
 
     @pytest.mark.parametrize("index", range(4))
     def test_region_faults_raise_as_the_full_grid_residual_did(self, index):
@@ -946,6 +956,33 @@ class TestDampingBound:
             assert r.log_value <= (-0.49 * r.mass_large
                                    + 3.0 * fit * scale * r.mass_small)
 
+    def test_report_terms_reproduce_the_log_value(self):
+        # the five terms a DampingReport holds give its log_value by
+        # damping_report's own expression, bit for bit; a vanishing window
+        # weight leaves -inf and the terms it skips as nan
+        params, geo, ensemble = self._ensemble(6, seed=7)
+        for fld, assign in ensemble:
+            regions = build_regions(assign, geo, corridorM=params.corridorM)
+            covset = build_Cgamma(params, geo, CUT, regions, pad=2,
+                                  routes="direct")
+            dc = build_deltaC(params, geo, CUT, regions, pad=2)
+            rep = damping_report(fld, params, regions, covset, dc, assign)
+            assert rep.log_value == (
+                rep.log_z + rep.log_window - 0.5 * rep.mass_large
+                - 0.5 * params.bigN * (rep.log_det3_real + rep.log_det2_real)
+                + 0.5 * rep.deltac_form)
+            assert rep.log_z == covset.log_z > 0.0
+            assert rep.log_window <= 0.0
+            assert rep.deltac_form == dc.lambda_form(
+                fld.tau.reshape(-1) * np.sqrt(covset.grid.site_weight))
+        closed = dataclasses.replace(assign,
+                                     theta_s=np.zeros_like(assign.theta_s))
+        rep = damping_report(fld, params, regions, covset, dc, closed)
+        assert rep.log_value == rep.log_window == -np.inf
+        assert rep.log_z == covset.log_z
+        assert np.isnan([rep.log_det3_real, rep.log_det2_real,
+                         rep.deltac_form]).all()
+
     @staticmethod
     def _det2_inputs(params, geo, ensemble):
         """B = (1 + iA_s)^{-1} iA'' of each configuration (AOperator.b of
@@ -1068,35 +1105,52 @@ class TestDampingBound:
         with pytest.raises(AssertionError, match="AOperator.b read"):
             build_A(fld, params, assignment=assign).b
 
-    def test_one_configuration_stays_within_two_grids_of_memory(self):
-        # one warm build_deltaC at 576 sites: its traced peak stays below
-        # two n x n arrays of doubles (the padded build took 4.4) and the
-        # returned DeltaC holds below half of one (the padded build held
-        # 2.1)
+    @staticmethod
+    def _traced_peak(fn):
+        """(fn(), the peak of memory tracemalloc traced while it ran)."""
+        tracemalloc.start()
+        try:
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def _warm_deltac_case(self):
+        """A criterion-10 configuration's arguments to build_deltaC at 576
+        sites, with the caches warm, and the bytes of one n x n array of
+        doubles on that grid."""
         params, geo, ensemble = self._ensemble(1, seed=7)
         fld, assign = ensemble[0]
         regions = build_regions(assign, geo, corridorM=params.corridorM)
         build_deltaC(params, geo, CUT, regions, pad=2)  # warm the caches
         grid_bytes = padded_geometry(geo, 2).sites_per_side ** 4 * 8
+        return (params, geo, CUT, regions), grid_bytes
 
-        def traced_peak(fn):
-            tracemalloc.start()
-            try:
-                out = fn()
-                return out, tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        dc, peak = traced_peak(
-            lambda: build_deltaC(params, geo, CUT, regions, pad=2))
+    def test_one_configuration_stays_within_two_grids_of_memory(self):
+        # one warm build_deltaC at 576 sites: its traced peak stays below
+        # two n x n arrays of doubles (the padded build took 4.4) and the
+        # returned DeltaC holds below half of one (the padded build held
+        # 2.1)
+        args, grid_bytes = self._warm_deltac_case()
+        params, geo, _, regions = args
+        dc, peak = self._traced_peak(lambda: build_deltaC(*args, pad=2))
         held = sum(v.nbytes for v in vars(dc).values()
                    if isinstance(v, np.ndarray))
         assert peak < 2 * grid_bytes
         assert held < 0.5 * grid_bytes
         # the tracer sees the padded terms the padded build formed
-        _, padded_peak = traced_peak(
+        _, padded_peak = self._traced_peak(
             lambda: padded_terms(dc, params, geo, regions))
         assert padded_peak > 2 * grid_bytes
+
+    def test_one_configuration_stays_within_one_grid_of_memory(self):
+        # build_deltaC works on Lambda x Lambda alone, its terms outside
+        # that block formed once per grid: a warm call's traced peak stays
+        # below one padded-grid n x n array of doubles (0.72 of one; the
+        # build that copied the padded F - pi per configuration took 1.6)
+        args, grid_bytes = self._warm_deltac_case()
+        _, peak = self._traced_peak(lambda: build_deltaC(*args, pad=2))
+        assert peak < grid_bytes
 
     def test_pipeline_calls_no_scipy_linalg(self, monkeypatch,
                                             forbid_scipy_linalg):
