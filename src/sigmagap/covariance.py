@@ -56,10 +56,11 @@ with every s- and l-site in Lambda (an O(n) mask check) the residual
 there is a configuration-independent term whose sup is taken once per
 (grid, Lambda), beside the residual of U^{-1} U = 1, which the identity
 cannot see.  damping_report reads (tau, deltaC tau) on
-Lambda alone, log Z_gamma from the set, and the real part of log det_2
-from the |L| x |L| Schur complement on the large sites, through the matrix
-route of operators (log_det_n_matrix, one slogdet), instead of the
-eigenvalues or the n x n B.
+Lambda alone, log Z_gamma from the set, and the real parts of log det_3
+and log det_2 from one real Cholesky of 1 + A_ss^2 on the small sites:
+det_3 from its factor, det_2 from one real solve with it and the
+|L| x |L| Schur complement on the large sites, instead of an eigensolve
+of the padded A_s, a complex LU or the n x n B.
 
 Grids: region bookkeeping lives on the inner lattice covering Lambda; the
 covariance kernels are assembled on a padded grid (pad extra unit squares
@@ -642,14 +643,18 @@ def c0_root(params, geometry, cutoff):
 class DampingReport:
     """Log of the normalized large-field integrand and the two field
     masses entering its exponential damping bound, with the terms of the
-    log: log Z_gamma, the log of the window weights, Re log det_3 and
-    Re log det_2, and (tau, deltaC tau), so that
+    log: log Z_gamma, the log of the window weights, Re log det_3(1 + iA_s)
+    and Re log det_2(1 + B), both from one real Cholesky of 1 + A_ss^2 on
+    the small sites (damping_report), and (tau, deltaC tau), so that
 
         log_value = log_z + log_window - mass_large / 2
                     - N / 2 (log_det3_real + log_det2_real) + deltac_form / 2.
 
-    When a window weight vanishes, log_window and log_value are -inf and
-    the determinant and deltaC terms, not computed, are nan."""
+    log_det3_real is accurate to second order in the Cholesky's rounding
+    (no cancellation), log_det2_real to that of one real solve and one
+    |L| x |L| slogdet.  When a window weight vanishes, log_window and
+    log_value are -inf and the determinant and deltaC terms, not computed,
+    are nan."""
 
     log_value: float
     mass_large: float
@@ -662,25 +667,53 @@ class DampingReport:
     deltac_form: float
 
 
-def _log_det2_real(aop):
-    """Re log det_2(1 + B), B = (1 + iA_s)^{-1} iA'', from the |L| x |L|
-    Schur complement on the large sites L.
+def _log_det_split_real(aop):
+    """(Re log det_3(1 + iA_s), Re log det_2(1 + B)), B = (1 + iA_s)^{-1}
+    iA'', from one real Cholesky on the small sites s.
 
-    A_s = P_s A P_s, so 1 + iA_s = blockdiag(X, 1) with X = 1 + iA_ss, and
-    A'' vanishes on (s, s): the rows of 1 + B are [1, X^{-1} iA_sL] on s
-    and [iA_Ls, 1 + iA_LL] on L.  The block determinant identity gives
-    det(1 + B) = det(1 + iA_LL + A_Ls X^{-1} A_sL), and Re tr B =
-    Re tr iA_LL = 0 for the real A.  One LU of X with |L| right-hand
-    sides and one log_det_n_matrix of the |L| x |L| block."""
+    A_s = P_s A P_s, so 1 + iA_s = blockdiag(X, 1) with X = 1 + iA_ss.
+    For the real symmetric A_ss, P = X conj(X) = 1 + A_ss^2 is symmetric
+    positive definite (P >= 1); write its Cholesky factor R R^T = P and
+    c_i = (R_ii - 1)(R_ii + 1) = R_ii^2 - 1.
+
+    det_3: Re log det_3(1 + iA_s) = (1/2)(log det P - tr A_ss^2), and
+    tr P = sum R_ii^2 + |tril(R, -1)|_F^2 gives
+
+        Re log det_3 = (1/2) [sum (log1p c_i - c_i) - |tril(R, -1)|_F^2].
+
+    Both sums are <= 0, so nothing cancels.  g(Q) = log det(1 + Q) - tr Q
+    has zero first derivative at Q = 0, so the Cholesky's rounding of
+    Q = A_ss^2 moves this value only at second order; the naive
+    (1/2)(log det P - |A_ss|_F^2) loses about 1e-14 absolute, far above
+    values of order 1e-16 at criterion 10's small fields.
+
+    det_2: A'' vanishes on (s, s), so the rows of 1 + B are
+    [1, X^{-1} iA_sL] on s and [iA_Ls, 1 + iA_LL] on the large sites L,
+    and the block determinant identity gives det(1 + B) = det k with
+    k = 1 + iA_LL + A_Ls X^{-1} A_sL.  X^{-1} = P^{-1} (1 - iA_ss), so
+    with [H | G] = R^{-1} [A_sL | A_ss A_sL] (one real solve with 2|L|
+    columns) k = 1 + iA_LL + H^T H - i H^T G, and Re log det_2(1 + B) =
+    log|det k| (one log_det_n_matrix of the |L| x |L| k), as Re tr B =
+    Re tr iA_LL = 0 for the real A.  An empty block gives 0 for its
+    term."""
     a = aop.op.weighted
     s = np.flatnonzero(aop.small_sites)
     big = np.flatnonzero(~aop.small_sites)
     a_s, a_big = np.take(a, s, axis=0), np.take(a, big, axis=0)
-    x = 1j * np.take(a_s, s, axis=1)
-    x.flat[::len(s) + 1] += 1.0
-    k = 1j * np.take(a_big, big, axis=1) + np.take(a_big, s, axis=1) \
-        @ np.linalg.solve(x, np.take(a_s, big, axis=1))
-    return log_det_n_matrix(k, 1).real
+    a_ss, a_sl = np.take(a_s, s, axis=1), np.take(a_s, big, axis=1)
+    p = a_ss @ a_ss
+    p.flat[::len(s) + 1] += 1.0
+    r = np.linalg.cholesky(p)
+    d = np.diagonal(r)
+    c = (d - 1.0) * (d + 1.0)
+    off = np.tril(r, -1)
+    log3 = 0.5 * (float(np.sum(np.log1p(c) - c)) - float(np.vdot(off, off)))
+    hg = np.linalg.solve(r, np.concatenate((a_sl, a_ss @ a_sl), axis=1))
+    nl = len(big)
+    hthg = hg[:, :nl].T @ hg  # [H^T H | H^T G]
+    # k - 1, as log_det_n_matrix adds the identity
+    k = hthg[:, :nl] + 1j * (np.take(a_big, big, axis=1) - hthg[:, nl:])
+    return log3, log_det_n_matrix(k, 1).real
 
 
 def damping_report(field, params, regions, covset, deltac, assignment):
@@ -689,13 +722,18 @@ def damping_report(field, params, regions, covset, deltac, assignment):
     G_gamma is the product of the window weights, the explicit Gaussian
     damping on the large-field squares, the two regularized determinant
     factors and the quadratic correction exp((tau, deltaC tau)/2).  The
-    determinant factors enter through their real parts only: log det_3 of
-    1 + iA_s from the eigenvalues of the real symmetric A_s, and
-    Re log det_2(1 + B), B = (1 + iA_s)^{-1} iA'', from the Schur
-    complement of 1 + B on the large sites (_log_det2_real), with no
-    general eigensolve and no n x n B.  tau vanishes outside Lambda, so
-    (tau, deltaC tau) is read on Lambda x Lambda (DeltaC.lambda_form);
-    log Z_gamma is the set's log_z.  required_const is the constant that would make the bound
+    determinant factors enter through their real parts only, and both come
+    from one real Cholesky R R^T = 1 + A_ss^2 on the small-site block of
+    the symmetrized A (_log_det_split_real): Re log det_3(1 + iA_s) as
+    (1/2)[sum (log1p c_i - c_i) - |tril(R, -1)|_F^2], c_i = R_ii^2 - 1, a
+    sum of nonpositive terms that the Cholesky's rounding moves only at
+    second order (log det(1 + Q) - tr Q is flat at Q = 0), and
+    Re log det_2(1 + B), B = (1 + iA_s)^{-1} iA'', as log|det k| of the
+    |L| x |L| Schur complement k on the large sites, read from one real
+    solve with R.  No eigensolve, no complex solve and no n x n B.
+    tau vanishes outside Lambda, so (tau, deltaC tau) is read on
+    Lambda x Lambda (DeltaC.lambda_form); log Z_gamma is the set's log_z.
+    required_const is the constant that would make the bound
 
         log value <= -0.49 * int_{large} tau^2
                      + const * N^{-2/5} * int_{small} tau^2
@@ -713,23 +751,22 @@ def damping_report(field, params, regions, covset, deltac, assignment):
     mass_l = float(sum(field.mass_of(c) for c in regions.lambda_l))
     mass_s = float(sum(field.mass_of(c) for c in regions.lambda_s))
 
-    aop = build_A(field, params, assignment=assignment, symmetrize=True)
-    log3 = log_det_n(1j * np.linalg.eigvalsh(aop.a_s.weighted), 3)
-    log2_real = _log_det2_real(aop)
+    log3_real, log2_real = _log_det_split_real(
+        build_A(field, params, assignment=assignment, symmetrize=True))
 
     quad = deltac.lambda_form(field.tau.reshape(-1)
                               * np.sqrt(covset.grid.site_weight))
 
     log_value = (covset.log_z + log_theta - 0.5 * mass_l
-                 - 0.5 * params.bigN * (log3.real + log2_real) + 0.5 * quad)
+                 - 0.5 * params.bigN * (log3_real + log2_real) + 0.5 * quad)
     if mass_s > 0:
         required = ((log_value + 0.49 * mass_l)
                     / (params.bigN ** (-0.4) * mass_s))
     else:
         required = -np.inf
     return DampingReport(float(log_value), mass_l, mass_s, float(required),
-                         covset.log_z, float(log_theta), float(log3.real),
-                         float(log2_real), quad)
+                         covset.log_z, float(log_theta), log3_real, log2_real,
+                         quad)
 
 
 def single_square_normalization(params, cutoff, samples, seed):

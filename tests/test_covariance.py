@@ -764,6 +764,27 @@ class TestDeltaC:
                   for op in padded_terms(dc, params, geo, regions))
         assert dc.lambda_form(v) == pytest.approx(ref, rel=1e-12, abs=1e-14)
 
+    def test_lambda_form_is_the_factored_form_on_the_ensemble(self):
+        # DeltaC.lambda_form against deltac_factored_form, which reads gamma
+        # and eps from S and pi, over criterion 10's ensemble (seed 7, 20
+        # configurations, three seeded fields on Lambda each); criterion
+        # 06's deltac-factored-form row compares one configuration.  The
+        # negative control doubles deltaC_4, which no other gate reads
+        params, geo, ensemble = TestDampingBound._ensemble(20, seed=7)
+        rng = np.random.default_rng(6)
+        gaps, doubled = [], []
+        for fld, assign in ensemble:
+            regions = build_regions(assign, geo, corridorM=params.corridorM)
+            dc = build_deltaC(params, geo, CUT, regions, pad=2)
+            bad = dataclasses.replace(dc, d4_lambda=2.0 * dc.d4_lambda)
+            for v in rng.standard_normal((3, geo.sites_per_side ** 2)):
+                ref = covariance.deltac_factored_form(params, geo, CUT,
+                                                      regions, 2, v)
+                gaps.append(abs(dc.lambda_form(v) - ref) / abs(ref))
+                doubled.append(abs(bad.lambda_form(v) - ref) / abs(ref))
+        assert max(gaps) < 1e-12
+        assert min(doubled) > 1e-12
+
     def test_wrong_uinv_violates_the_identity(self, monkeypatch):
         # negative control: the splitting identity's U^{-1} terms cancel,
         # so 1.01 U^{-1} + 0.01 leaves its residual at rounding level; the
@@ -1030,38 +1051,124 @@ class TestDampingBound:
         monkeypatch.setattr(np, "trace", lambda a: 0.0)
         assert self._det2_gap(generic) > 1.0
 
-    def _schur_cases(self):
-        """(A, its n x n B) for each configuration of the ensemble."""
+    @staticmethod
+    def _det3_reference(aop):
+        """Re log det_3(1 + iA_s) from the eigenvalues lam of the real
+        symmetric A_ss: (1/2) sum (log1p lam^2 - lam^2), 0 with no small
+        site."""
+        s = np.flatnonzero(aop.small_sites)
+        lam = np.linalg.eigvalsh(aop.op.weighted[np.ix_(s, s)])
+        return 0.5 * float(np.sum(np.log1p(lam ** 2) - lam ** 2))
+
+    @staticmethod
+    def _det2_reference(aop):
+        """Re log det_2(1 + B) from the Schur complement on the large sites
+        L by a complex solve: log|det(1 + iA_LL + A_Ls X^{-1} A_sL)|,
+        X = 1 + iA_ss; 0 with no large site."""
+        a = aop.op.weighted
+        s = np.flatnonzero(aop.small_sites)
+        big = np.flatnonzero(~aop.small_sites)
+        x = np.eye(len(s)) + 1j * a[np.ix_(s, s)]
+        k = 1j * a[np.ix_(big, big)] + a[np.ix_(big, s)] @ np.linalg.solve(
+            x, a[np.ix_(s, big)])
+        return log_det_n_matrix(k, 1).real
+
+    @pytest.fixture(scope="class")
+    def split_cases(self):
+        """(A, its n x n B, the reference det_3 and det_2, det_2's
+        tolerance _det2_tol(B)) for criterion 10's ensemble (seed 7, 20
+        configurations) with A as built and scaled by 10^2, 10^3 and 10^4,
+        and for its first configuration with every site small and with
+        every site large; the references are taken before any test
+        patches numpy."""
         params, geo, ensemble = self._ensemble(20, seed=7)
-        out = []
-        for fld, assign in ensemble:
-            aop = build_A(fld, params, assignment=assign,
-                          symmetrize=True)
-            out.append((aop, aop.b))
-        return out
+        aops = [build_A(fld, params, assignment=assign, symmetrize=True)
+                for fld, assign in ensemble]
+        out = [dataclasses.replace(aop, op=DiscretizedOperator(
+            scale * aop.op.weighted, aop.op.site_weight))
+            for scale in (1.0, 1e2, 1e3, 1e4) for aop in aops]
+        out += [dataclasses.replace(aops[0], small_sites=np.full_like(
+            aops[0].small_sites, small)) for small in (True, False)]
+        return [(aop, aop.b, self._det3_reference(aop),
+                 self._det2_reference(aop), self._det2_tol(aop.b))
+                for aop in out]
 
-    def test_schur_route_matches_both_routes(self):
-        # damping_report's |L| x |L| Schur complement against the matrix
-        # route on the n x n B and against its eigenvalues
-        for aop, b in self._schur_cases():
-            assert 0 < (~aop.small_sites).sum() < len(b)
-            schur = covariance._log_det2_real(aop)
-            assert self._det2_gap(b, schur) <= 1.0
-            assert (abs(schur - log_det_n_matrix(b, 2).real)
-                    <= self._det2_tol(b))
+    @staticmethod
+    def _split_gaps(cases):
+        """The worst gaps of _log_det_split_real over the cases, each over
+        its tolerance: det_3 against the eigenvalues at 1e-6 relative (an
+        empty block's 0 exactly), det_2 against the complex solve at
+        _det2_tol."""
+        gap3 = gap2 = 0.0
+        for aop, _, ref3, ref2, tol2 in cases:
+            det3, det2 = covariance._log_det_split_real(aop)
+            gap3 = max(gap3, abs(det3 - ref3) / (1e-6 * abs(ref3))
+                       if ref3 else float(det3 != 0.0))
+            gap2 = max(gap2, abs(det2 - ref2) / tol2 if ref2
+                       else float(det2 != 0.0))
+        return gap3, gap2
 
-    def test_schur_route_without_its_correction_fails(self, monkeypatch):
+    def test_schur_route_matches_both_routes(self, split_cases):
+        # damping_report's one-Cholesky det_3 and det_2 against the
+        # eigenvalues of A_ss, the complex-solve Schur complement and the
+        # n x n B's eigenvalues, at A's scale and up to 10^4 times it
+        assert all(0 < (~aop.small_sites).sum() < len(b)
+                   for aop, b, *_ in split_cases[:-2])
+        assert max(self._split_gaps(split_cases)) <= 1.0
+        assert max(self._det2_gap(b, covariance._log_det_split_real(aop)[1])
+                   for aop, b, *_ in split_cases) <= 1.0
+        # an empty block gives 0 for its term
+        every_small, every_large = (aop for aop, *_ in split_cases[-2:])
+        assert covariance._log_det_split_real(every_small)[1] == 0.0
+        assert covariance._log_det_split_real(every_large)[0] == 0.0
+        assert split_cases[-2][3] == split_cases[-1][2] == 0.0
+
+    def test_schur_route_without_its_correction_fails(self, monkeypatch,
+                                                      split_cases):
         # negative control: A_Ls X^{-1} A_sL dropped from the Schur
         # complement (the solve returns 0); B was formed before the patch
-        cases = self._schur_cases()
         monkeypatch.setattr(np.linalg, "solve",
-                            lambda a, b: np.zeros_like(b, dtype=complex))
-        assert min(self._det2_gap(b, covariance._log_det2_real(aop))
-                   for aop, b in cases) > 1.0
+                            lambda a, b: np.zeros_like(b))
+        assert self._split_gaps(split_cases)[1] > 1.0
+
+    def test_schur_route_without_its_imaginary_term_fails(self, monkeypatch,
+                                                          split_cases):
+        # negative control: -i H^T G dropped from k (the solve's G columns
+        # are zeroed), which leaves H^T H, the real part of A_Ls X^{-1} A_sL;
+        # at A's own scale the term is O(A^3) and below the tolerance, and
+        # the cases scaled by 10^2 to 10^4 see it
+        real = np.linalg.solve
+
+        def no_g(a, b):
+            hg = real(a, b)
+            hg[:, b.shape[1] // 2:] = 0.0
+            return hg
+
+        monkeypatch.setattr(np.linalg, "solve", no_g)
+        assert self._split_gaps(split_cases)[1] > 1.0
+
+    def test_det3_without_the_off_diagonal_fails(self, monkeypatch,
+                                                  split_cases):
+        # negative control: |tril(R, -1)|_F^2 dropped from det_3
+        monkeypatch.setattr(np, "tril", lambda r, k=0: np.zeros_like(r))
+        assert self._split_gaps(split_cases)[0] > 1.0
+
+    def test_naive_det3_fails(self, split_cases):
+        # negative control: the naive (1/2)(log det P - |A_ss|_F^2), whose
+        # cancellation leaves about 1e-14 on values of about 5e-16
+        gaps = []
+        for aop, _, ref, *_ in split_cases[:20]:
+            s = np.flatnonzero(aop.small_sites)
+            a_ss = aop.op.weighted[np.ix_(s, s)]
+            naive = 0.5 * (np.linalg.slogdet(np.eye(len(s)) + a_ss @ a_ss)[1]
+                           - np.sum(a_ss ** 2))
+            gaps.append(abs(naive - ref) / (1e-6 * abs(ref)))
+        assert max(gaps) > 1.0
 
     def test_one_configuration_stays_on_small_blocks(self, monkeypatch):
-        # one warm criterion-10 configuration reads no AOperator.b, takes
-        # no LU of the gamma block and forms no padded-grid zeros (d1 and
+        # one warm criterion-10 configuration reads no AOperator.b or
+        # AOperator.a_s, takes no LU of the gamma block, calls no eigvalsh,
+        # solves no complex system and forms no padded-grid zeros (d1 and
         # d2 are kept on Lambda)
         params, geo, ensemble = self._ensemble(1, seed=7)
         fld, assign = ensemble[0]
@@ -1069,16 +1176,27 @@ class TestDampingBound:
         build_deltaC(params, geo, CUT, regions, pad=2)  # warm the caches
         nsite = padded_geometry(geo, 2).sites_per_side ** 2
 
-        def forbidden(self):
-            raise AssertionError("AOperator.b read")
+        for name in ("b", "a_s"):
+            def forbidden(self, name=name):
+                raise AssertionError(f"AOperator.{name} read")
 
-        monkeypatch.setattr(operators.AOperator, "b", property(forbidden))
-        lu_sizes, zeros = [], []
+            monkeypatch.setattr(operators.AOperator, name,
+                                property(forbidden))
+
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("np.linalg.eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        real_solve = np.linalg.solve
+        lu_sizes, complex_solves, zeros = [], [], []
         for name in ("slogdet", "solve", "det", "inv"):
             real = getattr(np.linalg, name)
 
             def spy(a, *args, real=real, **kwargs):
                 lu_sizes.append(len(a))
+                if real is real_solve and (np.iscomplexobj(a)
+                                           or np.iscomplexobj(args[0])):
+                    complex_solves.append(len(a))
                 return real(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, spy)
@@ -1098,12 +1216,19 @@ class TestDampingBound:
         gamma = len(covset.gamma)
         assert lu_sizes and gamma not in lu_sizes
         assert max(lu_sizes) < geo.sites_per_side ** 2
+        assert not complex_solves
         assert (nsite, nsite) not in zeros
         # the spies see the forms they guard against
         padded_terms(dc, params, geo, regions)
         assert (nsite, nsite) in zeros
-        with pytest.raises(AssertionError, match="AOperator.b read"):
-            build_A(fld, params, assignment=assign).b
+        aop = build_A(fld, params, assignment=assign, symmetrize=True)
+        self._det2_reference(aop)
+        assert complex_solves
+        for name in ("b", "a_s"):
+            with pytest.raises(AssertionError, match=f"AOperator.{name} read"):
+                getattr(aop, name)
+        with pytest.raises(AssertionError, match="eigvalsh called"):
+            self._det3_reference(aop)
 
     @staticmethod
     def _traced_peak(fn):
