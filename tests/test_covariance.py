@@ -1095,28 +1095,35 @@ class TestDampingBound:
 
     @staticmethod
     def _split_gaps(cases):
-        """The worst gaps of _log_det_split_real over the cases, each over
-        its tolerance: det_3 against the eigenvalues at 1e-6 relative (an
-        empty block's 0 exactly), det_2 against the complex solve at
-        _det2_tol."""
-        gap3 = gap2 = 0.0
+        """Per-case gaps of _log_det_split_real, each over its tolerance:
+        det_3 against the eigenvalues at 1e-6 relative, det_2 against the
+        complex solve at _det2_tol; against an empty block's reference 0
+        any nonzero value scores inf.  Lists (gap_3, gap_2) in case order."""
+        def gap(value, ref, tol):
+            if ref:
+                return abs(value - ref) / tol
+            return 0.0 if value == 0.0 else np.inf
+
+        gap3, gap2 = [], []
         for aop, _, ref3, ref2, tol2 in cases:
             det3, det2 = covariance._log_det_split_real(aop)
-            gap3 = max(gap3, abs(det3 - ref3) / (1e-6 * abs(ref3))
-                       if ref3 else float(det3 != 0.0))
-            gap2 = max(gap2, abs(det2 - ref2) / tol2 if ref2
-                       else float(det2 != 0.0))
+            gap3.append(gap(det3, ref3, 1e-6 * abs(ref3)))
+            gap2.append(gap(det2, ref2, tol2))
         return gap3, gap2
 
     def test_schur_route_matches_both_routes(self, split_cases):
         # damping_report's one-Cholesky det_3 and det_2 against the
-        # eigenvalues of A_ss, the complex-solve Schur complement and the
-        # n x n B's eigenvalues, at A's scale and up to 10^4 times it
+        # eigenvalues of A_ss, the complex-solve Schur complement, the
+        # matrix route on the n x n B and the n x n B's eigenvalues, at A's
+        # scale and up to 10^4 times it
         assert all(0 < (~aop.small_sites).sum() < len(b)
                    for aop, b, *_ in split_cases[:-2])
-        assert max(self._split_gaps(split_cases)) <= 1.0
-        assert max(self._det2_gap(b, covariance._log_det_split_real(aop)[1])
-                   for aop, b, *_ in split_cases) <= 1.0
+        gap3, gap2 = self._split_gaps(split_cases)
+        assert max(gap3) <= 1.0 and max(gap2) <= 1.0
+        for aop, b, *_ in split_cases:
+            det2 = covariance._log_det_split_real(aop)[1]
+            assert abs(det2 - log_det_n_matrix(b, 2).real) <= self._det2_tol(b)
+            assert self._det2_gap(b, det2) <= 1.0
         # an empty block gives 0 for its term
         every_small, every_large = (aop for aop, *_ in split_cases[-2:])
         assert covariance._log_det_split_real(every_small)[1] == 0.0
@@ -1126,17 +1133,18 @@ class TestDampingBound:
     def test_schur_route_without_its_correction_fails(self, monkeypatch,
                                                       split_cases):
         # negative control: A_Ls X^{-1} A_sL dropped from the Schur
-        # complement (the solve returns 0); B was formed before the patch
+        # complement (the solve returns 0); B was formed before the patch.
+        # Every configuration at A's own scale must turn red
         monkeypatch.setattr(np.linalg, "solve",
                             lambda a, b: np.zeros_like(b))
-        assert self._split_gaps(split_cases)[1] > 1.0
+        assert min(self._split_gaps(split_cases[:20])[1]) > 1.0
 
     def test_schur_route_without_its_imaginary_term_fails(self, monkeypatch,
                                                           split_cases):
         # negative control: -i H^T G dropped from k (the solve's G columns
         # are zeroed), which leaves H^T H, the real part of A_Ls X^{-1} A_sL;
         # at A's own scale the term is O(A^3) and below the tolerance, and
-        # the cases scaled by 10^2 to 10^4 see it
+        # every configuration scaled by 10^2 to 10^4 must turn red
         real = np.linalg.solve
 
         def no_g(a, b):
@@ -1145,25 +1153,30 @@ class TestDampingBound:
             return hg
 
         monkeypatch.setattr(np.linalg, "solve", no_g)
-        assert self._split_gaps(split_cases)[1] > 1.0
+        assert min(self._split_gaps(split_cases[20:-2])[1]) > 1.0
 
     def test_det3_without_the_off_diagonal_fails(self, monkeypatch,
                                                   split_cases):
-        # negative control: |tril(R, -1)|_F^2 dropped from det_3
+        # negative control: |tril(R, -1)|_F^2 dropped from det_3; every
+        # configuration at A's own scale must turn red
         monkeypatch.setattr(np, "tril", lambda r, k=0: np.zeros_like(r))
-        assert self._split_gaps(split_cases)[0] > 1.0
+        assert min(self._split_gaps(split_cases[:20])[0]) > 1.0
 
-    def test_naive_det3_fails(self, split_cases):
-        # negative control: the naive (1/2)(log det P - |A_ss|_F^2), whose
-        # cancellation leaves about 1e-14 on values of about 5e-16
-        gaps = []
-        for aop, _, ref, *_ in split_cases[:20]:
+    def test_naive_det3_fails(self, monkeypatch, split_cases):
+        # negative control: _log_det_split_real's det_3 replaced by the
+        # naive (1/2)(log det P - |A_ss|_F^2), P = 1 + A_ss^2, whose
+        # cancellation leaves about 1e-14 on values of about 5e-16; every
+        # configuration at A's own scale must turn red
+        real = covariance._log_det_split_real
+
+        def naive(aop):
             s = np.flatnonzero(aop.small_sites)
             a_ss = aop.op.weighted[np.ix_(s, s)]
-            naive = 0.5 * (np.linalg.slogdet(np.eye(len(s)) + a_ss @ a_ss)[1]
-                           - np.sum(a_ss ** 2))
-            gaps.append(abs(naive - ref) / (1e-6 * abs(ref)))
-        assert max(gaps) > 1.0
+            log_det_p = np.linalg.slogdet(np.eye(len(s)) + a_ss @ a_ss)[1]
+            return 0.5 * (log_det_p - np.sum(a_ss ** 2)), real(aop)[1]
+
+        monkeypatch.setattr(covariance, "_log_det_split_real", naive)
+        assert min(self._split_gaps(split_cases[:20])[0]) > 1.0
 
     def test_one_configuration_stays_on_small_blocks(self, monkeypatch):
         # one warm criterion-10 configuration reads no AOperator.b or
