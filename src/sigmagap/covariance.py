@@ -353,10 +353,7 @@ def _woodbury_factor(asm, gmask, eps):
     k = np.take(np.take(asm.u_w, idx, axis=0), idx, axis=1)
     np.subtract(0.0, k, out=k)  # -U[gamma, gamma], +0.0 where U vanishes
     k.flat[::len(idx) + 1] += 1.0 / (1.0 - eps)
-    try:
-        return idx, np.linalg.cholesky(k)
-    except np.linalg.LinAlgError as exc:
-        raise ArithmeticError("floored quadratic form not PD") from exc
+    return idx, _cholesky(k, "floored quadratic form not PD")
 
 
 def _woodbury_product(asm, idx, chol):

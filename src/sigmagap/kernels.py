@@ -97,35 +97,49 @@ def pole_params(m2):
     return out
 
 
+def _direct_route(m2, r, r_max):
+    """J0(qr), w q and g(q) on the Gauss nodes q, w that resolve J0 out to
+    r_max: F(r) = (1/2pi) sum J0(qr) w q g(q) over the nodes."""
+    q, w = gauss_panels(_q_edges(np.sqrt(m2), Q_MAX, r_max))
+    q2 = q * q
+    return j0(np.outer(r, q)), w * q, 1.0 / (q2 * np.exp(q2) + m2)
+
+
 def propagator_values(m2, r):
     """F(r) for an array of radii, vectorized; see module docstring."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
     out = np.empty_like(r)
-    m = np.sqrt(m2)
     pole = pole_params(m2)
-
-    def g(q):
-        q2 = q * q
-        return 1.0 / (q2 * np.exp(q2) + m2)
-
     if pole is None:
         # strong coupling: direct route everywhere
-        q, w = gauss_panels(_q_edges(m, Q_MAX, max(1.0, r.max())))
-        out[:] = (j0(np.outer(r, q)) * (w * q * g(q))).sum(axis=1) / (2 * np.pi)
+        bessel, wq, g = _direct_route(m2, r, max(1.0, r.max()))
+        out[:] = (bessel * (wq * g)).sum(axis=1) / (2 * np.pi)
         return out
 
     near = r <= R_POLE_SWITCH
     far = ~near
     if near.any():
-        q, w = gauss_panels(_q_edges(m, Q_MAX, R_POLE_SWITCH))
-        out[near] = (j0(np.outer(r[near], q)) * (w * q * g(q))).sum(axis=1) \
-            / (2 * np.pi)
+        bessel, wq, g = _direct_route(m2, r[near], R_POLE_SWITCH)
+        out[near] = (bessel * (wq * g)).sum(axis=1) / (2 * np.pi)
     if far.any():
         acc = np.zeros(far.sum())
         for mu, ck in pole:
             acc += ck * k0(mu * r[far])
         out[far] = acc / (2 * np.pi)
     return out
+
+
+def propagator_m2_derivative(m2, r):
+    """(F(r), dF/dm^2) from one direct-route quadrature, with
+    dF/dm^2 = -(1/2pi) int q J0(qr) g(q)^2 dq on the nodes that resolve J0
+    out to max(R_POLE_SWITCH, r): for r <= R_POLE_SWITCH and m^2 < 1/e
+    these are propagator_values' nodes, so F is its bits, and no pole
+    roots are taken."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    bessel, wq, g = _direct_route(m2, r, max(R_POLE_SWITCH, r.max()))
+    wqg = wq * g
+    return ((bessel * wqg).sum(axis=1) / (2 * np.pi),
+            -(bessel * (wqg * g)).sum(axis=1) / (2 * np.pi))
 
 
 # ---------------------------------------------------------------------------

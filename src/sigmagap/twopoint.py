@@ -21,50 +21,54 @@ scipy's BLAS and LAPACK only, so the OpenBLAS pools that numpy and scipy
 each load never alternate inside it.
 
 Parallel sampling.  The draws are independent, so the interacting
-samples run on a persistent pool of len(os.sched_getaffinity(0)) worker
-processes, forked on the first interacting call.  Every OpenBLAS loaded
-in the parent is set to one thread for the forks and restored after them,
-so each worker starts with one thread and no idle BLAS pool; the worker
-reports its counts, which the parent checks.  The parent draws z from
-default_rng(seed) in sample order, in contiguous chunks of at most
-_CHUNK samples, and sends each chunk to an idle worker; the worker
-returns tau = root z, the resolvent row and the weight of every sample
-(_sample_chunk), and the parent puts them back in sample order before
-the reductions.  V and the C0 root go to a worker once and again when
-the parent's arrays are other objects.  Every sample thus runs the same
-one-thread code whatever the worker count, so an estimate is
-bit-identical for every count.  Where the pin is impossible (no fork, no
-/proc/self/maps, scipy not on OpenBLAS, an OpenBLAS without its thread
-calls, or a worker that reports more than one thread), _sample_chunk
-runs in this process instead, with the process's own BLAS threads.
+samples run on a concurrent.futures.ProcessPoolExecutor of
+len(os.sched_getaffinity(0)) workers, forked (start method "fork") on the
+first interacting call and again when the C0 root, V or the worker count
+changes.  The executor forks every worker at its first submit, a no-op
+submitted while every OpenBLAS loaded in the parent is set to one thread
+and restored after: each worker starts with one thread and no idle BLAS
+pool, reports its counts, and the parent checks them.  The initializer
+keeps (root, V) as the fork hands them down, so a task carries only its
+draws.  The parent draws z from default_rng(seed) in sample order, in
+chunks of at most _CHUNK samples, keeps at most workers + 1 chunks in
+flight and takes each chunk's rows and weights (_sample_chunk) back in
+order.  Every sample thus runs the same one-thread code whatever the
+worker count, so an estimate is bit-identical for every count.  A pool
+found broken at a call's first submit (a worker died while idle) is
+forked again for the same draws; a worker lost later in a call raises
+RuntimeError and drops the pool.  Where the pin is impossible (no fork,
+no /proc/self/maps, scipy not on OpenBLAS, an OpenBLAS without its
+thread calls, or a worker that reports more than one thread),
+_sample_chunk runs in this process instead, with its own BLAS threads.
 
 Mass extraction: at desk couplings the box sits deep in the m*r << 1
 regime where the raw log-slope of the free kernel is dominated by its
 Bessel-type prefactor, not by the mass.  The fitted decay slope is
 therefore converted to a mass by matching it against the slope of the
-exact free kernel at trial mass over the same separations and weights;
-in the free case this returns the input mass to solver precision.
+exact free kernel at trial mass over the same separations and weights,
+by Newton steps that take the slope's mass derivative from the same
+quadrature; in the free case this returns the input mass to 1e-14.
 """
 
-import atexit
+import collections
+import concurrent.futures
 import ctypes
 import dataclasses
 import functools
 import hashlib
 import itertools
 import multiprocessing
-import multiprocessing.connection
 import os
 import signal
 import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import scipy
 from scipy.linalg import blas, lapack
-from scipy.optimize import brentq
 
 from .covariance import c0_root
-from .kernels import CutoffSpec, propagator_values
+from .kernels import CutoffSpec, propagator_m2_derivative
 from .operators import build_A, log_det_n, propagator_factor, propagator_matrix
 
 
@@ -149,10 +153,11 @@ def _sample_chunk(root, v, g, w, bigN, x_idx, y_idx, z):
 # sampling workers (see the module docstring)
 
 _WORKERS = None   # worker count; None reads the CPU affinity
-_CHUNK = 32       # samples per message, which bounds the draws held at once
+_CHUNK = 32       # samples per task, which bounds the draws held at once
 _POOL = None
 _POOL_LOCK = threading.Lock()
 _PIN_FAILED = False
+_ARRAYS = None    # (root, V) in a worker, kept by _init_worker
 
 
 @functools.cache
@@ -187,178 +192,104 @@ def _blas_pins():
     return tuple(pins) or None
 
 
-def _worker(conn, inherited):
-    """Serve chunks on conn until the parent closes it.  Reports the
-    thread count of every OpenBLAS, which the parent pinned to one before
-    the fork; then answers each (arrays, call, z) message with
-    _sample_chunk's rows and weights, or with the exception it raised.
-    arrays is (root, V) when the parent's arrays changed since the last
-    message, else None."""
+def _init_worker(root, v, report, owner):
+    """Keep (root, V) as the fork hands them down, ignore SIGINT, die with
+    the owner (an orphan would wait on the executor's queue for good) and
+    report pid and BLAS thread counts."""
+    global _ARRAYS
+    _ARRAYS = root, v
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for other in inherited:
-        other.close()
-    conn.send([get_threads() for _, get_threads in _blas_pins()])
-    while True:
-        try:
-            arrays, call, z = conn.recv()
-        except EOFError:
-            return
-        if arrays is not None:
-            root, v = arrays
-        try:
-            reply = ("ok", _sample_chunk(root, v, *call, z))
-        except Exception as exc:
-            reply = ("error", exc)
-        try:
-            conn.send(reply)
-        except OSError:  # the parent has closed the pipe
-            return
+    prctl = ctypes.CDLL(None).prctl
+    prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]  # returns int
+    prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+    if os.getppid() != owner:  # the owner died before the prctl
+        os._exit(1)
+    report.send((os.getpid(), [get() for _, get in _blas_pins()]))
+    report.close()
 
 
-class _Pool:
-    """size forked workers, one pipe each, with the BLAS thread counts
-    each reported and the (root, V) each was last sent.
+def _pooled_chunk(call, z):
+    return _sample_chunk(*_ARRAYS, *call, z)
 
-    Every OpenBLAS of this process is set to one thread for the forks and
-    restored after them: a forked OpenBLAS starts its pool at the count it
-    had at the fork, so a worker that set its own count after the fork
-    would still start the parent's idle threads."""
 
-    def __init__(self, size):
-        ctx = multiprocessing.get_context("fork")
-        self.owner = os.getpid()
-        self.conns, self.procs, self.sent = [], [], [None] * size
-        counts = [get_threads() for _, get_threads in _blas_pins()]
-        for set_threads, _ in _blas_pins():
-            set_threads(1)
-        try:
-            for _ in range(size):
-                conn, child = ctx.Pipe()
-                proc = ctx.Process(target=_worker, name="sigmagap-sampler",
-                                   args=(child, self.conns + [conn]),
-                                   daemon=True)
-                proc.start()
-                child.close()
-                self.conns.append(conn)
-                self.procs.append(proc)
-        finally:
-            for (set_threads, _), count in zip(_blas_pins(), counts):
-                set_threads(count)
-        if not all(conn.poll(60.0) for conn in self.conns):
-            self.close()
-            raise RuntimeError("a sampling worker did not start in 60 s")
-        self.threads = [conn.recv() for conn in self.conns]
-        self.pinned = all(n == 1 for counts in self.threads for n in counts)
-
-    def alive(self):
-        return (self.owner == os.getpid()
-                and all(proc.is_alive() for proc in self.procs))
-
-    def close(self):
-        """Close the pipes, so the workers exit, and reap them (killing
-        any that has not exited within 5 s); in a forked copy of the
-        owner only this copy's pipe ends are closed."""
-        for conn in self.conns:
-            conn.close()
-        if self.owner != os.getpid():
-            return
-        for proc in self.procs:
-            proc.join(timeout=5.0)
-            if proc.exitcode is None:
-                proc.kill()
-                proc.join()
+_Pool = collections.namedtuple("_Pool", "executor root v owner pids threads")
 
 
 def _close_pool():
     global _POOL
     if _POOL is not None:
-        _POOL.close()
+        _POOL.executor.shutdown(cancel_futures=True)
         _POOL = None
 
 
-atexit.register(_close_pool)
-
-
-def _live_pool():
-    """The pool of pinned workers, forked on first use and again after a
-    worker died or the count changed; None where the workers cannot be
-    pinned, so the samples run in this process."""
+def _live_pool(root, v):
+    """The pinned pool holding (root, V), forked again when the arrays or
+    the worker count change; None where workers cannot be pinned."""
     global _POOL, _PIN_FAILED
     if (_PIN_FAILED or _blas_pins() is None
             or multiprocessing.current_process().daemon):
         return None
+    if _POOL is not None and _POOL.owner != os.getpid():
+        _POOL = None  # a forked copy of the owner, without its threads
     size = _WORKERS or len(os.sched_getaffinity(0))
-    if _POOL is not None and (len(_POOL.procs) != size
-                              or not _POOL.alive()):
+    if _POOL is not None and (len(_POOL.pids) != size
+                              or _POOL.root is not root or _POOL.v is not v):
         _close_pool()
     if _POOL is None:
-        _POOL = _Pool(size)
-        if not _POOL.pinned:
+        ctx = multiprocessing.get_context("fork")
+        reader, writer = ctx.Pipe(duplex=False)
+        executor = concurrent.futures.ProcessPoolExecutor(
+            size, mp_context=ctx, initializer=_init_worker,
+            initargs=(root, v, writer, os.getpid()))
+        counts = [get() for _, get in _blas_pins()]
+        for set_threads, _ in _blas_pins():
+            set_threads(1)
+        try:  # a no-op: the first submit forks every worker
+            executor.submit(int)
+        finally:
+            for (set_threads, _), count in zip(_blas_pins(), counts):
+                set_threads(count)
+            writer.close()
+        with reader:
+            reports = [reader.recv() for _ in range(size)]
+        _POOL = _Pool(executor, root, v, os.getpid(), *zip(*reports))
+        if any(n != 1 for counts in _POOL.threads for n in counts):
             _close_pool()
             _PIN_FAILED = True
     return _POOL
 
 
 def _sample_draws(rng, n_samples, root, v, call):
-    """(num, den) of n_samples draws z ~ rng in sample order, each row
-    from _sample_chunk(root, v, *call, z) on the pool or in process."""
+    """(num, den) of n_samples draws z ~ rng in sample order, each chunk
+    _sample_chunk(root, v, *call, z) in process or on the pool."""
     with _POOL_LOCK:
-        pool = _live_pool()
-        workers = len(pool.procs) if pool else 1
-        size = min(_CHUNK, -(-n_samples // workers))
-        num = np.empty((n_samples, len(call[-1])), dtype=complex)
-        den = np.empty(n_samples, dtype=complex)
-        chunks = ((a, min(a + size, n_samples))
-                  for a in range(0, n_samples, size))
-        if pool is None:
-            for a, b in chunks:
-                z = rng.standard_normal((b - a, root.shape[1]))
-                num[a:b], den[a:b] = _sample_chunk(root, v, *call, z)
-            return num, den
+        pool = _live_pool(root, v)
+        size = min(_CHUNK, -(-n_samples // (len(pool.pids) if pool else 1)))
+        futures, chunks = collections.deque(), []
         try:
-            error = _run_on_pool(pool, chunks, rng, root, v, call, num, den)
-        except (EOFError, OSError) as exc:
+            for a in range(0, n_samples, size):
+                z = rng.standard_normal((min(size, n_samples - a),
+                                         root.shape[1]))
+                if pool is None:
+                    chunks.append(_sample_chunk(root, v, *call, z))
+                    continue
+                task = _pooled_chunk, call, z
+                try:
+                    futures.append(pool.executor.submit(*task))
+                except BrokenProcessPool:
+                    if a:
+                        raise
+                    _close_pool()  # it broke while idle: fork again, once
+                    pool = _live_pool(root, v)
+                    futures.append(pool.executor.submit(*task))
+                if len(futures) > len(pool.pids):  # workers + 1 in flight
+                    chunks.append(futures.popleft().result())
+            chunks.extend(future.result() for future in futures)
+        except BrokenProcessPool as exc:
             _close_pool()
             raise RuntimeError("a sampling worker exited mid-call") from exc
-        except BaseException:
-            _close_pool()
-            raise
-        if error is not None:
-            raise error
-        return num, den
-
-
-def _run_on_pool(pool, chunks, rng, root, v, call, num, den):
-    """Feed the chunks to idle workers in order, each with its draws, and
-    fill num and den from the replies.  Returns, once every worker is idle
-    again, the exception of the earliest chunk that raised, or None."""
-    busy, errors = {}, []
-
-    def feed(i):
-        chunk = next(chunks, None)
-        if chunk is None:
-            return
-        sent = pool.sent[i]
-        arrays = None
-        if sent is None or sent[0] is not root or sent[1] is not v:
-            arrays = pool.sent[i] = (root, v)
-        z = rng.standard_normal((chunk[1] - chunk[0], root.shape[1]))
-        pool.conns[i].send((arrays, call, z))
-        busy[pool.conns[i]] = (i, chunk)
-
-    for i in range(len(pool.conns)):
-        feed(i)
-    while busy:
-        for conn in multiprocessing.connection.wait(list(busy)):
-            i, (a, b) = busy.pop(conn)
-            status, out = conn.recv()
-            if status == "error":
-                errors.append((a, out))
-            else:
-                num[a:b], den[a:b] = out
-            if not errors:
-                feed(i)
-    return min(errors, key=lambda e: e[0])[1] if errors else None
+        return (np.concatenate([num for num, _ in chunks]),
+                np.concatenate([den for _, den in chunks]))
 
 
 @dataclasses.dataclass
@@ -386,14 +317,20 @@ def _params_hash(params, geometry, cutoff, **inputs):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _weighted_line_fit(x, y, wts):
-    """Weighted least-squares line with slope variance and R^2."""
+def _weighted_slope(x, y, wts):
+    """Weighted least-squares slope, with the normalized weights, the
+    weighted means of x and y and sxx."""
     wts = np.asarray(wts, dtype=float)
     wts = wts / wts.sum()
     xm = np.sum(wts * x)
     ym = np.sum(wts * y)
     sxx = np.sum(wts * (x - xm) ** 2)
-    slope = np.sum(wts * (x - xm) * (y - ym)) / sxx
+    return np.sum(wts * (x - xm) * (y - ym)) / sxx, wts, xm, ym, sxx
+
+
+def _weighted_line_fit(x, y, wts):
+    """Weighted least-squares line with slope variance and R^2."""
+    slope, wts, xm, ym, sxx = _weighted_slope(x, y, wts)
     icpt = ym - slope * xm
     resid = y - (icpt + slope * x)
     ss_res = np.sum(wts * resid ** 2)
@@ -403,12 +340,14 @@ def _weighted_line_fit(x, y, wts):
 
 
 def reference_slope(m_trial, separations, wts):
-    """Weighted log-slope of the exact free kernel at a trial mass."""
-    vals = propagator_values(m_trial ** 2, np.asarray(separations,
-                                                     dtype=float))
-    slope, _, _, _ = _weighted_line_fit(np.asarray(separations, float),
-                                        np.log(vals), wts)
-    return slope
+    """Weighted log-slope of the exact free kernel at a trial mass, and its
+    derivative in log m, from one kernel quadrature: the fit is linear in
+    its data, and d log F / d log m = 2 m^2 (dF/dm^2) / F."""
+    r = np.asarray(separations, dtype=float)
+    vals, dvals = propagator_m2_derivative(m_trial ** 2, r)
+    slope = _weighted_slope(r, np.log(vals), wts)[0]
+    dslope = _weighted_slope(r, 2.0 * m_trial ** 2 * dvals / vals, wts)[0]
+    return slope, dslope
 
 
 def match_decay_mass(separations, values, errors):
@@ -416,8 +355,16 @@ def match_decay_mass(separations, values, errors):
 
     Fits log(Re S2) over the separations with inverse-variance weights
     (unit weights when errors is None or all zero, as in the free case)
-    and solves reference_slope(m) = measured slope for m.  Returns
-    (mass, mass_stderr, r_squared, measured_slope)."""
+    and solves reference_slope(m) = measured slope for m in [1e-9, 2.5].
+    Returns (mass, mass_stderr, r_squared, measured_slope).
+
+    The reference slope is negative and falls as m grows, and 1 / slope
+    is near linear in log m where m r << 1 (F ~ -log m), so Newton's
+    method on 1 / slope in u = log m, from m = 0.01 and clamped to the
+    range, takes three or four kernel quadratures at desk couplings.  It
+    stops after a step below 1e-7 in u, whose own error is of order the
+    step squared; a clamped iterate whose slope still misses the measured
+    one means no mass in the range matches."""
     r = np.asarray(separations, dtype=float)
     vals = np.asarray([float(np.real(v)) for v in values])
     if np.any(vals <= 0.0):
@@ -433,23 +380,26 @@ def match_decay_mass(separations, values, errors):
         slope, _, r2, sxx = _weighted_line_fit(r, np.log(vals), wts)
         slope_se = np.sqrt(1.0 / (sxx * np.sum(wts)))
 
-    lo, hi = 1e-9, 2.5
-    f_lo = reference_slope(lo, r, wts) - slope
-    f_hi = reference_slope(hi, r, wts) - slope
-    if f_lo * f_hi > 0:
-        raise ArithmeticError("measured slope outside the free-kernel "
+    outside = ArithmeticError("measured slope outside the free-kernel "
                               "slope range; no decay mass matches")
-    mass = brentq(lambda m: reference_slope(m, r, wts) - slope, lo, hi,
-                  xtol=1e-14, rtol=1e-13)
-    if slope_se > 0.0:
-        dm = max(1e-6, 0.01 * mass)
-        deriv = (reference_slope(mass + dm, r, wts)
-                 - reference_slope(max(mass - dm, lo / 2), r, wts)) \
-            / (dm + min(dm, mass - lo / 2))
-        mass_se = slope_se / abs(deriv)
+    if slope >= 0.0:
+        raise outside
+    lo, hi = np.log(1e-9), np.log(2.5)
+    u = np.log(0.01)
+    for _ in range(50):
+        m_eval = np.exp(u)
+        ref, dref = reference_slope(m_eval, r, wts)
+        if (u == lo and ref < slope) or (u == hi and ref > slope):
+            raise outside
+        u_eval = u
+        u = min(max(u + (1.0 / ref - 1.0 / slope) * ref * ref / dref, lo),
+                hi)
+        if abs(u - u_eval) < 1e-7:
+            break
     else:
-        mass_se = 0.0
-    return mass, mass_se, r2, slope
+        raise ArithmeticError("the decay mass match did not converge")
+    mass_se = slope_se * m_eval / abs(dref) if slope_se > 0.0 else 0.0
+    return float(np.exp(u)), mass_se, r2, slope
 
 
 def default_separations(geometry):

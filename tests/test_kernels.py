@@ -19,8 +19,9 @@ from sigmagap.kernels import (CUTOFF_ALPHA, CUTOFF_BIGA, CutoffSpec,
                               fit_decay_rate, polarization_kernel,
                               polarization_momentum,
                               polarization_momentum_table, pole_params,
-                              propagator_kernel, propagator_values,
-                              radial_grid, sqrt_one_plus_pi_kernel)
+                              propagator_kernel, propagator_m2_derivative,
+                              propagator_values, radial_grid,
+                              sqrt_one_plus_pi_kernel)
 
 
 def params_for(m, lam=1.0, K=1.0, N=10**6):
@@ -128,6 +129,35 @@ def test_propagator_grid_evaluates_each_distance_once(monkeypatch):
     assert k.values.shape == (161, 161)
     # the profile, plus the 2,461 distinct distances of the 161 x 161 grid
     assert sum(sizes) <= len(k.radial_r) + 2461
+
+
+@pytest.mark.parametrize("m2", [1e-12, 1.96e-6, 0.04, 0.64, 4.0])
+def test_m2_derivative_on_the_same_nodes(m2):
+    # F bit for bit as propagator_values gives it on both sides of the
+    # pole threshold m^2 = 1/e, and dF/dm^2 against a central difference
+    r = np.array([0.0, 2.0, 7.0 / 3.0, 2.5, 9.0, 15.0])
+    f, df = propagator_m2_derivative(m2, r)
+    assert np.array_equal(f, propagator_values(m2, r))
+    h = 1e-5 * m2
+    central = (propagator_values(m2 + h, r)
+               - propagator_values(m2 - h, r)) / (2 * h)
+    # the quadrature is good to about 1e-13 absolute, far below F(0)
+    np.testing.assert_allclose(df, central, rtol=1e-8,
+                               atol=1e-8 * np.abs(df).max())
+
+
+@pytest.mark.parametrize("m2", [1.96e-6, 0.04])
+def test_m2_derivative_beyond_the_pole_switch(m2):
+    # radii past R_POLE_SWITCH take the direct route out to the largest
+    # radius: F within 1e-12 of the pole route's, dF/dm^2 a central
+    # difference of it
+    r = np.array([2.0, 15.5, 20.0])
+    f, df = propagator_m2_derivative(m2, r)
+    np.testing.assert_allclose(f, propagator_values(m2, r), rtol=1e-12)
+    h = 1e-5 * m2
+    central = (propagator_values(m2 + h, r)
+               - propagator_values(m2 - h, r)) / (2 * h)
+    np.testing.assert_allclose(df, central, rtol=1e-8)
 
 
 @pytest.mark.parametrize("m", [0.05, 0.1, 0.15])

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -211,13 +212,56 @@ class TestMassMatching:
         seps = np.array([2.0, 2.25, 2.5])
         vals = propagator_values(m ** 2, seps)
         mass, se, r2, _ = match_decay_mass(seps, vals, None)
-        assert abs(mass - m) < 1e-8
+        assert abs(mass - m) < 1e-14
         assert se == 0.0
+
+    @pytest.mark.parametrize("m", [0.001, 0.2])
+    def test_recovers_known_mass_beyond_the_pole_switch(self, m):
+        # a fit window past kernels.R_POLE_SWITCH (15), where the data take
+        # the pole route and the reference the direct one
+        seps = np.array([14.0, 16.0, 18.0])
+        mass, _, _, _ = match_decay_mass(
+            seps, propagator_values(m ** 2, seps), None)
+        assert abs(mass - m) < 1e-14
 
     def test_rejects_impossible_slope(self):
         seps = np.array([2.0, 2.5])
         with pytest.raises(ArithmeticError):
             match_decay_mass(seps, np.array([1.0, 2.0]), None)  # growing
+
+    @pytest.mark.parametrize("values", [[1.0, 1e-3], [1.0, 0.999]])
+    def test_rejects_slopes_beyond_the_mass_range(self, values):
+        # steeper than the slope at m = 2.5, flatter than at m = 1e-9
+        with pytest.raises(ArithmeticError, match="outside"):
+            match_decay_mass(np.array([2.0, 2.5]), np.array(values), None)
+
+    def test_fit_takes_few_kernel_quadratures(self, monkeypatch):
+        # criterion 11's 576-site window on an interacting estimate: three
+        # kernel quadratures, one per Newton step from m = 0.01 (brentq on
+        # [1e-9, 2.5] and a central difference took 17 propagator_values
+        # calls), and the fit is estimate_S2's own
+        geo = LatticeGeometry(n=4, sites_per_square=3)
+        res = estimate_S2(make_params(), geometry=geo, n_samples=20, seed=5)
+        sel = ((res.separations >= res.fit_window[0] - 1e-12)
+               & (res.separations <= res.fit_window[1] + 1e-12))
+        calls, real = [], twopoint.propagator_m2_derivative
+        monkeypatch.setattr(twopoint, "propagator_m2_derivative",
+                            lambda *args: calls.append(args) or real(*args))
+        fit = match_decay_mass(res.separations[sel], res.estimates[sel],
+                               res.stderr[sel])
+        assert len(calls) <= 5
+        assert fit[:2] == (res.fitted_mprime, res.mprime_stderr)
+
+    @pytest.mark.parametrize("m", [1e-4, 0.0014, 0.2, 2.0])
+    def test_slope_derivative_is_a_central_difference(self, m):
+        # the log-m derivative behind the Newton steps and mprime_stderr
+        seps, wts = np.array([2.0, 7.0 / 3.0, 8.0 / 3.0]), np.array(
+            [1.0, 0.5, 0.2])
+        h = 1e-5
+        hi = twopoint.reference_slope(m * np.exp(h), seps, wts)[0]
+        lo = twopoint.reference_slope(m * np.exp(-h), seps, wts)[0]
+        deriv = twopoint.reference_slope(m, seps, wts)[1]
+        assert abs(deriv / ((hi - lo) / (2 * h)) - 1.0) < 1e-6
 
     def test_rejects_nonpositive_values(self):
         with pytest.raises(ArithmeticError):
@@ -320,7 +364,7 @@ class TestEstimateS2:
         # zgetrf, and numpy factors nothing
         params = make_params()
         estimate_S2(params, geometry=GEO, n_samples=20, seed=1)
-        pooled = twopoint._live_pool() is not None
+        pooled = twopoint._POOL is not None
         calls = []
 
         def counted(module, name):
@@ -362,8 +406,8 @@ def fresh_pool():
 
 # the worker-process checks below run in a child interpreter, so a hang
 # is cut by the subprocess timeout instead of stalling the suite
-HYGIENE_SCRIPT = """
-import os, signal, threading, time
+FRESH_SCRIPT = """
+import hashlib, os, signal, threading, time
 import numpy as np
 from sigmagap import twopoint
 from sigmagap.model import derive_params
@@ -371,15 +415,22 @@ from sigmagap.regions import LatticeGeometry
 twopoint._WORKERS = 2
 geo = LatticeGeometry(n=4, sites_per_square=2)
 p = derive_params(1.0, 1.0, 10 ** 4)
+def digest(res):
+    return hashlib.sha256(res.estimates.tobytes()
+                          + res.stderr.tobytes()).hexdigest()
 ref = twopoint.estimate_S2(p, geometry=geo, n_samples=40, seed=3)
-first = [q.pid for q in twopoint._POOL.procs]
+print("digest", digest(ref))
+"""
+HYGIENE_SCRIPT = FRESH_SCRIPT + """
+first = twopoint._POOL.pids
 os.kill(first[0], signal.SIGKILL)
-while twopoint._POOL.procs[0].is_alive():
-    time.sleep(0.01)  # once it is reaped the next call must see it
+while any(os.path.exists(f"/proc/{pid}") for pid in first):
+    time.sleep(0.01)  # reaped only after the pool has marked itself broken
 again = twopoint.estimate_S2(p, geometry=geo, n_samples=40, seed=3)
-second = [q.pid for q in twopoint._POOL.procs]
+second = twopoint._POOL.pids
 print("idle-kill", np.array_equal(ref.estimates, again.estimates),
       not set(first) & set(second))
+print("digest", digest(again))
 threading.Timer(0.3, os.kill, (second[1], signal.SIGKILL)).start()
 try:
     twopoint.estimate_S2(p, geometry=geo, n_samples=40000, seed=4)
@@ -405,6 +456,18 @@ def _child_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
 
 
+@pytest.fixture(scope="module")
+def hygiene_lines():
+    """stdout of HYGIENE_SCRIPT, run once for the tests that read it."""
+    if twopoint._blas_pins() is None:
+        pytest.skip("no worker processes without the BLAS pin")
+    run = subprocess.run([sys.executable, "-c", HYGIENE_SCRIPT],
+                         capture_output=True, text=True, timeout=300,
+                         env=_child_env())
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()
+
+
 class TestSamplingPool:
     """The interacting samples run on forked workers pinned to one BLAS
     thread; estimates do not depend on the worker count."""
@@ -415,8 +478,8 @@ class TestSamplingPool:
         for count in (1, 2, len(os.sched_getaffinity(0))):
             monkeypatch.setattr(twopoint, "_WORKERS", count)
             res = estimate_S2(params, geometry=GEO, n_samples=100, seed=6)
-            pool = twopoint._live_pool()
-            assert pool is None or len(pool.procs) == count
+            pool = twopoint._POOL
+            assert pool is None or len(pool.pids) == count
             results.append(res)
         for res in results[1:]:
             for field in ("estimates", "stderr"):
@@ -431,8 +494,8 @@ class TestSamplingPool:
             pytest.skip("no OpenBLAS thread calls to pin here")
         before = [get() for _, get in twopoint._blas_pins()]
         estimate_S2(make_params(), geometry=GEO, n_samples=20, seed=1)
-        pool = twopoint._live_pool()
-        assert pool is not None and pool.pinned
+        pool = twopoint._POOL
+        assert pool is not None
         assert all(counts == [1] * len(before) for counts in pool.threads)
         # this process gets its own counts back after the forks
         assert [get() for _, get in twopoint._blas_pins()] == before
@@ -445,10 +508,10 @@ class TestSamplingPool:
         if twopoint._blas_pins() is None:
             pytest.skip("no OpenBLAS thread calls to pin here")
         estimate_S2(make_params(), geometry=GEO, n_samples=40, seed=1)
-        pool = twopoint._live_pool()
+        pool = twopoint._POOL
         assert pool is not None
-        assert [len(os.listdir(f"/proc/{proc.pid}/task"))
-                for proc in pool.procs] == [1] * len(pool.procs)
+        assert [len(os.listdir(f"/proc/{pid}/task"))
+                for pid in pool.pids] == [1] * len(pool.pids)
 
     def test_unpinnable_runs_in_process(self, monkeypatch, fresh_pool):
         params = make_params()
@@ -504,7 +567,9 @@ class TestSamplingPool:
         assert type(info.value) is ArithmeticError
         assert str(info.value) == "1 + igS is singular (injected)"
         # a failed chunk leaves the pool whole
-        assert twopoint._blas_pins() is None or twopoint._POOL.alive()
+        pool = twopoint._POOL
+        assert twopoint._blas_pins() is None or (
+            pool is not None and all(map(_pid_alive, pool.pids)))
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self"),
                         reason="reads worker states from /proc")
@@ -513,7 +578,7 @@ class TestSamplingPool:
                 "from sigmagap import cli, twopoint\n"
                 "rc = cli.main(['accept-all', '--profile', 'quick',"
                 " '--out', sys.argv[1]])\n"
-                "print('pids', *[q.pid for q in twopoint._POOL.procs]"
+                "print('pids', *twopoint._POOL.pids"
                 " if twopoint._POOL else [])\n"
                 "sys.exit(rc)\n")
         run = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
@@ -526,19 +591,46 @@ class TestSamplingPool:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self"),
                         reason="reads worker states from /proc")
-    def test_killed_worker_never_hangs_the_caller(self):
+    def test_workers_die_with_the_parent(self):
+        # SIGKILL leaves the executor no exit hook to stop its workers
         if twopoint._blas_pins() is None:
             pytest.skip("no worker processes without the BLAS pin")
-        run = subprocess.run([sys.executable, "-c", HYGIENE_SCRIPT],
+        code = FRESH_SCRIPT + ("print('pids', *twopoint._POOL.pids, "
+                               "flush=True)\ntime.sleep(300)\n")
+        with subprocess.Popen([sys.executable, "-c", code],
+                              stdout=subprocess.PIPE, text=True,
+                              env=_child_env()) as child:
+            try:
+                lines = [child.stdout.readline() for _ in range(2)]
+                pids = [int(p) for p in lines[1].split()[1:]]
+            finally:
+                child.kill()
+        assert len(pids) == 2
+        deadline = time.monotonic() + 30.0
+        while any(map(_pid_alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in pids if _pid_alive(pid)]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                        reason="reads worker states from /proc")
+    def test_killed_worker_never_hangs_the_caller(self, hygiene_lines):
+        # killed while idle: the next call forks a new pool, same bits
+        assert hygiene_lines[1] == "idle-kill True True"
+        # killed mid-call: the call raises and drops the pool
+        assert hygiene_lines[3] == "mid-kill raised True"
+        assert hygiene_lines[4] == "after True"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                        reason="reads worker states from /proc")
+    def test_idle_kill_retry_matches_a_fresh_process(self, hygiene_lines):
+        # the call after an idle kill resubmits its first chunk's draws
+        # to the new pool, drawing nothing twice: its estimates are a
+        # fresh process's for the same seed
+        run = subprocess.run([sys.executable, "-c", FRESH_SCRIPT],
                              capture_output=True, text=True, timeout=300,
                              env=_child_env())
         assert run.returncode == 0, run.stderr
-        lines = run.stdout.splitlines()
-        # killed while idle: the next call forks a new pool, same bits
-        assert lines[0] == "idle-kill True True"
-        # killed mid-call: the call raises and drops the pool
-        assert lines[1] == "mid-kill raised True"
-        assert lines[2] == "after True"
+        assert hygiene_lines[2] == run.stdout.splitlines()[0]
 
 
 class TestDualRoute:
